@@ -7,10 +7,9 @@ timing data lives in the manifest, never in the CSVs. The manifest is
 written last and atomically, which makes its presence a completion
 certificate: a run that died half way leaves no manifest behind.
 
-The solver itself is single threaded by design (the batched evaluator owns
+The solver itself is single threaded by design: the batched evaluator owns
 the vectorization, and fixed accumulation order is what keeps reruns
-reproducible). The --threads flag and the REINSURE_DP_THREADS fallback are
-therefore recorded in the manifest for bookkeeping but do not fan work out.
+reproducible.
 
 Config documents carry the optional keys cost_of_capital_rate and
 risk_free_rate. Both are documentation: the model's discount factor beta
@@ -498,18 +497,7 @@ def _run_simulate(doc, config, out_dir, seed, policy_path):
     return outputs, stats, {}
 
 
-def _resolve_threads(threads):
-    if threads is None:
-        env = os.environ.get("REINSURE_DP_THREADS", "")
-        threads = int(env) if env.strip() else 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    return threads
-
-
-def run(subcommand, config_path, out_dir, *, seed=0, threads=None, tol=None,
-        policy=None) -> int:
+def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> int:
     """Execute one subcommand; returns the process exit status.
 
     0 on success, 1 on validation/config errors, 2 on numeric failures.
@@ -525,7 +513,6 @@ def run(subcommand, config_path, out_dir, *, seed=0, threads=None, tol=None,
         seed = int(seed)
         if seed < 0:
             raise ValidationError("seed must be nonnegative")
-        threads = _resolve_threads(threads)
         doc = _load_json(config_path)
         config = _config_from_doc(doc)
         if tol is not None:
@@ -545,7 +532,6 @@ def run(subcommand, config_path, out_dir, *, seed=0, threads=None, tol=None,
             "artifact_version": __version__,
             "subcommand": subcommand,
             "seed": seed,
-            "threads": threads,
             "tol": config.tol,
             "config": config_to_doc(config),
             "documentation": {k: doc[k] for k in _DOC_KEYS if k in doc},
@@ -584,8 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="recorded in the manifest; REINSURE_DP_THREADS fallback")
         p.add_argument("--tol", type=float, default=None,
                        help="override the config tolerance")
         if name in ("evaluate-policy", "simulate"):
@@ -603,7 +587,6 @@ def main(argv=None) -> int:
         args.config,
         args.out,
         seed=args.seed,
-        threads=args.threads,
         tol=args.tol,
         policy=getattr(args, "policy", None),
     )

@@ -6,9 +6,16 @@ surplus x is rho(-X' + beta v(X')) where X' = x + Z - f(Y) - pi(f) is the
 next surplus. Because -x' + beta v(x') is strictly decreasing in x' whenever
 v is decreasing, sorting the cost atoms is the same as sorting next-surplus
 atoms in reverse, and the risk-measure weights depend only on that ordering.
-With deterministic premium income the ordering is claim-ascending for every
-admissible treaty, so a single weight vector per stage prices all states and
-all candidate treaties in one batch; the general case re-sorts per candidate.
+
+One batched evaluator prices every (state, candidate) pair of a search
+ladder. With deterministic premium income the ordering is claim-ascending
+for every admissible treaty, so a single weight vector per stage prices all
+of them; with stochastic income one stable argsort along the atom axis
+orders every pair at once and one batched weight call weights them; the
+entropic measure needs no order and takes a log-sum-exp over the atoms.
+States go through in fixed slices so the (state, candidate, atom)
+temporaries stay bounded; each pair reduces on its own, so slicing never
+changes a result bit.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -49,6 +56,9 @@ from .treaties import (
 # grid states; anything larger signals a resolution problem, not noise
 _MONO_TOL = 1e-6
 _ZOOM_LEVELS = 3
+# (state, candidate, atom) cells evaluated at once; bounds the evaluator's
+# temporaries whatever the atom count
+_CHUNK_ELEMS = 1 << 20
 _SEARCH_FAMILIES = ("stop-loss", "layer", "proportional", "piecewise-linear")
 
 
@@ -361,47 +371,48 @@ def _params_to_treaty(search: SearchSpec, p: float) -> Treaty:
 def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: SearchSpec):
     """Objective value at every (state, candidate parameter) pair.
 
-    x has shape (S,), params (S, P); the result matches params. When premium
-    income is deterministic and the risk measure is weight-representable, the
-    claim-ascending atom order works for every candidate at once; otherwise
-    candidates are priced one by one with their own atom sort.
+    x has shape (S,), params (S, P); the result matches params. The cost
+    atoms run over the (Y, Z) product. The entropic kind takes a log-sum-exp
+    over them; the other kinds a weighted sum in descending next-surplus
+    order, with one shared weight vector when income is deterministic and a
+    batched argsort and atom_weights call otherwise. States go through in
+    slices of at most _CHUNK_ELEMS (state, candidate, atom) cells; each pair
+    reduces on its own, so slicing never changes a result bit.
     """
     x = np.asarray(x, dtype=np.float64)
     params = np.asarray(params, dtype=np.float64)
     bp, bv = _premium_table(search, s)
     prem = np.interp(params, bp, bv)
 
-    fast = len(s.dZ) == 1 and s.risk.kind != "entropic"
-    if fast:
-        w = atom_weights(s.risk, s.dY.probs)
-        act = np.flatnonzero(w)
-        wa = w[act]
-        ya = s.dY.values[act]
-        sw = float(np.sum(wa))
-        z0 = float(s.dZ.values[0])
-        h = _retained_on(search, params[..., None], ya)
-        t = z0 - h - prem[..., None]
-        w_t = np.sum(t * wa, axis=-1)
-        cont = np.sum(v(x[:, None, None] + t) * wa, axis=-1)
-        return -x[:, None] * sw - w_t + s.beta * cont
-
-    zz = np.tile(s.dZ.values, len(s.dY))
-    probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
     kz = len(s.dZ)
+    y = np.repeat(s.dY.values, kz)
+    z = np.tile(s.dZ.values, len(s.dY))
+    probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
+    entropic = s.risk.kind == "entropic"
+    shared = None
+    if kz == 1 and not entropic:
+        w = atom_weights(s.risk, probs)
+        act = np.flatnonzero(w)
+        shared, y, z = w[act], y[act], z[act]
+
     out = np.empty(params.shape)
-    for j, k in np.ndindex(params.shape):
-        f = _params_to_treaty(search, params[j, k])
-        h = np.repeat(f.retained(s.dY.values), kz)
-        t = zz - h - prem[j, k]
-        xt = x[j] + t
-        cost = -xt + s.beta * v(xt)
-        if s.risk.kind == "entropic":
+    step = max(1, _CHUNK_ELEMS // (params.shape[1] * y.size))
+    for lo in range(0, x.size, step):
+        sl = slice(lo, lo + step)
+        xs = x[sl, None]
+        t = z - _retained_on(search, params[sl, :, None], y) - prem[sl, :, None]
+        if entropic:
+            xt = xs[..., None] + t
             g = s.risk.gamma
-            out[j, k] = float(logsumexp(g * cost, b=probs)) / g
-        else:
-            order = np.argsort(-t, kind="stable")
-            wts = atom_weights(s.risk, probs[order])
-            out[j, k] = float(np.dot(wts, cost[order]))
+            out[sl] = logsumexp(g * (-xt + s.beta * v(xt)), b=probs, axis=-1) / g
+            continue
+        w = shared
+        if w is None:
+            order = np.argsort(-t, axis=-1, kind="stable")
+            t = np.take_along_axis(t, order, axis=-1)
+            w = atom_weights(s.risk, probs[order])
+        cont = np.sum(v(xs[..., None] + t) * w, axis=-1)
+        out[sl] = -xs * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont
     return out
 
 
@@ -558,15 +569,17 @@ def _policy_values_solve(row, s: StageData, grid: np.ndarray, tail: float):
     kz = len(s.dZ)
     zz = np.tile(s.dZ.values, len(s.dY))
     probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
-    for j, f in enumerate(row):
-        p = treaty_premium(s.premium, s.dY, f)
-        h = np.repeat(f.retained(s.dY.values), kz)
-        t = zz - h - p
-        order = np.argsort(-t, kind="stable")
-        w = atom_weights(s.risk, probs[order])
-        act = np.flatnonzero(w)
-        ws = w[act]
-        xt = grid[j] + t[order][act]
+    t = np.array(
+        [zz - np.repeat(f.retained(s.dY.values), kz) - treaty_premium(s.premium, s.dY, f)
+         for f in row]
+    )
+    order = np.argsort(-t, axis=-1, kind="stable")
+    t = np.take_along_axis(t, order, axis=-1)
+    weights = atom_weights(s.risk, probs[order])
+    for j in range(size):
+        act = np.flatnonzero(weights[j])
+        ws = weights[j, act]
+        xt = grid[j] + t[j, act]
         b_vec[j] = -float(np.dot(ws, xt))
         left = xt <= grid[0]
         right = xt >= grid[-1]
@@ -656,8 +669,12 @@ def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row):
     return np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
 
 
-def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
-    """Value of a fixed Markov policy by backward application of its rows."""
+def _policy_values(policy: PolicyTable, config: ModelConfig) -> list[ValueFunction]:
+    """Cost-to-go [J_0 .. J_N] of a fixed Markov policy, one backward pass.
+
+    J_n is the value of starting at stage n and following rows n..N-1, so
+    it equals evaluating the policy's tail on the config's tail stages.
+    """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
     grid = config.grid.points()
@@ -666,7 +683,8 @@ def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
     n = config.horizon
     if len(policy.rows) != n:
         raise ValidationError(f"policy has {len(policy.rows)} rows, horizon is {n}")
-    v = ValueFunction(grid, np.zeros(grid.size))
+    values: list[ValueFunction] = [None] * (n + 1)
+    values[n] = v = ValueFunction(grid, np.zeros(grid.size))
     for k in range(n - 1, -1, -1):
         s = config.stage(k)
         row = policy.rows[k]
@@ -676,8 +694,12 @@ def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
                     raise InfeasiblePolicyRow(
                         f"stage {k}: treaty premium exceeds surplus at x = {x:.6g}"
                     )
-        values = _row_values(v, s, grid, row)
         out_left = -(1.0 - s.beta * v.slope_left)
         out_right = -(1.0 - s.beta * v.slope_right)
-        v = ValueFunction(grid, values, out_left, out_right)
-    return v
+        values[k] = v = ValueFunction(grid, _row_values(v, s, grid, row), out_left, out_right)
+    return values
+
+
+def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
+    """Value of a fixed Markov policy by backward application of its rows."""
+    return _policy_values(policy, config)[0]

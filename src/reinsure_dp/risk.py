@@ -25,6 +25,8 @@ from .distributions import DiscreteDistribution, quantile
 from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError
 
 _PROBE = np.linspace(0.0, 1.0, 1001)
+_QUAD_NODES = 64  # Gauss-Legendre nodes per cell for spectra without antiderivative
+_QUAD_POINTS = 1 << 20  # nodes per density call in one quadrature block
 _KINDS = (
     "expectation",
     "value-at-risk",
@@ -36,13 +38,14 @@ _KINDS = (
 
 
 def _call_on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
+    """fn on every point of ``grid``, any shape; scalar-only handles work too."""
     try:
         out = np.asarray(fn(grid), dtype=np.float64)
         if out.shape == grid.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(fn(u)) for u in grid])
+    return np.array([float(fn(u)) for u in grid.ravel()]).reshape(grid.shape)
 
 
 def _check_distortion(g: Callable) -> np.ndarray:
@@ -200,16 +203,40 @@ def es_spectrum(alpha: float) -> Spectrum:
 
 
 def _cell_bounds(probs: np.ndarray) -> np.ndarray:
-    """Cumulative cell boundaries [0, F_1, ..., F_k] with the top forced to 1."""
-    F = np.concatenate([[0.0], np.cumsum(probs)])
-    F[-1] = 1.0
+    """Cumulative cell boundaries [0, F_1, ..., F_k] along the last axis, with
+    the top forced to 1."""
+    cum = np.cumsum(probs, axis=-1)
+    F = np.concatenate([np.zeros(cum.shape[:-1] + (1,)), cum], axis=-1)
+    F[..., -1] = 1.0
     return np.clip(F, 0.0, 1.0)
+
+
+def _quadrature_weights(density: Callable, F: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integral of the density over each cell of F.
+
+    Leading rows go through in blocks of at most _QUAD_POINTS nodes, so the
+    node array stays bounded however many rows a batch carries.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    k = F.shape[-1] - 1
+    lo = F[..., :-1].reshape(-1, k)
+    half = 0.5 * (F[..., 1:].reshape(-1, k) - lo)
+    out = np.empty(half.shape)
+    step = max(1, _QUAD_POINTS // (k * _QUAD_NODES))
+    for r in range(0, half.shape[0], step):
+        lo_b, half_b = lo[r : r + step, :, None], half[r : r + step, :, None]
+        pts = lo_b + half_b * (nodes + 1.0)
+        vals = _call_on_grid(density, pts.ravel()).reshape(pts.shape)
+        out[r : r + step] = np.sum(half_b * wts * vals, axis=-1)
+    return out.reshape(F.shape[:-1] + (k,))
 
 
 def atom_weights(spec: RiskSpec, probs: np.ndarray) -> np.ndarray | None:
     """Probability weights w such that rho(X) = sum_i w_i v_(i) on the sorted
     support with cell probabilities ``probs``.
 
+    ``probs`` may carry leading batch axes; the support runs along the last
+    one and every row is weighted exactly as a 1-D call on it would be.
     Returns None for the entropic kind, which is not weight representable.
     The weights depend only on the probabilities (not the values), which the
     solver exploits to evaluate whole batches of risks sharing one ordering.
@@ -217,13 +244,15 @@ def atom_weights(spec: RiskSpec, probs: np.ndarray) -> np.ndarray | None:
     kind = spec.kind
     if kind == "entropic":
         return None
+    probs = np.asarray(probs, dtype=np.float64)
     if kind == "expectation":
-        return np.asarray(probs, dtype=np.float64)
+        return probs
     F = _cell_bounds(probs)
     if kind == "value-at-risk":
-        idx = min(int(np.searchsorted(F[1:], spec.alpha, side="left")), len(probs) - 1)
-        w = np.zeros(len(probs))
-        w[idx] = 1.0
+        # first cell whose upper bound reaches alpha (F is sorted)
+        idx = np.count_nonzero(F[..., 1:] < spec.alpha, axis=-1)
+        w = np.zeros(probs.shape)
+        np.put_along_axis(w, np.minimum(idx, probs.shape[-1] - 1)[..., None], 1.0, axis=-1)
         return w
     if kind == "expected-shortfall":
         dual = np.maximum(F - spec.alpha, 0.0) / (1.0 - spec.alpha)
@@ -236,12 +265,7 @@ def atom_weights(spec: RiskSpec, probs: np.ndarray) -> np.ndarray | None:
         if s.antiderivative is not None:
             anti = _call_on_grid(s.antiderivative, F)
             return np.diff(anti)
-        nodes, wts = np.polynomial.legendre.leggauss(64)
-        lo, hi = F[:-1], F[1:]
-        half = 0.5 * (hi - lo)
-        pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-        vals = _call_on_grid(s.density, pts.ravel()).reshape(pts.shape)
-        return np.sum(half[:, None] * wts[None, :] * vals, axis=1)
+        return _quadrature_weights(s.density, F)
     raise ValidationError(f"unknown risk kind {kind!r}")
 
 

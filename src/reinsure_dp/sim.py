@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ess_sup, quantile
-from .dp import ModelConfig, PolicyTable, evaluate_policy
+# evaluate_policy stays importable from here: bench/tracing.py patches it at
+# this import site
+from .dp import ModelConfig, PolicyTable, _policy_values, evaluate_policy  # noqa: F401
 from .errors import (
     GridMismatch,
     InfeasiblePolicyRow,
@@ -227,11 +229,7 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
         )
 
     # cost-to-go of the given policy for each start stage
-    tails = []
-    for n in range(n_periods):
-        stages = config.stages if len(config.stages) == 1 else config.stages[n:]
-        sub = ModelConfig(n_periods - n, stages, config.grid, config.search, config.tol)
-        tails.append(evaluate_policy(PolicyTable(policy.grid, policy.rows[n:]), sub))
+    tails = _policy_values(policy, config)
 
     holds = True
     x = float(x0)

@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import reinsure_dp
 from reinsure_dp.cli import (
     main,
     parse_config,
@@ -210,18 +213,6 @@ class TestSolveSubcommands:
         cfg = dump(tmp_path, finite_doc())
         assert run("solve-finite", cfg, str(tmp_path / "x")) == 2
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = dump(tmp_path, finite_doc(m=21, count=17, horizon=1))
-        monkeypatch.setenv("REINSURE_DP_THREADS", "7")
-        out = tmp_path / "env"
-        assert run("solve-finite", cfg, str(out)) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 7
-        out2 = tmp_path / "flag"
-        assert run("solve-finite", cfg, str(out2), threads=3) == 0
-        manifest = json.loads((out2 / "manifest.json").read_text())
-        assert manifest["threads"] == 3
-
 
 class TestPolicyFlow:
 
@@ -358,3 +349,17 @@ class TestMain:
         doc = infinite_doc(risk={"kind": "value-at-risk", "alpha": 0.95})
         cfg = dump(tmp_path, doc)
         assert main(["solve-infinite", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_module_entry_point_help(self):
+        src = os.path.dirname(os.path.dirname(reinsure_dp.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reinsure_dp", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "solve-finite" in proc.stdout

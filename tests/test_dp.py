@@ -9,9 +9,13 @@ myopia under value-at-risk, contraction rate, envelope membership) pin the
 solver against independently computed closed forms.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from reinsure_dp import dp, risk as risk_mod
 from reinsure_dp.distributions import (
     FamilySpec,
     discretize,
@@ -23,8 +27,10 @@ from reinsure_dp.dp import (
     ModelConfig,
     SearchSpec,
     StageData,
+    PolicyTable,
     ValueFunction,
     _candidate_objectives,
+    _policy_values,
     apply_L,
     bellman_step,
     bounding_functions,
@@ -41,7 +47,16 @@ from reinsure_dp.errors import (
     ValidationError,
 )
 from reinsure_dp.premiums import PremiumSpec, premium, treaty_premium
-from reinsure_dp.risk import RiskSpec, distortion_preset, es, es_spectrum, evaluate, var
+from reinsure_dp.risk import (
+    RiskSpec,
+    Spectrum,
+    atom_weights,
+    distortion_preset,
+    es,
+    es_spectrum,
+    evaluate,
+    var,
+)
 from reinsure_dp.treaties import make_treaty
 
 SEED = 31415
@@ -369,6 +384,146 @@ def _treaty_from(search, p):
     raise AssertionError(search.family)
 
 
+# the evaluator's differential grid: risk kind x income law x family
+RISKS = {
+    "mean": RiskSpec("expectation"),
+    "var": RiskSpec("value-at-risk", alpha=0.9),
+    "es": RiskSpec("expected-shortfall", alpha=0.85),
+    "ph": RiskSpec("distortion", distortion=distortion_preset("ph:0.7")),
+    "spectral-anti": RiskSpec("spectral", spectrum=es_spectrum(0.8)),
+    # linear density 2u, integrated by quadrature
+    "spectral-quad": RiskSpec("spectral", spectrum=Spectrum(lambda u: 2.0 * np.asarray(u))),
+    "entropic": RiskSpec("entropic", gamma=1.5),
+}
+INCOMES = {
+    "point": lambda: point(0.3),
+    "3-atom": lambda: make_discrete([(0.0, 0.25), (0.3, 0.5), (0.7, 0.25)]),
+    "5-atom": lambda: discretize(FamilySpec("uniform", (0.1, 0.5), atoms=5)),
+}
+
+
+def _grid_stage(risk_id, income_id, m=31):
+    return StageData(
+        uniform01(m), INCOMES[income_id](), RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9
+    )
+
+
+def _grid_search(family, dY):
+    if family == "layer":
+        return SearchSpec("layer", layer_upper=var(dY, 0.9))
+    return SearchSpec(family)
+
+
+def _ladder_for(rng, s, search, states, probes):
+    hi = {"stop-loss": ess_sup(s.dY), "layer": search.layer_upper, "proportional": 1.0}
+    return _ladder(rng, 0.0, hi[search.family], states, probes)
+
+
+class TestEvaluatorGrid:
+    """One evaluator, every risk kind, income law and family, against apply_L."""
+
+    GRID = np.linspace(-0.8, 1.2, 9)
+
+    @pytest.mark.parametrize("family", ["stop-loss", "layer", "proportional"])
+    @pytest.mark.parametrize("income_id", list(INCOMES))
+    @pytest.mark.parametrize("risk_id", list(RISKS))
+    def test_against_apply_L(self, risk_id, income_id, family):
+        rng = np.random.default_rng(SEED)
+        s = _grid_stage(risk_id, income_id)
+        search = _grid_search(family, s.dY)
+        cfg = ModelConfig(1, (s,), GridSpec(-0.8, 1.2, 17), search)
+        b_low, b_high = bounding_functions(cfg, 0)
+        v = random_inside(rng, self.GRID, b_low, b_high, slopes=(-1.5, -0.5))
+        params = _ladder_for(rng, s, search, self.GRID.size, 4)
+        got = _candidate_objectives(v, s, self.GRID, params, search)
+        assert got.shape == params.shape
+        for j, k in np.ndindex(params.shape):
+            want = apply_L(v, self.GRID[j], _treaty_from(search, params[j, k]), s)
+            assert got[j, k] == pytest.approx(want, abs=1e-10), (j, k)
+
+
+class TestEvaluatorChunking:
+    """State slices change memory, never a bit of the result."""
+
+    @pytest.mark.parametrize(
+        "risk_id, income_id, family",
+        [
+            ("ph", "point", "layer"),
+            ("es", "5-atom", "stop-loss"),
+            ("var", "3-atom", "proportional"),
+            ("spectral-quad", "3-atom", "stop-loss"),
+            ("entropic", "5-atom", "proportional"),
+        ],
+    )
+    def test_chunked_equals_unchunked(self, monkeypatch, risk_id, income_id, family):
+        rng = np.random.default_rng(SEED)
+        s = _grid_stage(risk_id, income_id, m=41)
+        search = _grid_search(family, s.dY)
+        grid = np.linspace(-0.5, 1.5, 23)
+        v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
+        params = _ladder_for(rng, s, search, grid.size, 9)
+        whole = _candidate_objectives(v, s, grid, params, search)
+        atoms = len(s.dY) * len(s.dZ)
+        # three states per slice; 23 states leave a short last slice
+        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 3 * params.shape[1] * atoms)
+        sliced = _candidate_objectives(v, s, grid, params, search)
+        assert np.array_equal(whole, sliced)
+
+    def test_peak_memory_bounded(self):
+        # 64 states x 65 candidates x 2001 atoms, full-support PH weights:
+        # unsliced this needs several hundred MB of temporaries
+        s = StageData(
+            uniform01(2001),
+            point(0.3),
+            RISKS["ph"],
+            PremiumSpec("expected", theta=0.2),
+            1.0,
+        )
+        grid = np.linspace(-0.5, 1.5, 64)
+        v = ValueFunction(grid, -grid)
+        params = np.tile(np.linspace(0.0, 1.0, 65), (grid.size, 1))
+        tracemalloc.start()
+        try:
+            _candidate_objectives(v, s, grid, params, SearchSpec("stop-loss"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestBatchedAtomWeights:
+    """Rows of a batched atom_weights call are bitwise the 1-D calls."""
+
+    @pytest.mark.parametrize("risk_id", [r for r in RISKS if r != "entropic"])
+    def test_rows_bitwise_equal(self, risk_id):
+        rng = np.random.default_rng(SEED)
+        probs = rng.uniform(0.0, 1.0, size=(3, 4, 17))
+        probs[0, 1, 5] = 0.0
+        probs /= probs.sum(axis=-1, keepdims=True)
+        spec = RISKS[risk_id]
+        got = atom_weights(spec, probs)
+        assert got.shape == probs.shape
+        for idx in np.ndindex(probs.shape[:-1]):
+            assert np.array_equal(got[idx], atom_weights(spec, probs[idx])), idx
+
+    def test_scalar_only_handle(self):
+        # math.sqrt rejects arrays, so the handle is called point by point
+        spec = RiskSpec("distortion", distortion=lambda u: math.sqrt(u))
+        probs = np.full((2, 5), 0.2)
+        probs[1] = [0.1, 0.4, 0.2, 0.2, 0.1]
+        got = atom_weights(spec, probs)
+        for r in range(2):
+            assert np.array_equal(got[r], atom_weights(spec, probs[r]))
+
+    def test_quadrature_blocks_bitwise(self, monkeypatch):
+        spec = RISKS["spectral-quad"]
+        probs = np.random.default_rng(SEED).dirichlet(np.ones(11), size=(5, 3))
+        whole = atom_weights(spec, probs)
+        # two rows of 11 cells x 64 nodes per block
+        monkeypatch.setattr(risk_mod, "_QUAD_POINTS", 2 * 11 * 64)
+        assert np.array_equal(atom_weights(spec, probs), whole)
+
+
 class TestBellmanStep:
     def test_unconstrained_terminal_is_affine(self):
         s = es_stage(m=401, beta=0.9, alpha=0.9, theta=0.1, z=0.3, constrained=False)
@@ -633,8 +788,6 @@ class TestEvaluatePolicy:
         values, _ = solve_finite(cfg)
         grid = cfg.grid.points()
         ident = make_treaty("identity", {})
-        from reinsure_dp.dp import PolicyTable
-
         rows = tuple(tuple(ident for _ in grid) for _ in range(2))
         table = PolicyTable(grid, rows)
         j_pi = evaluate_policy(table, cfg)
@@ -647,8 +800,6 @@ class TestEvaluatePolicy:
         grid = cfg.grid.points()
         s = cfg.stage(0)
         f = make_treaty("stop-loss", {"a": ess_sup(s.dY)})
-        from reinsure_dp.dp import PolicyTable
-
         table = PolicyTable(grid, (tuple(f for _ in grid),))
         j_pi = evaluate_policy(table, cfg)
         for j, x in enumerate(grid):
@@ -660,11 +811,30 @@ class TestEvaluatePolicy:
         )
         grid = cfg.grid.points()
         cheap_nothing = make_treaty("stop-loss", {"a": 0.0})  # full cession, costly
-        from reinsure_dp.dp import PolicyTable
-
         table = PolicyTable(grid, (tuple(cheap_nothing for _ in grid),))
         with pytest.raises(InfeasiblePolicyRow):
             evaluate_policy(table, cfg)
+
+
+    def test_one_pass_tails_equal_per_start_evaluation(self):
+        stages = (
+            es_stage(m=101, alpha=0.9),
+            _grid_stage("var", "3-atom", m=101),
+            es_stage(m=101, alpha=0.95),
+        )
+        cfg = ModelConfig(3, stages, GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
+        _, policy = solve_finite(cfg)
+        tails = _policy_values(policy, cfg)
+        assert len(tails) == 4
+        assert np.array_equal(tails[3].values, np.zeros(33))
+        for n in range(3):
+            sub = ModelConfig(3 - n, stages[n:], cfg.grid, cfg.search)
+            want = evaluate_policy(PolicyTable(policy.grid, policy.rows[n:]), sub)
+            assert np.array_equal(tails[n].values, want.values), n
+            assert (tails[n].slope_left, tails[n].slope_right) == (
+                want.slope_left,
+                want.slope_right,
+            )
 
 
 class TestContractionAndIteration:

@@ -29,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .distributions import DiscreteDistribution, FamilySpec, discretize, make_discrete
+from .distributions import DiscreteDistribution, FamilySpec, discretize, make_discrete, push_forward
 from .dp import (
     GridSpec,
     ModelConfig,
@@ -42,10 +42,10 @@ from .dp import (
 )
 from .errors import NumericError, ParseError, ValidationError
 from .oracles import oracle_es_uniform, oracle_var_layer
-from .premiums import PremiumSpec, treaty_premium
+from .premiums import PremiumSpec, premium
 from .risk import RiskSpec, distortion_preset, is_coherent
 from .sim import simulate_paths
-from .treaties import make_treaty
+from .treaties import FAMILIES, make_treaty
 
 __all__ = ["main", "parse_config", "read_policy_csv", "run", "write_config"]
 
@@ -161,12 +161,13 @@ def _parse_stage(obj, idx) -> StageData:
         )
     except ValidationError as exc:
         _wrap(exc, path)
-    # normalization probe: a fully retained book carries no reinsurance price
-    probe = treaty_premium(prem, dY, make_treaty("identity", {}))
+    # normalization probe: a fully retained book cedes zero, which carries
+    # no reinsurance price
+    probe = premium(prem, push_forward(dY, np.zeros_like))
     if abs(probe) > 1e-12:
         raise ValidationError(
             f"field {path}.premium: normalization probe failed"
-            f" (identity treaty priced at {probe!r})"
+            f" (fully retained book priced at {probe!r})"
         )
     return stage
 
@@ -309,19 +310,23 @@ def _values_csv(blocks) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _param_cells(f) -> list[str]:
+    # p1, p2: the family's fields in order, a vector as space-separated numbers
+    fam = FAMILIES[f.family]
+    if fam.fields is None:
+        raise ValidationError(f"family {f.family!r} has no CSV form")
+    cells = [
+        " ".join(_fmt(t) for t in f.params[k]) if k in fam.vectors else _fmt(f.params[k])
+        for k in fam.fields
+    ]
+    return cells + [""] * (2 - len(cells))
+
+
 def _policy_csv(policy: PolicyTable, labels) -> str:
     lines = ["stage,x,family,p1,p2"]
-    for n, label in enumerate(labels):
-        for x, f in zip(policy.grid, policy.rows[n]):
-            if f.family == "proportional":
-                p1, p2 = _fmt(f.params["c"]), ""
-            elif f.family == "stop-loss":
-                p1, p2 = _fmt(f.params["a"]), ""
-            elif f.family == "layer":
-                p1, p2 = _fmt(f.params["a"]), _fmt(f.params["w"])
-            else:
-                raise ValidationError(f"family {f.family!r} has no CSV form")
-            lines.append(f"{label},{_fmt(x)},{f.family},{p1},{p2}")
+    for label, row in zip(labels, policy.rows):
+        for x, f in zip(policy.grid, row):
+            lines.append(",".join([label, _fmt(x), f.family, *_param_cells(f)]))
     return "\n".join(lines) + "\n"
 
 
@@ -343,16 +348,18 @@ def read_policy_csv(path) -> PolicyTable:
         if label not in by_stage:
             order.append(label)
             by_stage[label] = []
-        fam = row["family"]
-        if fam == "proportional":
-            treaty = make_treaty(fam, {"c": float(row["p1"])})
-        elif fam == "stop-loss":
-            treaty = make_treaty(fam, {"a": float(row["p1"])})
-        elif fam == "layer":
-            treaty = make_treaty(fam, {"a": float(row["p1"]), "w": float(row["p2"])})
-        else:
-            raise ParseError(f"{path}: unsupported treaty family {fam!r}")
-        by_stage[label].append((float(row["x"]), treaty))
+        name = row["family"]
+        fam = FAMILIES.get(name)
+        if fam is None or fam.fields is None:
+            raise ParseError(f"{path}: unsupported treaty family {name!r}")
+        try:
+            params = {
+                k: [float(t) for t in cell.split()] if k in fam.vectors else float(cell)
+                for k, cell in zip(fam.fields, (row["p1"], row["p2"]))
+            }
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: bad {name} parameters: {exc}") from exc
+        by_stage[label].append((float(row["x"]), make_treaty(name, params)))
     first = [x for x, _ in by_stage[order[0]]]
     for label in order[1:]:
         if [x for x, _ in by_stage[label]] != first:
@@ -361,6 +368,15 @@ def read_policy_csv(path) -> PolicyTable:
     return PolicyTable(
         grid, tuple(tuple(t for _, t in by_stage[label]) for label in order)
     )
+
+
+def _write_solution(out_dir, values, policy: PolicyTable, labels=None) -> list[str]:
+    """Write values.csv and policy.csv; labels default to stage numbers."""
+    if labels is None:
+        labels = [str(k) for k in range(len(values))]
+    _write_text(os.path.join(out_dir, "values.csv"), _values_csv(zip(labels, values)))
+    _write_text(os.path.join(out_dir, "policy.csv"), _policy_csv(policy, labels))
+    return ["values.csv", "policy.csv"]
 
 
 def _atomic_json(path, obj) -> None:
@@ -378,23 +394,13 @@ def _atomic_json(path, obj) -> None:
 def _run_solve_finite(doc, config, out_dir):
     stats: list = []
     values, policy = solve_finite(config, stats=stats)
-    _write_text(
-        os.path.join(out_dir, "values.csv"),
-        _values_csv((str(k), vf) for k, vf in enumerate(values)),
-    )
-    _write_text(
-        os.path.join(out_dir, "policy.csv"),
-        _policy_csv(policy, [str(n) for n in range(config.horizon)]),
-    )
-    return ["values.csv", "policy.csv"], stats, {}
+    return _write_solution(out_dir, values, policy), stats, {}
 
 
 def _run_solve_infinite(doc, config, out_dir):
     sol = solve_infinite(config)
-    _write_text(os.path.join(out_dir, "values.csv"), _values_csv([("inf", sol.value)]))
-    _write_text(os.path.join(out_dir, "policy.csv"), _policy_csv(sol.policy, ["inf"]))
-    certs = {"iterations": sol.iterations, "certificate": sol.certificate}
-    return ["values.csv", "policy.csv"], [], certs
+    outputs = _write_solution(out_dir, [sol.value], sol.policy, ["inf"])
+    return outputs, [], {"iterations": sol.iterations, "certificate": sol.certificate}
 
 
 def _run_evaluate_policy(doc, config, out_dir, policy_path):
@@ -420,14 +426,7 @@ def _run_oracle_compare(doc, config, out_dir):
         raise ValidationError("oracle-compare needs a finite horizon")
     stats: list = []
     values, policy = solve_finite(config, stats=stats)
-    _write_text(
-        os.path.join(out_dir, "values.csv"),
-        _values_csv((str(k), vf) for k, vf in enumerate(values)),
-    )
-    _write_text(
-        os.path.join(out_dir, "policy.csv"),
-        _policy_csv(policy, [str(n) for n in range(config.horizon)]),
-    )
+    outputs = _write_solution(out_dir, values, policy)
     grid = config.grid.points()
     lines = ["stage,x,dp_param,oracle_param,gap"]
     if kind == "es-uniform":
@@ -451,7 +450,7 @@ def _run_oracle_compare(doc, config, out_dir):
                 )
             if shared_sol is None or len(config.stages) > 1:
                 shared_sol = oracle_var_layer(
-                    s.dY, distortion_preset("identity"), s.premium.theta, s.risk.alpha
+                    s.dY, s.premium.handle(), s.premium.theta, s.risk.alpha
                 )
                 if abs(float(config.search.layer_upper) - shared_sol.var_level) > 1e-9:
                     raise ValidationError(
@@ -463,7 +462,7 @@ def _run_oracle_compare(doc, config, out_dir):
     else:
         raise ValidationError(f"field oracle: unknown oracle {kind!r}")
     _write_text(os.path.join(out_dir, "oracle_gap.csv"), "\n".join(lines) + "\n")
-    return ["values.csv", "policy.csv", "oracle_gap.csv"], stats, {}
+    return outputs + ["oracle_gap.csv"], stats, {}
 
 
 def _run_simulate(doc, config, out_dir, seed, policy_path):
@@ -479,15 +478,7 @@ def _run_simulate(doc, config, out_dir, seed, policy_path):
     outputs = ["sim.json"]
     if policy_path is None:
         values, table = solve_finite(config, stats=stats)
-        _write_text(
-            os.path.join(out_dir, "values.csv"),
-            _values_csv((str(k), vf) for k, vf in enumerate(values)),
-        )
-        _write_text(
-            os.path.join(out_dir, "policy.csv"),
-            _policy_csv(table, [str(n) for n in range(config.horizon)]),
-        )
-        outputs = ["values.csv", "policy.csv", "sim.json"]
+        outputs = _write_solution(out_dir, values, table) + outputs
     else:
         table = read_policy_csv(policy_path)
         values = None

@@ -46,6 +46,7 @@ from .errors import (
 from .premiums import PremiumSpec, premium, treaty_premium
 from .risk import RiskSpec, atom_weights, evaluate, is_coherent
 from .treaties import (
+    FAMILIES,
     Treaty,
     feasible_retention_range,
     make_treaty,
@@ -59,6 +60,8 @@ _ZOOM_LEVELS = 3
 # (state, candidate, atom) cells evaluated at once; bounds the evaluator's
 # temporaries whatever the atom count
 _CHUNK_ELEMS = 1 << 20
+# tolerated excess of a stored policy's premium over its state's budget
+_BUDGET_SLACK = 1e-9
 _SEARCH_FAMILIES = ("stop-loss", "layer", "proportional", "piecewise-linear")
 
 
@@ -147,6 +150,8 @@ class SearchSpec:
     layer_upper: fixed upper edge of the ceded layer; required for the layer
         family, where the searched parameter is the lower edge.
     knots / sweeps: piecewise-linear family only.
+
+    The methods hold the family's facts that only the search needs.
     """
 
     family: str
@@ -168,13 +173,42 @@ class SearchSpec:
         if self.family == "piecewise-linear":
             if not self.knots:
                 raise ValidationError("piecewise-linear search needs knots")
-            knots = tuple(float(t) for t in self.knots)
-            if knots[0] < 0.0 or any(b <= a for a, b in zip(knots, knots[1:])):
-                raise ValidationError("knots must be increasing and nonnegative")
-            object.__setattr__(self, "knots", knots)
+            ones = np.ones(len(self.knots))
+            knots = FAMILIES[self.family].check({"knots": self.knots, "slopes": ones})["knots"]
+            object.__setattr__(self, "knots", tuple(knots))
             if int(self.sweeps) < 1:
                 raise ValidationError("sweeps must be >= 1")
             object.__setattr__(self, "sweeps", int(self.sweeps))
+
+    @property
+    def scalar(self) -> str | None:
+        """The parameter a scalar search varies; None for coordinate descent."""
+        return FAMILIES[self.family].scalar
+
+    def param_range(self, pspec: PremiumSpec, dY: DiscreteDistribution, budget=None):
+        """(lo, hi) of the searched parameter. hi retains in full and costs
+        nothing; lo is the smallest value whose premium fits ``budget``, or 0
+        when budget is None."""
+        if budget is None:
+            params, _ = premium_breakpoints(self.family, pspec, dY, upper=self.layer_upper)
+            return 0.0, float(params[-1])
+        lo, hi = feasible_retention_range(self.family, pspec, dY, budget, upper=self.layer_upper)
+        return min(lo, hi), hi
+
+    def treaty(self, p) -> Treaty:
+        """The treaty at search parameter p."""
+        p = float(p)
+        if self.family == "layer":
+            return make_treaty(self.family, {"a": p, "w": self.layer_upper - p})
+        return make_treaty(self.family, {self.scalar: p})
+
+    def retained(self, params, y):
+        """Retained claims y at every search parameter in params, broadcast."""
+        if self.family == "layer":
+            # rounds differently from Treaty's layer map, which stays the
+            # reference; keep the two apart so artifacts keep their bytes
+            return np.minimum(y, params) + np.maximum(y - self.layer_upper, 0.0)
+        return FAMILIES[self.family].retained({self.scalar: params}, y)
 
 
 @dataclass(frozen=True)
@@ -232,12 +266,10 @@ class PolicyTable:
         """Scalar search parameter per state; one-parameter families only."""
         out = []
         for f in self.rows[n]:
-            if f.family == "proportional":
-                out.append(f.params["c"])
-            elif f.family in ("stop-loss", "layer"):
-                out.append(f.params["a"])
-            else:
+            name = FAMILIES[f.family].scalar
+            if name is None:
                 raise ValidationError(f"family {f.family!r} has no scalar parameter")
+            out.append(f.params[name])
         return np.asarray(out, dtype=np.float64)
 
 
@@ -342,32 +374,6 @@ def apply_L(v: ValueFunction, x: float, f: Treaty, s: StageData) -> float:
 # batched candidate evaluation
 
 
-def _premium_table(search: SearchSpec, s: StageData):
-    if search.family == "layer":
-        return premium_breakpoints("layer", s.premium, s.dY, upper=search.layer_upper)
-    return premium_breakpoints(search.family, s.premium, s.dY)
-
-
-def _retained_on(search: SearchSpec, params, y):
-    if search.family == "stop-loss":
-        return np.minimum(y, params)
-    if search.family == "layer":
-        return np.minimum(y, params) + np.maximum(y - search.layer_upper, 0.0)
-    if search.family == "proportional":
-        return params * y
-    raise UnsupportedFamily(search.family)
-
-
-def _params_to_treaty(search: SearchSpec, p: float) -> Treaty:
-    if search.family == "stop-loss":
-        return make_treaty("stop-loss", {"a": float(p)})
-    if search.family == "layer":
-        return make_treaty("layer", {"a": float(p), "w": search.layer_upper - float(p)})
-    if search.family == "proportional":
-        return make_treaty("proportional", {"c": float(p)})
-    raise UnsupportedFamily(search.family)
-
-
 def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: SearchSpec):
     """Objective value at every (state, candidate parameter) pair.
 
@@ -381,7 +387,7 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: Sea
     """
     x = np.asarray(x, dtype=np.float64)
     params = np.asarray(params, dtype=np.float64)
-    bp, bv = _premium_table(search, s)
+    bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
     prem = np.interp(params, bp, bv)
 
     kz = len(s.dZ)
@@ -400,7 +406,7 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: Sea
     for lo in range(0, x.size, step):
         sl = slice(lo, lo + step)
         xs = x[sl, None]
-        t = z - _retained_on(search, params[sl, :, None], y) - prem[sl, :, None]
+        t = z - search.retained(params[sl, :, None], y) - prem[sl, :, None]
         if entropic:
             xt = xs[..., None] + t
             g = s.risk.gamma
@@ -416,30 +422,17 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: Sea
     return out
 
 
-def _family_upper(search: SearchSpec, s: StageData) -> float:
-    if search.family == "stop-loss":
-        return ess_sup(s.dY)
-    if search.family == "layer":
-        return search.layer_upper
-    return 1.0
-
-
-def _feasible_lo(search: SearchSpec, s: StageData, grid: np.ndarray) -> np.ndarray:
+def _param_bounds(search: SearchSpec, s: StageData, grid: np.ndarray):
+    # per-state (lo, hi) of the searched parameter; the budget is x+
     if not s.budget_constrained:
-        return np.zeros(grid.size)
-    upper = search.layer_upper if search.family == "layer" else None
-    lo = np.empty(grid.size)
-    for j, x in enumerate(grid):
-        lo[j], _ = feasible_retention_range(
-            search.family, s.premium, s.dY, max(float(x), 0.0), upper=upper
-        )
-    return lo
+        lo, hi = search.param_range(s.premium, s.dY)
+        return np.full(grid.size, lo), np.full(grid.size, hi)
+    bounds = np.array([search.param_range(s.premium, s.dY, max(float(x), 0.0)) for x in grid])
+    return bounds[:, 0], bounds[:, 1]
 
 
 def _scalar_family_search(v_next, s, grid, search):
-    lo = _feasible_lo(search, s, grid)
-    hi = np.full(grid.size, _family_upper(search, s))
-    lo = np.minimum(lo, hi)
+    lo, hi = _param_bounds(search, s, grid)
     r = search.resolution
     frac = np.linspace(0.0, 1.0, r + 1)
     sel = np.arange(grid.size)
@@ -458,27 +451,30 @@ def _scalar_family_search(v_next, s, grid, search):
         best_par = np.where(better, par, best_par)
         lo = params[sel, np.maximum(idx - 1, 0)]
         hi = params[sel, np.minimum(idx + 1, r)]
-    row = [_params_to_treaty(search, p) for p in best_par]
+    row = [search.treaty(p) for p in best_par]
     return best_val, row
 
 
 def _pw_search(v_next, s, grid, search):
-    # coordinate descent over knot slopes, identity start (always feasible)
+    # coordinate descent over knot slopes from all-ones slopes: the identity
+    # treaty, which cedes nothing and so is affordable at every state
     knots = np.asarray(search.knots)
     cand = np.linspace(0.0, 1.0, search.resolution + 1)
+    start = make_treaty(search.family, {"knots": knots, "slopes": np.ones(knots.size)})
+    assert treaty_premium(s.premium, s.dY, start) == 0.0, "piecewise start must cede nothing"
     values = np.empty(grid.size)
     row = []
     for j, x in enumerate(grid):
         budget = max(float(x), 0.0)
         slopes = np.ones(knots.size)
-        best_f = make_treaty("piecewise-linear", {"knots": knots, "slopes": slopes})
+        best_f = start
         best = apply_L(v_next, float(x), best_f, s)
         for _ in range(search.sweeps):
             for i in range(knots.size):
                 for c in cand:
                     trial = slopes.copy()
                     trial[i] = c
-                    f = make_treaty("piecewise-linear", {"knots": knots, "slopes": trial})
+                    f = make_treaty(search.family, {"knots": knots, "slopes": trial})
                     if s.budget_constrained:
                         if treaty_premium(s.premium, s.dY, f) > budget + 1e-12:
                             continue
@@ -497,7 +493,7 @@ def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec):
     treaty per state. Tail slopes follow the recursion a -> 1 + beta a.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if search.family == "piecewise-linear":
+    if search.scalar is None:
         values, row = _pw_search(v_next, s, grid, search)
     else:
         values, row = _scalar_family_search(v_next, s, grid, search)
@@ -519,8 +515,8 @@ def _check_envelope(values, lo, hi, label):
 
 
 def _probe_count(search: SearchSpec, n_states: int):
-    # exact for one-parameter families: every state runs the full ladder
-    if search.family == "piecewise-linear":
+    # exact for scalar searches: every state runs the full ladder
+    if search.scalar is None:
         return None
     return n_states * _ZOOM_LEVELS * (search.resolution + 1)
 
@@ -659,21 +655,56 @@ def solve_infinite(config: ModelConfig, tol=None, accelerate=True, max_iter=10_0
 
 
 def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row):
+    # a one-family row whose scalar parameter is its only one goes through
+    # the batched evaluator; any other row through apply_L, state by state
     families = {f.family for f in row}
-    if families == {"stop-loss"}:
-        params = np.asarray([[f.params["a"]] for f in row])
-        return _candidate_objectives(v_next, s, grid, params, SearchSpec("stop-loss"))[:, 0]
-    if families == {"proportional"}:
-        params = np.asarray([[f.params["c"]] for f in row])
-        return _candidate_objectives(v_next, s, grid, params, SearchSpec("proportional"))[:, 0]
+    if len(families) == 1:
+        fam = FAMILIES[row[0].family]
+        if fam.fields == (fam.scalar,):
+            params = np.asarray([[f.params[fam.scalar]] for f in row])
+            return _candidate_objectives(v_next, s, grid, params, SearchSpec(row[0].family))[:, 0]
     return np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
 
 
-def _policy_values(policy: PolicyTable, config: ModelConfig) -> list[ValueFunction]:
+def _treaty_key(f: Treaty):
+    # equal parameters price equally; a custom map is known only by identity
+    if FAMILIES[f.family].fields is None:
+        return id(f)
+    items = sorted(f.params.items())
+    return f.family, tuple((k, np.asarray(v, dtype=np.float64).tobytes()) for k, v in items)
+
+
+def _policy_premiums(policy: PolicyTable, config: ModelConfig) -> np.ndarray:
+    """Premium of the treaty at every (stage, state) of a stored policy.
+
+    Each distinct treaty is priced once per stage data. Raises
+    InfeasiblePolicyRow where a budget-constrained stage's treaty costs more
+    than the surplus of its state.
+    """
+    grid = policy.grid
+    out = np.empty((len(policy.rows), grid.size))
+    shared = len(config.stages) == 1
+    cache: dict = {}
+    for n, row in enumerate(policy.rows):
+        s = config.stage(n)
+        for j, f in enumerate(row):
+            key = (0 if shared else n, _treaty_key(f))
+            if key not in cache:
+                cache[key] = treaty_premium(s.premium, s.dY, f)
+            out[n, j] = prem = cache[key]
+            if s.budget_constrained and prem > max(float(grid[j]), 0.0) + _BUDGET_SLACK:
+                raise InfeasiblePolicyRow(
+                    f"stage {n}: treaty premium {prem:.6g} exceeds surplus at x = {grid[j]:.6g}"
+                )
+    return out
+
+
+def _policy_values(policy: PolicyTable, config: ModelConfig, premiums=None):
     """Cost-to-go [J_0 .. J_N] of a fixed Markov policy, one backward pass.
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
+    Pass the caller's _policy_premiums table, which checked every budget.
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
@@ -683,17 +714,13 @@ def _policy_values(policy: PolicyTable, config: ModelConfig) -> list[ValueFuncti
     n = config.horizon
     if len(policy.rows) != n:
         raise ValidationError(f"policy has {len(policy.rows)} rows, horizon is {n}")
+    if premiums is None:
+        _policy_premiums(policy, config)  # raises on an unaffordable row
     values: list[ValueFunction] = [None] * (n + 1)
     values[n] = v = ValueFunction(grid, np.zeros(grid.size))
     for k in range(n - 1, -1, -1):
         s = config.stage(k)
         row = policy.rows[k]
-        if s.budget_constrained:
-            for x, f in zip(grid, row):
-                if treaty_premium(s.premium, s.dY, f) > max(float(x), 0.0) + 1e-9:
-                    raise InfeasiblePolicyRow(
-                        f"stage {k}: treaty premium exceeds surplus at x = {x:.6g}"
-                    )
         out_left = -(1.0 - s.beta * v.slope_left)
         out_right = -(1.0 - s.beta * v.slope_right)
         values[k] = v = ValueFunction(grid, _row_values(v, s, grid, row), out_left, out_right)

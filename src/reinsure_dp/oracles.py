@@ -18,23 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (
-    DiscreteDistribution,
-    ess_sup,
-    independent_product,
-    survival,
-)
+from .distributions import DiscreteDistribution, independent_product, survival
 from .dp import ModelConfig, SearchSpec
-from .errors import (
-    InvalidDistortion,
-    OutOfRange,
-    ParameterRegime,
-    UnsupportedFamily,
-    ValidationError,
-)
+from .errors import InvalidDistortion, OutOfRange, ParameterRegime, ValidationError
 from .premiums import PremiumSpec, layer_premium_closed_form, treaty_premium
 from .risk import RiskSpec, _check_distortion, evaluate, var
-from .treaties import Treaty, feasible_retention_range, make_treaty
 
 # bracket width for the bisections; parameters are only meaningful to the
 # claim-atom resolution anyway
@@ -148,32 +136,6 @@ def oracle_es_uniform(theta: float, alpha: float, x: float) -> float:
     return max(floor, forced)
 
 
-def _treaty_of(search: SearchSpec, p: float) -> Treaty:
-    if search.family == "stop-loss":
-        return make_treaty("stop-loss", {"a": float(p)})
-    if search.family == "layer":
-        return make_treaty("layer", {"a": float(p), "w": search.layer_upper - float(p)})
-    if search.family == "proportional":
-        return make_treaty("proportional", {"c": float(p)})
-    raise UnsupportedFamily(f"no scalar search parameter for family {search.family!r}")
-
-
-def _param_interval(search, premium_spec, dY, budget):
-    if search.family == "stop-loss":
-        hi = ess_sup(dY)
-    elif search.family == "layer":
-        hi = float(search.layer_upper)
-    elif search.family == "proportional":
-        hi = 1.0
-    else:
-        raise UnsupportedFamily(f"no scalar search parameter for family {search.family!r}")
-    if budget is None:
-        return 0.0, hi
-    upper = search.layer_upper if search.family == "layer" else None
-    lo, _ = feasible_retention_range(search.family, premium_spec, dY, budget, upper=upper)
-    return min(lo, hi), hi
-
-
 def _zoom_scalar(objective, lo, hi, resolution, levels=3):
     # same ladder geometry as the dynamic solver's search: evenly spaced
     # probes, first minimum wins, recurse into the bracketing cells
@@ -211,13 +173,13 @@ def oracle_unconstrained(config: ModelConfig):
     search = config.search
 
     def objective(p: float) -> float:
-        f = _treaty_of(search, p)
+        f = search.treaty(p)
         dist = independent_product(s.dY, s.dZ, lambda y, z: f.retained(y) - z)
         return evaluate(s.risk, dist) + treaty_premium(s.premium, s.dY, f)
 
-    lo, hi = _param_interval(search, s.premium, s.dY, None)
+    lo, hi = search.param_range(s.premium, s.dY)
     par, c = _zoom_scalar(objective, lo, hi, search.resolution)
-    f_star = _treaty_of(search, par)
+    f_star = search.treaty(par)
 
     beta = s.beta
     if config.is_infinite:
@@ -256,11 +218,11 @@ def static_reinsurance(
             raise OutOfRange("budget must be >= 0, or None when unconstrained")
 
     def objective(p: float) -> float:
-        f = _treaty_of(search, p)
+        f = search.treaty(p)
         prem = treaty_premium(premium_spec, dY, f)
         dist = independent_product(dY, dZ, lambda y, z: f.retained(y) + prem - z)
         return evaluate(risk, dist)
 
-    lo, hi = _param_interval(search, premium_spec, dY, budget)
+    lo, hi = search.param_range(premium_spec, dY, budget)
     par, val = _zoom_scalar(objective, lo, hi, search.resolution)
-    return _treaty_of(search, par), val
+    return search.treaty(par), val

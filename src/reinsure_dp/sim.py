@@ -31,20 +31,19 @@ import numpy as np
 from .distributions import ess_sup, quantile
 # evaluate_policy stays importable from here: bench/tracing.py patches it at
 # this import site
-from .dp import ModelConfig, PolicyTable, _policy_values, evaluate_policy  # noqa: F401
-from .errors import (
-    GridMismatch,
-    InfeasiblePolicyRow,
-    NotVaRConfig,
-    ValidationError,
+from .dp import (  # noqa: F401
+    ModelConfig,
+    PolicyTable,
+    _policy_premiums,
+    _policy_values,
+    evaluate_policy,
 )
-from .premiums import treaty_premium
+from .errors import GridMismatch, NotVaRConfig, ValidationError
 
 __all__ = ["SimResult", "ruin_bound_check", "simulate_paths"]
 
 _BATCH = 10_000
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
-_BUDGET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,39 +78,6 @@ class SimResult:
                 else list(self.imputed_ruin_counts)
             ),
         }
-
-
-def _treaty_key(stage_key, f):
-    # value key for premium caching; opaque callables are not cacheable
-    items = []
-    for k in sorted(f.params):
-        if k == "fn":
-            return None
-        items.append((k, np.asarray(f.params[k], dtype=np.float64).tobytes()))
-    return (stage_key, f.family, tuple(items))
-
-
-def _premium_table(policy: PolicyTable, config: ModelConfig) -> np.ndarray:
-    """Per-stage, per-state reinsurance premia, with budget feasibility."""
-    grid = policy.grid
-    out = np.empty((len(policy.rows), grid.size))
-    shared = len(config.stages) == 1
-    cache: dict = {}
-    for n, row in enumerate(policy.rows):
-        s = config.stage(n)
-        for j, f in enumerate(row):
-            key = _treaty_key(0 if shared else n, f)
-            prem = cache.get(key) if key is not None else None
-            if prem is None:
-                prem = treaty_premium(s.premium, s.dY, f)
-                if key is not None:
-                    cache[key] = prem
-            if s.budget_constrained and prem > max(float(grid[j]), 0.0) + _BUDGET_SLACK:
-                raise InfeasiblePolicyRow(
-                    f"stage {n} state {j}: premium {prem:.6g} exceeds the budget"
-                )
-            out[n, j] = prem
-    return out
 
 
 def simulate_paths(
@@ -152,7 +118,7 @@ def simulate_paths(
             f"expected {n_periods + 1} value functions, got {len(values)}"
         )
 
-    prem_table = _premium_table(policy, config)
+    prem_table = _policy_premiums(policy, config)
     period_counts = np.zeros(n_periods, dtype=np.int64)
     imputed_counts = np.zeros(n_periods, dtype=np.int64)
     terminal = np.empty(n_paths)
@@ -229,7 +195,8 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
         )
 
     # cost-to-go of the given policy for each start stage
-    tails = _policy_values(policy, config)
+    prem_table = _policy_premiums(policy, config)
+    tails = _policy_values(policy, config, prem_table)
 
     holds = True
     x = float(x0)
@@ -240,5 +207,5 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
         j = int(np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1))
         f = policy.rows[n][j]
         worst_claim = float(np.asarray(f.retained(ess_sup(s.dY))))
-        x = x - worst_claim - treaty_premium(s.premium, s.dY, f) + float(s.dZ.values[0])
+        x = x - worst_claim - prem_table[n, j] + float(s.dZ.values[0])
     return bound, holds

@@ -11,13 +11,14 @@ import pytest
 
 import reinsure_dp
 from reinsure_dp.cli import (
+    _policy_csv,
     main,
     parse_config,
     read_policy_csv,
     run,
     write_config,
 )
-from reinsure_dp.dp import solve_finite
+from reinsure_dp.dp import _SEARCH_FAMILIES, PolicyTable, solve_finite
 from reinsure_dp.errors import (
     MonotonicityViolation,
     ParseError,
@@ -25,6 +26,26 @@ from reinsure_dp.errors import (
 )
 from reinsure_dp.oracles import oracle_es_uniform
 from reinsure_dp.risk import var
+from reinsure_dp.treaties import FAMILIES, make_treaty
+
+# one CSV-able parameter set per treaty family
+FAMILY_PARAMS = {
+    "identity": {},
+    "full-cession": {},
+    "proportional": {"c": 0.3},
+    "stop-loss": {"a": 0.1 + 0.2},
+    "layer": {"a": 0.2, "w": 2.0 / 3.0},
+    "piecewise-linear": {"knots": [0.0, 0.1 + 0.2, 0.7], "slopes": [1.0, 1.0 / 3.0, 0.0]},
+}
+# search block per searchable family, for a 51-atom uniform claim
+SEARCH_DOCS = {
+    "stop-loss": {"family": "stop-loss"},
+    "proportional": {"family": "proportional"},
+    "layer": {"family": "layer", "layer_upper": 0.9},
+    "piecewise-linear": {
+        "family": "piecewise-linear", "knots": [0.2, 0.6], "resolution": 8, "sweeps": 1,
+    },
+}
 
 
 def finite_doc(m=51, horizon=2, count=33, family="stop-loss"):
@@ -217,19 +238,23 @@ class TestSolveSubcommands:
 class TestPolicyFlow:
 
     def test_evaluate_policy_matches_solver(self, tmp_path):
-        cfg_path = dump(tmp_path, finite_doc())
-        out = tmp_path / "solve"
-        assert run("solve-finite", cfg_path, str(out)) == 0
-        out2 = tmp_path / "eval"
-        assert run(
-            "evaluate-policy", cfg_path, str(out2),
-            policy=str(out / "policy.csv"),
-        ) == 0
-        solved = [r for r in read_csv(out / "values.csv") if r["stage"] == "0"]
-        evaluated = read_csv(out2 / "values.csv")
-        assert len(evaluated) == len(solved)
-        for a, b in zip(evaluated, solved):
-            assert float(a["value"]) == pytest.approx(float(b["value"]), abs=1e-9)
+        assert set(SEARCH_DOCS) == set(_SEARCH_FAMILIES)
+        for family, search in SEARCH_DOCS.items():
+            doc = finite_doc()
+            doc["search"] = search
+            cfg_path = dump(tmp_path, doc, f"{family}.json")
+            out = tmp_path / family / "solve"
+            assert run("solve-finite", cfg_path, str(out)) == 0, family
+            out2 = tmp_path / family / "eval"
+            assert run(
+                "evaluate-policy", cfg_path, str(out2),
+                policy=str(out / "policy.csv"),
+            ) == 0, family
+            solved = [r for r in read_csv(out / "values.csv") if r["stage"] == "0"]
+            evaluated = read_csv(out2 / "values.csv")
+            assert len(evaluated) == len(solved)
+            for a, b in zip(evaluated, solved):
+                assert float(a["value"]) == pytest.approx(float(b["value"]), abs=1e-9), family
 
     def test_policy_csv_roundtrip(self, tmp_path):
         config = parse_config(dump(tmp_path, finite_doc()))
@@ -241,6 +266,41 @@ class TestPolicyFlow:
         assert len(loaded.rows) == len(policy.rows)
         for n in range(len(policy.rows)):
             assert np.array_equal(loaded.stage_params(n), policy.stage_params(n))
+
+    def test_policy_csv_roundtrip_every_family(self, tmp_path):
+        assert set(FAMILY_PARAMS) == {k for k, fam in FAMILIES.items() if fam.fields is not None}
+        grid = np.array([-0.5, 1.0 / 3.0])
+        y = np.linspace(0.0, 1.5, 301)
+        for family, params in FAMILY_PARAMS.items():
+            f = make_treaty(family, params)
+            path = tmp_path / f"{family}.csv"
+            path.write_text(_policy_csv(PolicyTable(grid, ((f, f),)), ["0"]))
+            loaded = read_policy_csv(str(path))
+            assert np.array_equal(loaded.grid, grid)
+            for g in loaded.rows[0]:
+                assert g.family == family
+                assert g.params == f.params
+                assert np.array_equal(g.retained(y), f.retained(y)), family
+
+    def test_vector_cells_space_separated(self):
+        f = make_treaty("piecewise-linear", FAMILY_PARAMS["piecewise-linear"])
+        text = _policy_csv(PolicyTable(np.array([0.0]), ((f,),)), ["0"])
+        assert text.splitlines()[1] == (
+            "0,0,piecewise-linear,0 0.30000000000000004 0.69999999999999996,"
+            "1 0.33333333333333331 0"
+        )
+
+    def test_malformed_params_rejected(self, tmp_path):
+        path = tmp_path / "policy.csv"
+        for cells in ("layer,0.2,abc", "piecewise-linear,0.2 x,1 1", "piecewise-linear,0.3,"):
+            path.write_text(f"stage,x,family,p1,p2\n0,0,{cells}\n")
+            with pytest.raises(ValidationError):
+                read_policy_csv(str(path))
+
+    def test_custom_treaty_has_no_csv_form(self):
+        f = make_treaty("custom", {"fn": lambda y: 0.5 * np.asarray(y)})
+        with pytest.raises(ValidationError, match="no CSV form"):
+            _policy_csv(PolicyTable(np.array([0.0]), ((f,),)), ["0"])
 
     def test_evaluate_policy_requires_policy_flag(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())

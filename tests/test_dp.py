@@ -628,6 +628,17 @@ class TestBellmanStep:
         assert v.values[0] <= keep + 1e-9
         assert ident == pytest.approx(es(s.dY, 0.9), abs=1e-12)
 
+    def test_piecewise_linear_budget_respected_above_zero_knot(self):
+        # with the first knot above zero, every returned treaty must still fit
+        # the budget x+, down to the states that can afford nothing
+        s = es_stage(m=101)
+        grid = np.linspace(-0.5, 1.5, 32)
+        search = SearchSpec("piecewise-linear", knots=(0.2, 0.6), resolution=8, sweeps=1)
+        v, row = bellman_step(zero_vf(grid), s, grid, search)
+        for x, f, val in zip(grid, row, v.values):
+            assert treaty_premium(s.premium, s.dY, f) <= max(x, 0.0) + 1e-12, x
+            assert val == apply_L(zero_vf(grid), x, f, s)
+
 
 class TestWeightedNorm:
     def make_cfg(self, beta=0.5):
@@ -815,6 +826,25 @@ class TestEvaluatePolicy:
         with pytest.raises(InfeasiblePolicyRow):
             evaluate_policy(table, cfg)
 
+
+    def test_policy_premiums_price_each_treaty_once(self, monkeypatch):
+        cfg = ModelConfig(
+            2, (es_stage(m=151),), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss")
+        )
+        _, policy = solve_finite(cfg)
+        priced = []
+
+        def counting(spec, dY, f):
+            priced.append(f)
+            return treaty_premium(spec, dY, f)
+
+        monkeypatch.setattr(dp, "treaty_premium", counting)
+        table = dp._policy_premiums(policy, cfg)
+        assert len(priced) == len({f.params["a"] for row in policy.rows for f in row})
+        s = cfg.stage(0)
+        for n, row in enumerate(policy.rows):
+            for j, f in enumerate(row):
+                assert table[n, j] == treaty_premium(s.premium, s.dY, f)
 
     def test_one_pass_tails_equal_per_start_evaluation(self):
         stages = (

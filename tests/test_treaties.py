@@ -55,6 +55,19 @@ class TestRetained:
         got = f.retained(np.array([0.5, 1.5, 3.0]))
         assert np.allclose(got, [0.5, 1.25, 1.5], atol=1e-15)
 
+    def test_piecewise_linear_retains_below_first_knot(self):
+        f = make_treaty("piecewise-linear", {"knots": [0.2, 0.6], "slopes": [0.5, 0.0]})
+        got = f.retained(np.array([0.1, 0.2, 0.4, 0.6, 1.0]))
+        assert np.allclose(got, [0.1, 0.2, 0.3, 0.4, 0.4], atol=1e-15)
+
+    def test_piecewise_linear_all_ones_is_identity(self):
+        # the piecewise-linear search starts here and relies on a zero premium
+        f = make_treaty("piecewise-linear", {"knots": [0.2, 0.6], "slopes": [1, 1]})
+        dY = uniform01()
+        assert np.array_equal(f.retained(dY.values), dY.values)
+        for spec in (PremiumSpec("expected", theta=0.2), PremiumSpec("ph", theta=0.2, gamma=0.8)):
+            assert treaty_premium(spec, dY, f) == 0.0
+
     def test_negative_claim_rejected(self):
         f = make_treaty("stop-loss", {"a": 0.4})
         with pytest.raises(NegativeClaim):

@@ -24,12 +24,13 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .distributions import DiscreteDistribution, FamilySpec, discretize, make_discrete, push_forward
+from .distributions import DiscreteDistribution, FamilySpec, discretize, make_discrete
 from .dp import (
     GridSpec,
     ModelConfig,
@@ -42,7 +43,7 @@ from .dp import (
 )
 from .errors import NumericError, ParseError, ValidationError
 from .oracles import oracle_es_uniform, oracle_var_layer
-from .premiums import PremiumSpec, premium
+from .premiums import PremiumSpec
 from .risk import RiskSpec, distortion_preset, is_coherent
 from .sim import simulate_paths
 from .treaties import FAMILIES, make_treaty
@@ -64,7 +65,22 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config codec
+
+# config fields per risk and premium kind; both the parser and the writer
+# read these tables. "preset" names a distortion_preset, held as the spec's
+# distortion; every other field is a number held under its own name.
+_RISK_FIELDS = {
+    "value-at-risk": ("alpha",),
+    "expected-shortfall": ("alpha",),
+    "entropic": ("gamma",),
+    "distortion": ("preset",),
+}
+_PREMIUM_FIELDS = {
+    "expected": ("theta",),
+    "ph": ("theta", "gamma"),
+    "wang": ("theta", "preset"),
+}
 
 
 def _field(prefix: str, key: str) -> str:
@@ -77,8 +93,17 @@ def _need(doc, key, prefix=""):
     return doc[key]
 
 
-def _wrap(exc: ValidationError, path: str):
-    raise type(exc)(f"field {path}: {exc}") from exc
+@contextmanager
+def _at(path: str):
+    """Report a bad config value at its field path; an inner path wins."""
+    try:
+        yield
+    except ValidationError as exc:
+        if str(exc).startswith("field "):
+            raise
+        raise type(exc)(f"field {path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"field {path}: {exc}") from exc
 
 
 def _load_json(path):
@@ -94,7 +119,7 @@ def _load_json(path):
 def _parse_dist(obj, path) -> DiscreteDistribution:
     if not isinstance(obj, dict):
         raise ParseError(f"field {path}: expected an object")
-    try:
+    with _at(path):
         if "pairs" in obj:
             return make_discrete(obj["pairs"])
         spec = FamilySpec(
@@ -104,54 +129,55 @@ def _parse_dist(obj, path) -> DiscreteDistribution:
             atoms=int(obj.get("atoms", 2)),
         )
         return discretize(spec)
-    except ValidationError as exc:
-        _wrap(exc, path)
 
 
-def _parse_risk(obj, path) -> RiskSpec:
+def _parse_kind(obj, path, table, make):
+    """A RiskSpec or PremiumSpec from its config section, via its field table."""
     kind = str(_need(obj, "kind", path))
-    try:
-        if kind == "value-at-risk":
-            return RiskSpec(kind, alpha=float(_need(obj, "alpha", path)))
-        if kind == "expected-shortfall":
-            return RiskSpec(kind, alpha=float(_need(obj, "alpha", path)))
-        if kind == "entropic":
-            return RiskSpec(kind, gamma=float(_need(obj, "gamma", path)))
-        if kind == "distortion":
-            preset = str(_need(obj, "preset", path))
-            return RiskSpec(kind, distortion=distortion_preset(preset))
-    except ValidationError as exc:
-        _wrap(exc, path)
-    raise ValidationError(
-        f"field {path}: risk kind {kind!r} has no config form; use value-at-risk,"
-        " expected-shortfall, entropic, or distortion with a preset name"
-    )
+    fields = table.get(kind)
+    if fields is None:
+        raise ValidationError(
+            f"field {path}.kind: {kind!r} has no config form; use one of {', '.join(table)}"
+        )
+    unread = sorted(set(obj) - {"kind", *fields})
+    if unread:
+        raise ValidationError(f"field {path}: {kind} reads no {', '.join(unread)}")
+    kwargs = {}
+    for key in fields:
+        if obj.get(key) is not None:
+            with _at(f"{path}.{key}"):
+                if key == "preset":
+                    kwargs["distortion"] = distortion_preset(str(obj[key]))
+                else:
+                    kwargs[key] = float(obj[key])
+    with _at(path):
+        return make(kind, **kwargs)
 
 
-def _parse_premium(obj, path) -> PremiumSpec:
-    kind = str(_need(obj, "kind", path))
-    theta = float(obj.get("theta", 0.0))
-    try:
-        if kind == "expected":
-            return PremiumSpec("expected", theta=theta)
-        if kind == "ph":
-            return PremiumSpec("ph", theta=theta, gamma=float(_need(obj, "gamma", path)))
-        if kind == "wang":
-            preset = str(_need(obj, "preset", path))
-            return PremiumSpec("wang", theta=theta, distortion=distortion_preset(preset))
-    except ValidationError as exc:
-        _wrap(exc, path)
-    raise ValidationError(f"field {path}: unknown premium kind {kind!r}")
+def _kind_doc(spec, table) -> dict:
+    fields = table.get(spec.kind)
+    if fields is None:
+        raise ValidationError(f"kind {spec.kind!r} has no config form")
+    doc = {"kind": spec.kind}
+    for key in fields:
+        if key == "preset":
+            # refuses a distortion the parser could not rebuild from its name
+            doc[key] = distortion_preset(getattr(spec.distortion, "name", "")).name
+        else:
+            doc[key] = getattr(spec, key)
+    return doc
 
 
 def _parse_stage(obj, idx) -> StageData:
     path = f"stages[{idx}]"
     dY = _parse_dist(_need(obj, "claims", path), f"{path}.claims")
     dZ = _parse_dist(_need(obj, "income", path), f"{path}.income")
-    risk = _parse_risk(_need(obj, "risk", path), f"{path}.risk")
-    prem = _parse_premium(_need(obj, "premium", path), f"{path}.premium")
-    try:
-        stage = StageData(
+    risk = _parse_kind(_need(obj, "risk", path), f"{path}.risk", _RISK_FIELDS, RiskSpec)
+    prem = _parse_kind(
+        _need(obj, "premium", path), f"{path}.premium", _PREMIUM_FIELDS, PremiumSpec
+    )
+    with _at(path):
+        return StageData(
             dY=dY,
             dZ=dZ,
             risk=risk,
@@ -159,44 +185,22 @@ def _parse_stage(obj, idx) -> StageData:
             beta=float(_need(obj, "beta", path)),
             budget_constrained=bool(obj.get("budget_constrained", True)),
         )
-    except ValidationError as exc:
-        _wrap(exc, path)
-    # normalization probe: a fully retained book cedes zero, which carries
-    # no reinsurance price
-    probe = premium(prem, push_forward(dY, np.zeros_like))
-    if abs(probe) > 1e-12:
-        raise ValidationError(
-            f"field {path}.premium: normalization probe failed"
-            f" (fully retained book priced at {probe!r})"
-        )
-    return stage
 
 
 def _parse_grid(obj) -> GridSpec:
-    try:
+    with _at("grid"):
         return GridSpec(
             float(_need(obj, "lo", "grid")),
             float(_need(obj, "hi", "grid")),
             int(_need(obj, "count", "grid")),
         )
-    except ValidationError as exc:
-        _wrap(exc, "grid")
 
 
 def _parse_search(obj) -> SearchSpec:
-    kwargs = {}
-    if obj.get("resolution") is not None:
-        kwargs["resolution"] = int(obj["resolution"])
-    if obj.get("layer_upper") is not None:
-        kwargs["layer_upper"] = float(obj["layer_upper"])
-    if obj.get("knots") is not None:
-        kwargs["knots"] = tuple(float(k) for k in obj["knots"])
-    if obj.get("sweeps") is not None:
-        kwargs["sweeps"] = int(obj["sweeps"])
-    try:
-        return SearchSpec(str(_need(obj, "family", "search")), **kwargs)
-    except ValidationError as exc:
-        _wrap(exc, "search")
+    family = str(_need(obj, "family", "search"))
+    settings = {k: v for k, v in obj.items() if k != "family" and v is not None}
+    with _at("search"):
+        return SearchSpec(family, **settings)
 
 
 def _config_from_doc(doc) -> ModelConfig:
@@ -206,14 +210,17 @@ def _config_from_doc(doc) -> ModelConfig:
         raise ParseError("field horizon: required (integer, or null for infinite)")
     horizon = doc["horizon"]
     if horizon is not None:
-        horizon = int(horizon)
+        with _at("horizon"):
+            horizon = int(horizon)
     grid = _parse_grid(_need(doc, "grid"))
     search = _parse_search(_need(doc, "search"))
     stages_doc = _need(doc, "stages")
     if not isinstance(stages_doc, list) or not stages_doc:
         raise ParseError("field stages: expected a nonempty array")
     stages = tuple(_parse_stage(s, i) for i, s in enumerate(stages_doc))
-    config = ModelConfig(horizon, stages, grid, search, float(doc.get("tol", 1e-4)))
+    with _at("tol"):
+        tol = float(doc.get("tol", 1e-4))
+    config = ModelConfig(horizon, stages, grid, search, tol)
     if config.is_infinite and not is_coherent(stages[0].risk):
         raise ValidationError(
             "field stages[0].risk: infinite horizon: coherence required, but"
@@ -227,56 +234,18 @@ def parse_config(path) -> ModelConfig:
     return _config_from_doc(_load_json(path))
 
 
-# ---------------------------------------------------------------------------
-# config writing
-
-
-def _dist_doc(d: DiscreteDistribution) -> dict:
-    return {"pairs": d.to_pairs()}
-
-
-def _risk_doc(spec: RiskSpec) -> dict:
-    if spec.kind in ("value-at-risk", "expected-shortfall"):
-        return {"kind": spec.kind, "alpha": spec.alpha}
-    if spec.kind == "entropic":
-        return {"kind": spec.kind, "gamma": spec.gamma}
-    if spec.kind == "distortion":
-        name = getattr(spec.distortion, "name", "")
-        if not name:
-            raise ValidationError("cannot serialize a distortion without a preset name")
-        return {"kind": spec.kind, "preset": name}
-    raise ValidationError(f"risk kind {spec.kind!r} has no config form")
-
-
-def _premium_doc(spec: PremiumSpec) -> dict:
-    if spec.kind == "expected":
-        return {"kind": spec.kind, "theta": spec.theta}
-    if spec.kind == "ph":
-        return {"kind": spec.kind, "theta": spec.theta, "gamma": spec.gamma}
-    name = getattr(spec.distortion, "name", "")
-    if not name:
-        raise ValidationError("cannot serialize a distortion without a preset name")
-    return {"kind": spec.kind, "theta": spec.theta, "preset": name}
-
-
 def config_to_doc(config: ModelConfig) -> dict:
     return {
         "horizon": config.horizon,
         "grid": {"lo": config.grid.lo, "hi": config.grid.hi, "count": config.grid.count},
-        "search": {
-            "family": config.search.family,
-            "resolution": config.search.resolution,
-            "layer_upper": config.search.layer_upper,
-            "knots": None if config.search.knots is None else list(config.search.knots),
-            "sweeps": config.search.sweeps,
-        },
+        "search": config.search.config(),
         "tol": config.tol,
         "stages": [
             {
-                "claims": _dist_doc(s.dY),
-                "income": _dist_doc(s.dZ),
-                "risk": _risk_doc(s.risk),
-                "premium": _premium_doc(s.premium),
+                "claims": {"pairs": s.dY.to_pairs()},
+                "income": {"pairs": s.dZ.to_pairs()},
+                "risk": _kind_doc(s.risk, _RISK_FIELDS),
+                "premium": _kind_doc(s.premium, _PREMIUM_FIELDS),
                 "beta": s.beta,
                 "budget_constrained": s.budget_constrained,
             }
@@ -472,8 +441,10 @@ def _run_simulate(doc, config, out_dir, seed, policy_path):
             'field simulate: required for the simulate subcommand, e.g.'
             ' {"x0": 1.0, "paths": 100000}'
         )
-    x0 = float(_need(block, "x0", "simulate"))
-    n_paths = int(_need(block, "paths", "simulate"))
+    with _at("simulate.x0"):
+        x0 = float(_need(block, "x0", "simulate"))
+    with _at("simulate.paths"):
+        n_paths = int(_need(block, "paths", "simulate"))
     stats: list = []
     outputs = ["sim.json"]
     if policy_path is None:
@@ -507,6 +478,8 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
         doc = _load_json(config_path)
         config = _config_from_doc(doc)
         if tol is not None:
+            if subcommand != "solve-infinite":
+                raise ValidationError("--tol applies to solve-infinite only")
             config = replace(config, tol=float(tol))
         os.makedirs(out_dir, exist_ok=True)
         if subcommand == "solve-finite":
@@ -561,8 +534,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the config tolerance")
+        if name == "solve-infinite":
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the config tolerance")
         if name in ("evaluate-policy", "simulate"):
             p.add_argument("--policy", default=None, help="policy.csv to load")
     return parser
@@ -578,6 +552,6 @@ def main(argv=None) -> int:
         args.config,
         args.out,
         seed=args.seed,
-        tol=args.tol,
+        tol=getattr(args, "tol", None),
         policy=getattr(args, "policy", None),
     )

@@ -62,7 +62,13 @@ _ZOOM_LEVELS = 3
 _CHUNK_ELEMS = 1 << 20
 # tolerated excess of a stored policy's premium over its state's budget
 _BUDGET_SLACK = 1e-9
-_SEARCH_FAMILIES = ("stop-loss", "layer", "proportional", "piecewise-linear")
+# searchable family -> the settings its search reads
+_SEARCH_FAMILIES = {
+    "stop-loss": ("resolution",),
+    "layer": ("resolution", "layer_upper"),
+    "proportional": ("resolution",),
+    "piecewise-linear": ("resolution", "knots", "sweeps"),
+}
 
 
 class ValueFunction:
@@ -143,26 +149,33 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Treaty family to optimize over, plus search resolution knobs.
+    """Treaty family to optimize over, plus the search settings it reads.
 
     resolution: cells per zoom level (one-parameter families) or candidate
         count per coordinate (piecewise-linear).
     layer_upper: fixed upper edge of the ceded layer; required for the layer
         family, where the searched parameter is the lower edge.
-    knots / sweeps: piecewise-linear family only.
+    knots / sweeps: piecewise-linear family only; sweeps defaults to 3.
 
-    The methods hold the family's facts that only the search needs.
+    A setting the family does not read is refused, so a spec carries only
+    settings that act. The methods hold the family's facts that only the
+    search needs.
     """
 
     family: str
     resolution: int = 64
     layer_upper: float | None = None
     knots: tuple[float, ...] | None = None
-    sweeps: int = 3
+    sweeps: int | None = None
 
     def __post_init__(self):
-        if self.family not in _SEARCH_FAMILIES:
+        reads = _SEARCH_FAMILIES.get(self.family)
+        if reads is None:
             raise UnsupportedFamily(f"cannot search over family {self.family!r}")
+        unread = [k for k in ("layer_upper", "knots", "sweeps")
+                  if k not in reads and getattr(self, k) is not None]
+        if unread:
+            raise ValidationError(f"{self.family} search reads no {', '.join(unread)}")
         if int(self.resolution) < 8:
             raise ValidationError("search resolution must be at least 8")
         object.__setattr__(self, "resolution", int(self.resolution))
@@ -176,9 +189,18 @@ class SearchSpec:
             ones = np.ones(len(self.knots))
             knots = FAMILIES[self.family].check({"knots": self.knots, "slopes": ones})["knots"]
             object.__setattr__(self, "knots", tuple(knots))
-            if int(self.sweeps) < 1:
+            sweeps = 3 if self.sweeps is None else int(self.sweeps)
+            if sweeps < 1:
                 raise ValidationError("sweeps must be >= 1")
-            object.__setattr__(self, "sweeps", int(self.sweeps))
+            object.__setattr__(self, "sweeps", sweeps)
+
+    def config(self) -> dict:
+        """Config form: the family and every setting it reads."""
+        doc = {"family": self.family}
+        for key in _SEARCH_FAMILIES[self.family]:
+            value = getattr(self, key)
+            doc[key] = list(value) if key == "knots" else value
+        return doc
 
     @property
     def scalar(self) -> str | None:
@@ -597,13 +619,13 @@ def _policy_values_solve(row, s: StageData, grid: np.ndarray, tail: float):
         return None
 
 
-def solve_infinite(config: ModelConfig, tol=None, accelerate=True, max_iter=10_000):
+def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
     """Value iteration to the stationary fixed point, with an error bound.
 
     Iterates v <- T v from zero until the weighted step is small enough that
-    q/(1-q) times it meets the tolerance, q = 1 - (1-beta)^2. With
-    accelerate, each plain step is followed by a policy-evaluation jump; the
-    certificate always comes from a genuine application of T.
+    q/(1-q) times it meets config.tol, q = 1 - (1-beta)^2. With accelerate,
+    each plain step is followed by a policy-evaluation jump; the certificate
+    always comes from a genuine application of T.
     """
     if not config.is_infinite:
         raise ValidationError("solve_infinite needs a stationary (infinite-horizon) config")
@@ -612,46 +634,46 @@ def solve_infinite(config: ModelConfig, tol=None, accelerate=True, max_iter=10_0
         raise ValidationError(
             f"infinite horizon: coherence required, but risk kind {s.risk.kind!r} is not coherent"
         )
-    tol = config.tol if tol is None else float(tol)
     q = 1.0 - (1.0 - s.beta) ** 2
-    thresh = tol * (1.0 - q) / q
+    thresh = config.tol * (1.0 - q) / q
     grid = config.grid.points()
     tail = -1.0 / (1.0 - s.beta)
     b_low, b_high = bounding_functions(config, 0)
     lo_g, hi_g = b_low(grid), b_high(grid)
+    iterations = 0
+
+    def step(v):
+        # one application of T from v: the iterate, its policy row, and the
+        # solution once the weighted step meets the target (else None)
+        nonlocal iterations
+        stepped, row = bellman_step(v, s, grid, config.search)
+        iterations += 1
+        v_new = ValueFunction(grid, stepped.values, tail, tail)
+        _check_envelope(v_new.values, lo_g, hi_g, f"iterate {iterations}")
+        delta = weighted_norm(v_new, v, config)
+        if delta > thresh:
+            return v_new, row, None
+        cert = q / (1.0 - q) * delta
+        return v_new, row, InfiniteSolution(v_new, PolicyTable(grid, (row,)), iterations, cert)
 
     v = ValueFunction(grid, np.zeros(grid.size), tail, tail)
-    iterations = 0
     while True:
         if iterations >= max_iter:
             raise MaxIterations(
                 f"no fixed point within {max_iter} operator applications "
                 f"(step target {thresh:.3g})"
             )
-        stepped, row = bellman_step(v, s, grid, config.search)
-        iterations += 1
-        v_new = ValueFunction(grid, stepped.values, tail, tail)
-        _check_envelope(v_new.values, lo_g, hi_g, f"iterate {iterations}")
-        delta = weighted_norm(v_new, v, config)
-        if delta <= thresh:
-            cert = q / (1.0 - q) * delta
-            return InfiniteSolution(v_new, PolicyTable(grid, (row,)), iterations, cert)
-        v = v_new
+        v, row, sol = step(v)
+        if sol is not None:
+            return sol
         if not accelerate:
             continue
         u_vals = _policy_values_solve(row, s, grid, tail)
         if u_vals is None or float(np.max(np.diff(u_vals))) > _MONO_TOL:
             continue
-        u = ValueFunction(grid, u_vals, tail, tail)
-        stepped, row = bellman_step(u, s, grid, config.search)
-        iterations += 1
-        v_new = ValueFunction(grid, stepped.values, tail, tail)
-        _check_envelope(v_new.values, lo_g, hi_g, f"iterate {iterations}")
-        delta = weighted_norm(v_new, u, config)
-        if delta <= thresh:
-            cert = q / (1.0 - q) * delta
-            return InfiniteSolution(v_new, PolicyTable(grid, (row,)), iterations, cert)
-        v = v_new
+        v, row, sol = step(ValueFunction(grid, u_vals, tail, tail))
+        if sol is not None:
+            return sol
 
 
 def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row):

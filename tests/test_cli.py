@@ -3,15 +3,20 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reinsure_dp
 from reinsure_dp.cli import (
+    _PREMIUM_FIELDS,
+    _RISK_FIELDS,
     _policy_csv,
+    config_to_doc,
     main,
     parse_config,
     read_policy_csv,
@@ -25,7 +30,7 @@ from reinsure_dp.errors import (
     ValidationError,
 )
 from reinsure_dp.oracles import oracle_es_uniform
-from reinsure_dp.risk import var
+from reinsure_dp.risk import RiskSpec, tabulated_distortion, var
 from reinsure_dp.treaties import FAMILIES, make_treaty
 
 # one CSV-able parameter set per treaty family
@@ -45,6 +50,18 @@ SEARCH_DOCS = {
     "piecewise-linear": {
         "family": "piecewise-linear", "knots": [0.2, 0.6], "resolution": 8, "sweeps": 1,
     },
+}
+# one config section per risk and premium kind, every field set
+RISK_DOCS = {
+    "value-at-risk": {"kind": "value-at-risk", "alpha": 0.95},
+    "expected-shortfall": {"kind": "expected-shortfall", "alpha": 0.9},
+    "entropic": {"kind": "entropic", "gamma": 2.0},
+    "distortion": {"kind": "distortion", "preset": "ph:0.8"},
+}
+PREMIUM_DOCS = {
+    "expected": {"kind": "expected", "theta": 0.2},
+    "ph": {"kind": "ph", "theta": 0.1, "gamma": 0.7},
+    "wang": {"kind": "wang", "theta": 0.3, "preset": "es:0.5"},
 }
 
 
@@ -174,6 +191,101 @@ class TestParseConfig:
             assert a.premium.gamma == b.premium.gamma
         assert again.stages[1].risk.distortion.name == "ph:0.8"
 
+    def test_roundtrip_every_kind_and_family(self, tmp_path):
+        assert set(RISK_DOCS) == set(_RISK_FIELDS)
+        assert set(PREMIUM_DOCS) == set(_PREMIUM_FIELDS)
+        premiums = list(PREMIUM_DOCS.values())
+        for family, search in SEARCH_DOCS.items():
+            doc = finite_doc(m=11, horizon=len(RISK_DOCS), count=17)
+            doc["search"] = search
+            doc["stages"] = [
+                dict(doc["stages"][0], risk=risk, premium=premiums[k % len(premiums)])
+                for k, risk in enumerate(RISK_DOCS.values())
+            ]
+            config = parse_config(dump(tmp_path, doc, f"{family}.json"))
+            out = tmp_path / f"{family}-echo.json"
+            write_config(config, str(out))
+            again = parse_config(str(out))
+            assert again.search == config.search, family
+            written = config_to_doc(again)
+            assert written == config_to_doc(config), family
+            assert written["search"] == dict({"resolution": 64}, **search), family
+            for stage, sent in zip(written["stages"], doc["stages"]):
+                assert stage["risk"] == sent["risk"]
+                assert stage["premium"] == sent["premium"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("risk", "preset", "ph:0.5"), ("premium", "preset", "ph:0.5"), ("search", "sweeps", 3),
+    ])
+    def test_section_refuses_fields_it_does_not_read(self, tmp_path, section, key, value):
+        # sweeps: 3 is what every search block written by earlier versions carries
+        doc = finite_doc()
+        block = doc["search"] if section == "search" else doc["stages"][0][section]
+        block[key] = value
+        path = "search" if section == "search" else rf"stages\[0\]\.{section}"
+        with pytest.raises(ValidationError, match=rf"field {path}: .*reads no {key}"):
+            parse_config(dump(tmp_path, doc))
+
+    def test_writer_refuses_distortion_without_preset(self, tmp_path):
+        config = parse_config(dump(tmp_path, finite_doc()))
+        tab = tabulated_distortion([(0.0, 0.0), (0.5, 0.8), (1.0, 1.0)])
+        stage = replace(config.stages[0], risk=RiskSpec("distortion", distortion=tab))
+        with pytest.raises(ValidationError, match="preset"):
+            write_config(replace(config, stages=(stage,)), str(tmp_path / "echo.json"))
+
+    def test_readme_config_example_roundtrips(self, tmp_path):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        example = text.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(example)
+        config = parse_config(dump(tmp_path, doc))
+        out = tmp_path / "echo.json"
+        write_config(config, str(out))
+        again = parse_config(str(out))
+        written = config_to_doc(again)
+        for key in ("horizon", "grid", "search", "tol"):
+            assert written[key] == doc[key], key
+        for key in ("risk", "premium", "beta", "budget_constrained"):
+            assert written["stages"][0][key] == doc["stages"][0][key], key
+        # the pairs parser renormalizes probabilities, which may move the last bit
+        a, b = again.stages[0].dY, config.stages[0].dY
+        assert np.array_equal(a.values, b.values)
+        assert np.allclose(a.probs, b.probs, rtol=1e-15, atol=0.0)
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+# a non-numeric value in each config section, and the field path it is reported at
+BAD_VALUES = {
+    "horizon": (("horizon",), "x", "horizon"),
+    "tol": (("tol",), "x", "tol"),
+    "grid": (("grid", "count"), "x", "grid"),
+    "search": (("search", "resolution"), "fine", "search"),
+    "claims": (("stages", 0, "claims", "truncation"), "x", r"stages\[0\]\.claims"),
+    "risk": (("stages", 0, "risk", "alpha"), "high", r"stages\[0\]\.risk\.alpha"),
+    "premium": (("stages", 0, "premium", "theta"), "x", r"stages\[0\]\.premium\.theta"),
+    "stage": (("stages", 0, "beta"), "x", r"stages\[0\]"),
+    "simulate.x0": (("simulate", "x0"), "x", r"simulate\.x0"),
+    "simulate.paths": (("simulate", "paths"), "x", r"simulate\.paths"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(BAD_VALUES))
+def test_non_numeric_value_exits_1_at_its_field(tmp_path, capsys, section):
+    path, value, field = BAD_VALUES[section]
+    doc = finite_doc(m=11, horizon=1, count=17)
+    doc["simulate"] = {"x0": 1.0, "paths": 10}
+    _set(doc, path, value)
+    assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert re.search(f"error: field {field}: ", capsys.readouterr().err)
+
 
 class TestSolveSubcommands:
 
@@ -193,6 +305,7 @@ class TestSolveSubcommands:
         for entry in manifest["stats"]["per_stage"]:
             assert entry["argmin_evaluations"] == 33 * 3 * 65
         assert sorted(manifest["outputs"]) == ["policy.csv", "values.csv"]
+        assert manifest["config"]["search"] == {"family": "stop-loss", "resolution": 64}
 
     def test_reruns_byte_identical(self, tmp_path):
         cfg = dump(tmp_path, finite_doc())
@@ -219,6 +332,15 @@ class TestSolveSubcommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tol"] == 1e-6
         assert manifest["certificates"]["certificate"] <= 1e-6
+
+    def test_tol_flag_only_on_solve_infinite(self, tmp_path, capsys):
+        cfg = dump(tmp_path, finite_doc())
+        out = tmp_path / "fin"
+        assert run("solve-finite", cfg, str(out), tol=1e-6) == 1
+        assert "solve-infinite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert main(["solve-finite", "--config", cfg, "--out", str(out), "--tol", "1e-6"]) == 1
+        assert not (out / "manifest.json").exists()
 
     def test_no_manifest_on_failure(self, tmp_path, capsys):
         cfg = dump(tmp_path, infinite_doc())

@@ -29,6 +29,7 @@ from reinsure_dp.dp import (
     StageData,
     PolicyTable,
     ValueFunction,
+    _SEARCH_FAMILIES,
     _candidate_objectives,
     _policy_values,
     apply_L,
@@ -148,6 +149,24 @@ class TestConfigValidation:
     def test_infinite_needs_single_stage(self):
         with pytest.raises(ValidationError):
             ModelConfig(None, (es_stage(), es_stage()), GridSpec(-1.0, 1.0, 33), SearchSpec("stop-loss"))
+
+    @pytest.mark.parametrize("family", sorted(_SEARCH_FAMILIES))
+    def test_search_refuses_settings_its_family_does_not_read(self, family):
+        unread = {"layer_upper": 0.5, "knots": (0.1,), "sweeps": 7}
+        read = {"resolution": 16, "layer_upper": 0.5, "knots": (0.1, 0.5), "sweeps": 2}
+        reads = _SEARCH_FAMILIES[family]
+        assert reads[0] == "resolution"
+        spec = SearchSpec(family, **{k: read[k] for k in reads})
+        assert list(spec.config()) == ["family", *reads]
+        for key, value in unread.items():
+            if key not in reads:
+                with pytest.raises(ValidationError, match=f"reads no {key}"):
+                    SearchSpec(family, **{k: read[k] for k in reads}, **{key: value})
+
+    def test_sweeps_default_belongs_to_piecewise_linear(self):
+        assert SearchSpec("piecewise-linear", knots=(0.2,)).sweeps == 3
+        assert SearchSpec("stop-loss").sweeps is None
+        assert SearchSpec("stop-loss").config() == {"family": "stop-loss", "resolution": 64}
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValidationError):

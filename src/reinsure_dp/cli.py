@@ -220,6 +220,8 @@ def _config_from_doc(doc) -> ModelConfig:
     stages = tuple(_parse_stage(s, i) for i, s in enumerate(stages_doc))
     with _at("tol"):
         tol = float(doc.get("tol", 1e-4))
+        if horizon is not None and doc.get("tol") is not None:
+            raise ValidationError('read only with "horizon": null')
     config = ModelConfig(horizon, stages, grid, search, tol)
     if config.is_infinite and not is_coherent(stages[0].risk):
         raise ValidationError(
@@ -235,7 +237,7 @@ def parse_config(path) -> ModelConfig:
 
 
 def config_to_doc(config: ModelConfig) -> dict:
-    return {
+    doc = {
         "horizon": config.horizon,
         "grid": {"lo": config.grid.lo, "hi": config.grid.hi, "count": config.grid.count},
         "search": config.search.config(),
@@ -252,6 +254,9 @@ def config_to_doc(config: ModelConfig) -> dict:
             for s in config.stages
         ],
     }
+    if not config.is_infinite:
+        del doc["tol"]  # only the stationary solve reads it
+    return doc
 
 
 def write_config(config: ModelConfig, path) -> None:
@@ -496,7 +501,7 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
             "artifact_version": __version__,
             "subcommand": subcommand,
             "seed": seed,
-            "tol": config.tol,
+            **({"tol": config.tol} if subcommand == "solve-infinite" else {}),
             "config": config_to_doc(config),
             "documentation": {k: doc[k] for k in _DOC_KEYS if k in doc},
             "stats": {

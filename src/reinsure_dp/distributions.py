@@ -131,7 +131,8 @@ def make_discrete(pairs) -> DiscreteDistribution:
     """Build a distribution from (value, prob) pairs.
 
     Pairs are sorted, exact-duplicate values merged, and probabilities
-    normalized provided their sum is within 1e-9 of 1.
+    normalized provided their sum is within 1e-9 of 1; a sum within MASS_TOL
+    of 1 is kept as given, so a distribution's to_pairs() read back bitwise.
 
     Raises:
         NonpositiveProb: a probability is <= 0.
@@ -147,7 +148,7 @@ def make_discrete(pairs) -> DiscreteDistribution:
     total = float(probs.sum())
     if abs(total - 1.0) > _MAKE_MASS_TOL:
         raise MassNotOne(f"probabilities sum to {total!r}; deviation exceeds {_MAKE_MASS_TOL}")
-    return _canonical(values, probs / total)
+    return _canonical(values, probs / total if abs(total - 1.0) > MASS_TOL else probs)
 
 
 def discretize(spec: FamilySpec) -> DiscreteDistribution:

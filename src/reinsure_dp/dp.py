@@ -208,14 +208,11 @@ class SearchSpec:
         return FAMILIES[self.family].scalar
 
     def param_range(self, pspec: PremiumSpec, dY: DiscreteDistribution, budget=None):
-        """(lo, hi) of the searched parameter. hi retains in full and costs
-        nothing; lo is the smallest value whose premium fits ``budget``, or 0
-        when budget is None."""
-        if budget is None:
-            params, _ = premium_breakpoints(self.family, pspec, dY, upper=self.layer_upper)
-            return 0.0, float(params[-1])
-        lo, hi = feasible_retention_range(self.family, pspec, dY, budget, upper=self.layer_upper)
-        return min(lo, hi), hi
+        """(lo, hi) of the searched parameter at one budget or an array of
+        them. hi retains in full and costs nothing; lo is the smallest value
+        whose premium fits ``budget``; None is an infinite budget."""
+        budget = np.inf if budget is None else budget
+        return feasible_retention_range(self.family, pspec, dY, budget, upper=self.layer_upper)
 
     def treaty(self, p) -> Treaty:
         """The treaty at search parameter p."""
@@ -444,17 +441,13 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: Sea
     return out
 
 
-def _param_bounds(search: SearchSpec, s: StageData, grid: np.ndarray):
-    # per-state (lo, hi) of the searched parameter; the budget is x+
-    if not s.budget_constrained:
-        lo, hi = search.param_range(s.premium, s.dY)
-        return np.full(grid.size, lo), np.full(grid.size, hi)
-    bounds = np.array([search.param_range(s.premium, s.dY, max(float(x), 0.0)) for x in grid])
-    return bounds[:, 0], bounds[:, 1]
+def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
+    # the premium budget at each state: its surplus x+, or none at all
+    return np.maximum(grid, 0.0) if s.budget_constrained else np.full(grid.size, np.inf)
 
 
 def _scalar_family_search(v_next, s, grid, search):
-    lo, hi = _param_bounds(search, s, grid)
+    lo, hi = search.param_range(s.premium, s.dY, _budgets(s, grid))
     r = search.resolution
     frac = np.linspace(0.0, 1.0, r + 1)
     sel = np.arange(grid.size)
@@ -477,6 +470,15 @@ def _scalar_family_search(v_next, s, grid, search):
     return best_val, row
 
 
+def _segment_prices(s: StageData, knots: np.ndarray) -> np.ndarray:
+    # price of ceding each knot segment in full, off the stage's stop-loss
+    # curve; a distortion premium is comonotone additive, so a piecewise
+    # treaty with slopes in [0, 1] costs segment_prices @ (1 - slopes)
+    bp, bv = premium_breakpoints("stop-loss", s.premium, s.dY)
+    edge = np.interp(knots, bp, bv)
+    return edge - np.append(edge[1:], 0.0)
+
+
 def _pw_search(v_next, s, grid, search):
     # coordinate descent over knot slopes from all-ones slopes: the identity
     # treaty, which cedes nothing and so is affordable at every state
@@ -484,10 +486,10 @@ def _pw_search(v_next, s, grid, search):
     cand = np.linspace(0.0, 1.0, search.resolution + 1)
     start = make_treaty(search.family, {"knots": knots, "slopes": np.ones(knots.size)})
     assert treaty_premium(s.premium, s.dY, start) == 0.0, "piecewise start must cede nothing"
+    seg = _segment_prices(s, knots)
     values = np.empty(grid.size)
     row = []
-    for j, x in enumerate(grid):
-        budget = max(float(x), 0.0)
+    for j, (x, budget) in enumerate(zip(grid, _budgets(s, grid))):
         slopes = np.ones(knots.size)
         best_f = start
         best = apply_L(v_next, float(x), best_f, s)
@@ -496,10 +498,9 @@ def _pw_search(v_next, s, grid, search):
                 for c in cand:
                     trial = slopes.copy()
                     trial[i] = c
+                    if seg @ (1.0 - trial) > budget + 1e-12:
+                        continue
                     f = make_treaty(search.family, {"knots": knots, "slopes": trial})
-                    if s.budget_constrained:
-                        if treaty_premium(s.premium, s.dY, f) > budget + 1e-12:
-                            continue
                     got = apply_L(v_next, float(x), f, s)
                     if got < best:
                         best, best_f, slopes = got, f, trial
@@ -574,13 +575,15 @@ def solve_finite(config: ModelConfig, stats: list | None = None):
     return values, PolicyTable(grid, tuple(rows))
 
 
-def _policy_values_solve(row, s: StageData, grid: np.ndarray, tail: float):
+def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float):
     """Fixed point of the one-policy operator, via its affine representation.
 
     For a fixed treaty the atom ordering of the next surplus is known, so the
     stage operator is affine in the value row and the fixed point solves a
     linear system. Returns None if the system is singular.
     """
+    s = config.stage(0)
+    prems = _policy_premiums(PolicyTable(grid, (row,)), config)[0]
     size = grid.size
     a_mat = np.eye(size)
     b_vec = np.zeros(size)
@@ -588,8 +591,7 @@ def _policy_values_solve(row, s: StageData, grid: np.ndarray, tail: float):
     zz = np.tile(s.dZ.values, len(s.dY))
     probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
     t = np.array(
-        [zz - np.repeat(f.retained(s.dY.values), kz) - treaty_premium(s.premium, s.dY, f)
-         for f in row]
+        [zz - np.repeat(f.retained(s.dY.values), kz) - p for f, p in zip(row, prems)]
     )
     order = np.argsort(-t, axis=-1, kind="stable")
     t = np.take_along_axis(t, order, axis=-1)
@@ -668,7 +670,7 @@ def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
             return sol
         if not accelerate:
             continue
-        u_vals = _policy_values_solve(row, s, grid, tail)
+        u_vals = _policy_values_solve(row, config, grid, tail)
         if u_vals is None or float(np.max(np.diff(u_vals))) > _MONO_TOL:
             continue
         v, row, sol = step(ValueFunction(grid, u_vals, tail, tail))
@@ -699,11 +701,17 @@ def _treaty_key(f: Treaty):
 def _policy_premiums(policy: PolicyTable, config: ModelConfig) -> np.ndarray:
     """Premium of the treaty at every (stage, state) of a stored policy.
 
-    Each distinct treaty is priced once per stage data. Raises
-    InfeasiblePolicyRow where a budget-constrained stage's treaty costs more
-    than the surplus of its state.
+    The policy must live on the config grid (else GridMismatch) and hold one
+    row per stage, one when stationary. Each distinct treaty is priced once
+    per stage data. Raises InfeasiblePolicyRow where a budget-constrained
+    stage's treaty costs more than the surplus of its state.
     """
     grid = policy.grid
+    if not np.array_equal(grid, config.grid.points()):
+        raise GridMismatch("policy table grid differs from the config grid")
+    stages = 1 if config.is_infinite else config.horizon
+    if len(policy.rows) != stages:
+        raise ValidationError(f"policy has {len(policy.rows)} rows, the config {stages} stages")
     out = np.empty((len(policy.rows), grid.size))
     shared = len(config.stages) == 1
     cache: dict = {}
@@ -726,16 +734,13 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, premiums=None):
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
-    Pass the caller's _policy_premiums table, which checked every budget.
+    Pass the caller's _policy_premiums table, which checked the policy
+    against the config and every budget.
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
-    grid = config.grid.points()
-    if not np.array_equal(grid, policy.grid):
-        raise GridMismatch("policy table grid differs from the config grid")
+    grid = policy.grid
     n = config.horizon
-    if len(policy.rows) != n:
-        raise ValidationError(f"policy has {len(policy.rows)} rows, horizon is {n}")
     if premiums is None:
         _policy_premiums(policy, config)  # raises on an unaffordable row
     values: list[ValueFunction] = [None] * (n + 1)

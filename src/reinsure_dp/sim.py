@@ -38,7 +38,7 @@ from .dp import (  # noqa: F401
     _policy_values,
     evaluate_policy,
 )
-from .errors import GridMismatch, NotVaRConfig, ValidationError
+from .errors import NotVaRConfig, ValidationError
 
 __all__ = ["SimResult", "ruin_bound_check", "simulate_paths"]
 
@@ -98,12 +98,6 @@ def simulate_paths(
         raise ValidationError("simulation needs a finite-horizon config")
     n_periods = config.horizon
     grid = config.grid.points()
-    if not np.array_equal(policy.grid, grid):
-        raise GridMismatch("policy grid does not match the config grid")
-    if len(policy.rows) != n_periods:
-        raise ValidationError(
-            f"policy has {len(policy.rows)} stages, config has {n_periods}"
-        )
     n_paths = int(n_paths)
     if n_paths < 1:
         raise ValidationError("path count must be at least 1")
@@ -187,12 +181,6 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
             raise NotVaRConfig("the ruin bound needs value-at-risk at every stage")
     bound = float(sum(1.0 - config.stage(n).risk.alpha for n in range(n_periods)))
     grid = config.grid.points()
-    if not np.array_equal(policy.grid, grid):
-        raise GridMismatch("policy grid does not match the config grid")
-    if len(policy.rows) != n_periods:
-        raise ValidationError(
-            f"policy has {len(policy.rows)} stages, config has {n_periods}"
-        )
 
     # cost-to-go of the given policy for each start stage
     prem_table = _policy_premiums(policy, config)

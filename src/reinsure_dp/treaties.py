@@ -207,23 +207,23 @@ def feasible_retention_range(
     family: str,
     pspec: PremiumSpec,
     dY: DiscreteDistribution,
-    budget: float,
+    budget,
     upper: float | None = None,
 ):
     """Sub-interval of the retention parameter whose premium fits the budget.
 
     Covers the one-parameter families whose premium is continuous and
     decreasing in the parameter. Returns (lo, hi); hi is the full-retention
-    end, which is always feasible (zero premium).
+    end, which is always feasible (zero premium). ``budget`` is one budget
+    (floats returned) or an array of them (arrays of its shape returned),
+    all read off one breakpoint table; an infinite budget gives the range.
     """
-    budget = max(0.0, float(budget))
+    budget = np.maximum(0.0, np.asarray(budget, dtype=np.float64))
     params, prems = premium_breakpoints(family, pspec, dY, upper=upper)
-    hi = float(params[-1])
-    if prems[0] <= budget:
-        return float(params[0]), hi
-    j = int(np.searchsorted(-prems, -budget, side="left")) - 1
-    j = min(max(j, 0), len(params) - 2)
+    j = np.searchsorted(-prems, -budget, side="left") - 1
+    j = np.clip(j, 0, len(params) - 2)
     run = prems[j] - prems[j + 1]
-    frac = 0.0 if run <= 0.0 else (prems[j] - budget) / run
-    lo = float(params[j] + frac * (params[j + 1] - params[j]))
-    return lo, hi
+    frac = np.divide(prems[j] - budget, run, out=np.zeros(run.shape), where=run > 0.0)
+    lo = np.where(prems[0] <= budget, params[0], params[j] + frac * (params[j + 1] - params[j]))
+    hi = np.full(lo.shape, params[-1])
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)

@@ -70,7 +70,6 @@ def finite_doc(m=51, horizon=2, count=33, family="stop-loss"):
         "horizon": horizon,
         "grid": {"lo": -0.5, "hi": 1.5, "count": count},
         "search": {"family": family},
-        "tol": 1e-4,
         "stages": [
             {
                 "claims": {"family": "uniform", "params": [0.0, 1.0], "atoms": m},
@@ -163,7 +162,6 @@ class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         doc = finite_doc(m=41, horizon=2, count=21, family="layer")
         doc["search"]["layer_upper"] = 0.9
-        doc["tol"] = 5e-5
         second = dict(doc["stages"][0])
         second["risk"] = {"kind": "distortion", "preset": "ph:0.8"}
         second["premium"] = {"kind": "ph", "theta": 0.1, "gamma": 0.7}
@@ -174,7 +172,6 @@ class TestParseConfig:
         write_config(config, str(out))
         again = parse_config(str(out))
         assert again.horizon == config.horizon
-        assert again.tol == config.tol
         assert again.grid == config.grid
         assert again.search == config.search
         assert len(again.stages) == len(config.stages)
@@ -244,14 +241,13 @@ class TestParseConfig:
         write_config(config, str(out))
         again = parse_config(str(out))
         written = config_to_doc(again)
-        for key in ("horizon", "grid", "search", "tol"):
+        for key in ("horizon", "grid", "search"):
             assert written[key] == doc[key], key
         for key in ("risk", "premium", "beta", "budget_constrained"):
             assert written["stages"][0][key] == doc["stages"][0][key], key
-        # the pairs parser renormalizes probabilities, which may move the last bit
         a, b = again.stages[0].dY, config.stages[0].dY
         assert np.array_equal(a.values, b.values)
-        assert np.allclose(a.probs, b.probs, rtol=1e-15, atol=0.0)
+        assert np.array_equal(a.probs, b.probs)
 
 
 def _set(doc, path, value):
@@ -332,6 +328,27 @@ class TestSolveSubcommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tol"] == 1e-6
         assert manifest["certificates"]["certificate"] <= 1e-6
+
+    def test_finite_config_refuses_tol(self, tmp_path, capsys):
+        doc = finite_doc()
+        doc["tol"] = 1e-4
+        out = tmp_path / "fin"
+        assert run("solve-finite", dump(tmp_path, doc), str(out)) == 1
+        assert "error: field tol: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_tol_recorded_only_for_solve_infinite(self, tmp_path):
+        fin = tmp_path / "fin"
+        assert run("solve-finite", dump(tmp_path, finite_doc()), str(fin)) == 0
+        manifest = json.loads((fin / "manifest.json").read_text())
+        assert "tol" not in manifest and "tol" not in manifest["config"]
+        doc = dict(infinite_doc(), tol=5e-5)
+        inf = tmp_path / "inf"
+        assert run("solve-infinite", dump(tmp_path, doc, "inf.json"), str(inf)) == 0
+        manifest = json.loads((inf / "manifest.json").read_text())
+        assert manifest["tol"] == manifest["config"]["tol"] == 5e-5
+        write_config(parse_config(dump(tmp_path, doc, "inf.json")), str(tmp_path / "echo.json"))
+        assert parse_config(str(tmp_path / "echo.json")).tol == 5e-5
 
     def test_tol_flag_only_on_solve_infinite(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())

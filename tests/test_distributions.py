@@ -56,6 +56,14 @@ class TestMakeDiscrete:
         d = make_discrete([(0.0, 0.5), (1.0, 0.5 + 3e-10)])
         assert abs(float(d.probs.sum()) - 1.0) <= TOL_MASS
 
+    @pytest.mark.parametrize("m", [101, 201, 2001])
+    def test_pairs_roundtrip_bitwise(self, m):
+        # a mass already within TOL_MASS of 1 is not divided by its sum
+        d = uniform_grid(m)
+        back = make_discrete(d.to_pairs())
+        assert np.array_equal(back.values, d.values)
+        assert np.array_equal(back.probs, d.probs)
+
 
 class TestDiscretize:
     def test_uniform_two_atoms(self):

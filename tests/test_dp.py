@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reinsure_dp import dp, risk as risk_mod
+from reinsure_dp import dp, risk as risk_mod, treaties
 from reinsure_dp.distributions import (
     FamilySpec,
     discretize,
@@ -58,7 +58,7 @@ from reinsure_dp.risk import (
     evaluate,
     var,
 )
-from reinsure_dp.treaties import make_treaty
+from reinsure_dp.treaties import make_treaty, premium_breakpoints
 
 SEED = 31415
 
@@ -658,6 +658,45 @@ class TestBellmanStep:
             assert treaty_premium(s.premium, s.dY, f) <= max(x, 0.0) + 1e-12, x
             assert val == apply_L(zero_vf(grid), x, f, s)
 
+    @pytest.mark.parametrize("pspec", [
+        PremiumSpec("expected", theta=0.2),
+        PremiumSpec("ph", theta=0.1, gamma=0.6),
+        PremiumSpec("wang", theta=0.3, distortion=distortion_preset("es:0.5")),
+    ], ids=["expected", "ph", "wang"])
+    def test_segment_prices_match_treaty_premium(self, pspec):
+        # a piecewise treaty's price is its segment prices weighted by 1 - slopes
+        rng = np.random.default_rng(SEED)
+        claims = (
+            uniform01(101),
+            make_discrete([(0.0, 0.2), (0.3, 0.5), (0.9, 0.3)]),
+            discretize(FamilySpec("exponential", (2.0,), truncation=3.0, atoms=64)),
+        )
+        for dY in claims:
+            s = StageData(dY, point(0.3), RiskSpec("expected-shortfall", alpha=0.9), pspec, 1.0)
+            top = ess_sup(dY)
+            for knots in ((0.0,), (0.2, 0.6), (0.0, 0.4, 0.8), (0.5, top + 0.5), (top + 0.1,)):
+                seg = dp._segment_prices(s, np.asarray(knots))
+                for _ in range(5):
+                    slopes = rng.uniform(0.0, 1.0, len(knots))
+                    f = make_treaty("piecewise-linear", {"knots": knots, "slopes": slopes})
+                    want = treaty_premium(pspec, dY, f)
+                    assert seg @ (1.0 - slopes) == pytest.approx(want, abs=1e-12), knots
+
+    def test_budget_step_reads_one_curve_per_zoom_level(self, monkeypatch):
+        # the feasible intervals of all states come from one premium curve
+        s = es_stage(m=201)
+        grid = np.linspace(-0.5, 1.5, 512)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return premium_breakpoints(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "premium_breakpoints", counting)
+        monkeypatch.setattr(treaties, "premium_breakpoints", counting)
+        bellman_step(zero_vf(grid), s, grid, SearchSpec("stop-loss"))
+        assert 0 < len(calls) <= 1 + dp._ZOOM_LEVELS
+
 
 class TestWeightedNorm:
     def make_cfg(self, beta=0.5):
@@ -845,6 +884,19 @@ class TestEvaluatePolicy:
         with pytest.raises(InfeasiblePolicyRow):
             evaluate_policy(table, cfg)
 
+
+    def test_policy_premiums_check_policy_against_config(self):
+        cfg = ModelConfig(2, (es_stage(m=51),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        stationary = ModelConfig(None, cfg.stages, cfg.grid, cfg.search)
+        grid = cfg.grid.points()
+        row = tuple(make_treaty("identity", {}) for _ in grid)
+        with pytest.raises(GridMismatch):
+            dp._policy_premiums(PolicyTable(grid + 0.01, (row, row)), cfg)
+        with pytest.raises(ValidationError, match="rows"):
+            dp._policy_premiums(PolicyTable(grid, (row,)), cfg)
+        with pytest.raises(ValidationError, match="rows"):
+            dp._policy_premiums(PolicyTable(grid, (row, row)), stationary)
+        assert np.array_equal(dp._policy_premiums(PolicyTable(grid, (row,)), stationary), [0 * grid])
 
     def test_policy_premiums_price_each_treaty_once(self, monkeypatch):
         cfg = ModelConfig(

@@ -201,6 +201,24 @@ class TestFeasibleRange:
         f = make_treaty("layer", {"a": lo, "w": upper - lo})
         assert treaty_premium(self.spec, d, f) <= budget + 1e-9
 
+    @pytest.mark.parametrize("family,kw", [
+        ("stop-loss", {}), ("layer", {"upper": 0.9}), ("proportional", {}),
+    ])
+    def test_budget_array_matches_scalar_calls(self, family, kw):
+        d = uniform01(301)
+        for spec in (self.spec, PremiumSpec("ph", theta=0.1, gamma=0.6)):
+            _, prems = premium_breakpoints(family, spec, d, **kw)
+            rng = np.random.default_rng(SEED + 3)
+            budgets = np.concatenate([
+                [-1.0, -0.0, 0.0, np.inf], prems, rng.uniform(-0.2, 1.2 * prems[0], 200),
+            ])
+            lo, hi = feasible_retention_range(family, spec, d, budgets, **kw)
+            assert lo.shape == hi.shape == budgets.shape
+            for b, got_lo, got_hi in zip(budgets, lo, hi):
+                want = feasible_retention_range(family, spec, d, float(b), **kw)
+                assert type(want[0]) is float and type(want[1]) is float
+                assert (got_lo, got_hi) == want, b
+
     def test_multiparameter_families_unsupported(self):
         d = uniform01(101)
         with pytest.raises(UnsupportedFamily):

@@ -106,6 +106,13 @@ def _at(path: str):
         raise ParseError(f"field {path}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A config integer; a boolean or a number with a fraction is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -122,11 +129,13 @@ def _parse_dist(obj, path) -> DiscreteDistribution:
     with _at(path):
         if "pairs" in obj:
             return make_discrete(obj["pairs"])
+        with _at(f"{path}.atoms"):
+            atoms = _integer(obj.get("atoms", 2))
         spec = FamilySpec(
             str(_need(obj, "family", path)),
             tuple(_need(obj, "params", path)),
             truncation=obj.get("truncation"),
-            atoms=int(obj.get("atoms", 2)),
+            atoms=atoms,
         )
         return discretize(spec)
 
@@ -176,6 +185,11 @@ def _parse_stage(obj, idx) -> StageData:
     prem = _parse_kind(
         _need(obj, "premium", path), f"{path}.premium", _PREMIUM_FIELDS, PremiumSpec
     )
+    constrained = obj.get("budget_constrained", True)
+    if not isinstance(constrained, bool):
+        raise ValidationError(
+            f"field {path}.budget_constrained: expected true or false, got {constrained!r}"
+        )
     with _at(path):
         return StageData(
             dY=dY,
@@ -183,22 +197,24 @@ def _parse_stage(obj, idx) -> StageData:
             risk=risk,
             premium=prem,
             beta=float(_need(obj, "beta", path)),
-            budget_constrained=bool(obj.get("budget_constrained", True)),
+            budget_constrained=constrained,
         )
 
 
 def _parse_grid(obj) -> GridSpec:
+    with _at("grid.count"):
+        count = _integer(_need(obj, "count", "grid"))
     with _at("grid"):
-        return GridSpec(
-            float(_need(obj, "lo", "grid")),
-            float(_need(obj, "hi", "grid")),
-            int(_need(obj, "count", "grid")),
-        )
+        return GridSpec(float(_need(obj, "lo", "grid")), float(_need(obj, "hi", "grid")), count)
 
 
 def _parse_search(obj) -> SearchSpec:
     family = str(_need(obj, "family", "search"))
     settings = {k: v for k, v in obj.items() if k != "family" and v is not None}
+    for key in ("resolution", "sweeps"):
+        if key in settings:
+            with _at(f"search.{key}"):
+                settings[key] = _integer(settings[key])
     with _at("search"):
         return SearchSpec(family, **settings)
 
@@ -211,7 +227,7 @@ def _config_from_doc(doc) -> ModelConfig:
     horizon = doc["horizon"]
     if horizon is not None:
         with _at("horizon"):
-            horizon = int(horizon)
+            horizon = _integer(horizon)
     grid = _parse_grid(_need(doc, "grid"))
     search = _parse_search(_need(doc, "search"))
     stages_doc = _need(doc, "stages")
@@ -449,7 +465,7 @@ def _run_simulate(doc, config, out_dir, seed, policy_path):
     with _at("simulate.x0"):
         x0 = float(_need(block, "x0", "simulate"))
     with _at("simulate.paths"):
-        n_paths = int(_need(block, "paths", "simulate"))
+        n_paths = _integer(_need(block, "paths", "simulate"))
     stats: list = []
     outputs = ["sim.json"]
     if policy_path is None:
@@ -486,6 +502,8 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
             if subcommand != "solve-infinite":
                 raise ValidationError("--tol applies to solve-infinite only")
             config = replace(config, tol=float(tol))
+        if policy is not None and subcommand not in ("evaluate-policy", "simulate"):
+            raise ValidationError("--policy applies to evaluate-policy and simulate only")
         os.makedirs(out_dir, exist_ok=True)
         if subcommand == "solve-finite":
             outputs, stats, certs = _run_solve_finite(doc, config, out_dir)

@@ -11,7 +11,7 @@ continuous claim law.
 Conventions, fixed once here and relied on everywhere else:
 
 * ``quantile`` is the left-continuous generalized inverse,
-  ``F^{-1}(u) = inf{x : F(x) >= u}``.
+  ``F^{-1}(u) = inf{x : F(x) >= u}``; ``quantile_index`` gives its atom.
 * ``survival(t) = P(X > t)`` is right-continuous in ``t``.
 * Atom values are strictly increasing; construction merges exact duplicates by
   summing their probabilities (no fuzzy merging, for reproducibility).
@@ -200,19 +200,19 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     return _canonical(values, np.full(m, 1.0 / m))
 
 
-def quantile(d: DiscreteDistribution, u):
-    """Left-continuous generalized inverse F^{-1}(u) for u in (0, 1].
-
-    Accepts a scalar or an array of levels; returns the smallest atom whose
-    cumulative probability reaches u.
-    """
+def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:
+    """Index of the smallest atom whose cumulative probability reaches u."""
     u_arr = np.asarray(u, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
         raise OutOfRange("quantile level must lie in (0, 1]")
-    idx = np.searchsorted(d._cum, u_arr, side="left")
-    idx = np.minimum(idx, len(d) - 1)
-    out = d.values[idx]
-    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+    return np.minimum(np.searchsorted(d._cum, u_arr, side="left"), len(d) - 1)
+
+
+def quantile(d: DiscreteDistribution, u):
+    """Left-continuous generalized inverse F^{-1}(u), u in (0, 1], at a scalar
+    or an array of levels: the atoms at quantile_index."""
+    out = d.values[quantile_index(d, u)]
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def survival(d: DiscreteDistribution, t):

@@ -583,16 +583,13 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     linear system. Returns None if the system is singular.
     """
     s = config.stage(0)
-    prems = _policy_premiums(PolicyTable(grid, (row,)), config)[0]
+    prems, index, claims = _policy_table(PolicyTable(grid, (row,)), config)
     size = grid.size
     a_mat = np.eye(size)
     b_vec = np.zeros(size)
-    kz = len(s.dZ)
     zz = np.tile(s.dZ.values, len(s.dY))
     probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
-    t = np.array(
-        [zz - np.repeat(f.retained(s.dY.values), kz) - p for f, p in zip(row, prems)]
-    )
+    t = zz - np.repeat(claims[0][index[0]], len(s.dZ), axis=1) - prems[0][:, None]
     order = np.argsort(-t, axis=-1, kind="stable")
     t = np.take_along_axis(t, order, axis=-1)
     weights = atom_weights(s.risk, probs[order])
@@ -698,13 +695,15 @@ def _treaty_key(f: Treaty):
     return f.family, tuple((k, np.asarray(v, dtype=np.float64).tobytes()) for k, v in items)
 
 
-def _policy_premiums(policy: PolicyTable, config: ModelConfig) -> np.ndarray:
-    """Premium of the treaty at every (stage, state) of a stored policy.
+def _policy_table(policy: PolicyTable, config: ModelConfig):
+    """(premiums, index, claims) of a stored policy: at stage n and state j,
+    the treaty's premium is premiums[n, j] and its retained part of every
+    claim atom claims[n][index[n, j]].
 
     The policy must live on the config grid (else GridMismatch) and hold one
-    row per stage, one when stationary. Each distinct treaty is priced once
-    per stage data. Raises InfeasiblePolicyRow where a budget-constrained
-    stage's treaty costs more than the surplus of its state.
+    row per stage, one when stationary. Each distinct treaty is priced and
+    applied once per stage data. Raises InfeasiblePolicyRow where a
+    budget-constrained stage's treaty costs more than the surplus of its state.
     """
     grid = policy.grid
     if not np.array_equal(grid, config.grid.points()):
@@ -712,37 +711,39 @@ def _policy_premiums(policy: PolicyTable, config: ModelConfig) -> np.ndarray:
     stages = 1 if config.is_infinite else config.horizon
     if len(policy.rows) != stages:
         raise ValidationError(f"policy has {len(policy.rows)} rows, the config {stages} stages")
-    out = np.empty((len(policy.rows), grid.size))
+    premiums = np.empty((len(policy.rows), grid.size))
+    index = np.empty(premiums.shape, dtype=np.intp)
+    claims = []
     shared = len(config.stages) == 1
     cache: dict = {}
     for n, row in enumerate(policy.rows):
         s = config.stage(n)
+        local: dict = {}
         for j, f in enumerate(row):
             key = (0 if shared else n, _treaty_key(f))
             if key not in cache:
-                cache[key] = treaty_premium(s.premium, s.dY, f)
-            out[n, j] = prem = cache[key]
+                cache[key] = treaty_premium(s.premium, s.dY, f), f.retained(s.dY.values)
+            index[n, j] = local.setdefault(key, len(local))
+            premiums[n, j] = prem = cache[key][0]
             if s.budget_constrained and prem > max(float(grid[j]), 0.0) + _BUDGET_SLACK:
                 raise InfeasiblePolicyRow(
                     f"stage {n}: treaty premium {prem:.6g} exceeds surplus at x = {grid[j]:.6g}"
                 )
-    return out
+        claims.append(np.array([cache[key][1] for key in local]))
+    return premiums, index, claims
 
 
-def _policy_values(policy: PolicyTable, config: ModelConfig, premiums=None):
+def _policy_values(policy: PolicyTable, config: ModelConfig):
     """Cost-to-go [J_0 .. J_N] of a fixed Markov policy, one backward pass.
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
-    Pass the caller's _policy_premiums table, which checked the policy
-    against the config and every budget.
+    The caller checks the policy with _policy_table.
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
     grid = policy.grid
     n = config.horizon
-    if premiums is None:
-        _policy_premiums(policy, config)  # raises on an unaffordable row
     values: list[ValueFunction] = [None] * (n + 1)
     values[n] = v = ValueFunction(grid, np.zeros(grid.size))
     for k in range(n - 1, -1, -1):
@@ -756,4 +757,5 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, premiums=None):
 
 def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
     """Value of a fixed Markov policy by backward application of its rows."""
+    _policy_table(policy, config)  # raises on an unaffordable row
     return _policy_values(policy, config)[0]

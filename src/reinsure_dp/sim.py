@@ -1,10 +1,12 @@
 """Monte Carlo simulation of the controlled surplus process.
 
-simulate_paths replays a solved policy table forward: each period samples a
-claim and a premium-income atom by inverse CDF, looks up the treaty stored
-at the nearest grid state at or below the current surplus, and applies the
-exact surplus recursion. The below lookup is deliberate: budgets tighten as
-surplus falls, so borrowing the row of a lower state can only select a
+simulate_paths replays a stored policy forward: each period draws a claim
+atom and a premium-income atom by inverse CDF, takes the treaty stored at
+the nearest grid state at or below the current surplus, and applies the
+exact surplus recursion. That treaty's premium and retained claim are read
+from the one policy table (dp._policy_table), which holds every family,
+custom treaties included. The below lookup is deliberate: budgets tighten
+as surplus falls, so borrowing the row of a lower state can only select a
 treaty that was affordable there, never an infeasible one. Ruin means the
 surplus is negative at any decision epoch after the start.
 
@@ -28,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ess_sup, quantile
+from .distributions import quantile, quantile_index
 # evaluate_policy stays importable from here: bench/tracing.py patches it at
 # this import site
 from .dp import (  # noqa: F401
     ModelConfig,
     PolicyTable,
-    _policy_premiums,
+    _policy_table,
     _policy_values,
     evaluate_policy,
 )
@@ -112,7 +114,7 @@ def simulate_paths(
             f"expected {n_periods + 1} value functions, got {len(values)}"
         )
 
-    prem_table = _policy_premiums(policy, config)
+    premiums, index, claims = _policy_table(policy, config)
     period_counts = np.zeros(n_periods, dtype=np.int64)
     imputed_counts = np.zeros(n_periods, dtype=np.int64)
     terminal = np.empty(n_paths)
@@ -128,14 +130,10 @@ def simulate_paths(
         for n in range(n_periods):
             s = config.stage(n)
             # 1-u lies in (0, 1], the quantile map's exact domain
-            y = quantile(s.dY, 1.0 - u[:, n, 0])
+            k = quantile_index(s.dY, 1.0 - u[:, n, 0])
             z = quantile(s.dZ, 1.0 - u[:, n, 1])
             j = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
-            h = np.empty(bs)
-            for jj in np.unique(j):
-                sel = j == jj
-                h[sel] = policy.rows[n][jj].retained(y[sel])
-            x = x - h - prem_table[n][j] + z
+            x = x - claims[n][index[n, j], k] - premiums[n, j] + z
             neg = x < 0.0
             period_counts[n] += int(np.count_nonzero(neg))
             if values is not None:
@@ -183,8 +181,8 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
     grid = config.grid.points()
 
     # cost-to-go of the given policy for each start stage
-    prem_table = _policy_premiums(policy, config)
-    tails = _policy_values(policy, config, prem_table)
+    premiums, index, claims = _policy_table(policy, config)
+    tails = _policy_values(policy, config)
 
     holds = True
     x = float(x0)
@@ -193,7 +191,6 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
             holds = False
         s = config.stage(n)
         j = int(np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1))
-        f = policy.rows[n][j]
-        worst_claim = float(np.asarray(f.retained(ess_sup(s.dY))))
-        x = x - worst_claim - prem_table[n, j] + float(s.dZ.values[0])
+        # the retained top claim, the last of the ascending claim atoms
+        x = x - claims[n][index[n, j], -1] - premiums[n, j] + float(s.dZ.values[0])
     return bound, holds

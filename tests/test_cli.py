@@ -261,8 +261,8 @@ def _set(doc, path, value):
 BAD_VALUES = {
     "horizon": (("horizon",), "x", "horizon"),
     "tol": (("tol",), "x", "tol"),
-    "grid": (("grid", "count"), "x", "grid"),
-    "search": (("search", "resolution"), "fine", "search"),
+    "grid": (("grid", "count"), "x", r"grid\.count"),
+    "search": (("search", "resolution"), "fine", r"search\.resolution"),
     "claims": (("stages", 0, "claims", "truncation"), "x", r"stages\[0\]\.claims"),
     "risk": (("stages", 0, "risk", "alpha"), "high", r"stages\[0\]\.risk\.alpha"),
     "premium": (("stages", 0, "premium", "theta"), "x", r"stages\[0\]\.premium\.theta"),
@@ -281,6 +281,43 @@ def test_non_numeric_value_exits_1_at_its_field(tmp_path, capsys, section):
     assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
     assert not (tmp_path / "o" / "manifest.json").exists()
     assert re.search(f"error: field {field}: ", capsys.readouterr().err)
+
+
+# a number or boolean each integer field would otherwise truncate or coerce
+NON_INTEGERS = {
+    "horizon": (("horizon",), 2.7, "horizon"),
+    "horizon-bool": (("horizon",), True, "horizon"),
+    "grid.count": (("grid", "count"), 16.9, r"grid\.count"),
+    "claims.atoms": (("stages", 0, "claims", "atoms"), 11.5, r"stages\[0\]\.claims\.atoms"),
+    "income.atoms": (("stages", 0, "income", "atoms"), 2.5, r"stages\[0\]\.income\.atoms"),
+    "search.resolution": (("search", "resolution"), 8.5, r"search\.resolution"),
+    "search.sweeps": (("search", "sweeps"), 1.5, r"search\.sweeps"),
+    "search.sweeps-bool": (("search", "sweeps"), True, r"search\.sweeps"),
+    "simulate.paths": (("simulate", "paths"), 100.9, r"simulate\.paths"),
+    "simulate.paths-bool": (("simulate", "paths"), True, r"simulate\.paths"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_non_integer_exits_1_at_its_field(tmp_path, capsys, case):
+    path, value, field = NON_INTEGERS[case]
+    doc = finite_doc(m=11, horizon=1, count=17)
+    doc["simulate"] = {"x0": 1.0, "paths": 10}
+    if path[0] == "search":
+        doc["search"] = {"family": "piecewise-linear", "knots": [0.2, 0.6], "resolution": 8}
+    _set(doc, path, value)
+    assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert re.search(f"error: field {field}: expected an integer", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
+def test_budget_constrained_must_be_boolean(tmp_path, capsys, value):
+    doc = finite_doc(m=11, horizon=1, count=17)
+    doc["stages"][0]["budget_constrained"] = value
+    assert run("solve-finite", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert re.search(r"error: field stages\[0\]\.budget_constrained: ", capsys.readouterr().err)
 
 
 class TestSolveSubcommands:
@@ -358,6 +395,14 @@ class TestSolveSubcommands:
         assert not (out / "manifest.json").exists()
         assert main(["solve-finite", "--config", cfg, "--out", str(out), "--tol", "1e-6"]) == 1
         assert not (out / "manifest.json").exists()
+        # no subcommand that solves reads a stored policy either
+        oracle = dict(finite_doc(), oracle="es-uniform")
+        for sub, doc in (("solve-finite", finite_doc()), ("solve-infinite", infinite_doc()),
+                         ("oracle-compare", oracle)):
+            cfg = dump(tmp_path, doc, f"{sub}.json")
+            assert run(sub, cfg, str(out), policy="/nonexistent.csv") == 1, sub
+            assert "--policy" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
 
     def test_no_manifest_on_failure(self, tmp_path, capsys):
         cfg = dump(tmp_path, infinite_doc())

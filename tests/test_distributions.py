@@ -15,6 +15,7 @@ from reinsure_dp.distributions import (
     make_discrete,
     push_forward,
     quantile,
+    quantile_index,
     survival,
 )
 from reinsure_dp.errors import MassNotOne, NonpositiveProb, OutOfRange, UnsupportedFamily, ValidationError
@@ -155,6 +156,7 @@ class TestQuantile:
         d = uniform_grid(51)
         us = np.linspace(0.01, 1.0, 37)
         assert np.array_equal(quantile(d, us), [quantile(d, u) for u in us])
+        assert np.array_equal(quantile(d, us), d.values[quantile_index(d, us)])
 
 
 class TestSurvival:

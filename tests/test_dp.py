@@ -885,20 +885,23 @@ class TestEvaluatePolicy:
             evaluate_policy(table, cfg)
 
 
-    def test_policy_premiums_check_policy_against_config(self):
+    def test_policy_table_checks_policy_against_config(self):
         cfg = ModelConfig(2, (es_stage(m=51),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
         stationary = ModelConfig(None, cfg.stages, cfg.grid, cfg.search)
         grid = cfg.grid.points()
         row = tuple(make_treaty("identity", {}) for _ in grid)
         with pytest.raises(GridMismatch):
-            dp._policy_premiums(PolicyTable(grid + 0.01, (row, row)), cfg)
+            dp._policy_table(PolicyTable(grid + 0.01, (row, row)), cfg)
         with pytest.raises(ValidationError, match="rows"):
-            dp._policy_premiums(PolicyTable(grid, (row,)), cfg)
+            dp._policy_table(PolicyTable(grid, (row,)), cfg)
         with pytest.raises(ValidationError, match="rows"):
-            dp._policy_premiums(PolicyTable(grid, (row, row)), stationary)
-        assert np.array_equal(dp._policy_premiums(PolicyTable(grid, (row,)), stationary), [0 * grid])
+            dp._policy_table(PolicyTable(grid, (row, row)), stationary)
+        premiums, index, claims = dp._policy_table(PolicyTable(grid, (row,)), stationary)
+        assert np.array_equal(premiums, [0 * grid])
+        assert np.array_equal(index[0], np.zeros(grid.size))
+        assert np.array_equal(claims[0], [cfg.stage(0).dY.values])
 
-    def test_policy_premiums_price_each_treaty_once(self, monkeypatch):
+    def test_policy_table_prices_each_treaty_once(self, monkeypatch):
         cfg = ModelConfig(
             2, (es_stage(m=151),), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss")
         )
@@ -910,12 +913,14 @@ class TestEvaluatePolicy:
             return treaty_premium(spec, dY, f)
 
         monkeypatch.setattr(dp, "treaty_premium", counting)
-        table = dp._policy_premiums(policy, cfg)
+        premiums, index, claims = dp._policy_table(policy, cfg)
         assert len(priced) == len({f.params["a"] for row in policy.rows for f in row})
         s = cfg.stage(0)
         for n, row in enumerate(policy.rows):
+            assert len(claims[n]) == len({f.params["a"] for f in row})
             for j, f in enumerate(row):
-                assert table[n, j] == treaty_premium(s.premium, s.dY, f)
+                assert premiums[n, j] == treaty_premium(s.premium, s.dY, f)
+                assert np.array_equal(claims[n][index[n][j]], f.retained(s.dY.values))
 
     def test_one_pass_tails_equal_per_start_evaluation(self):
         stages = (

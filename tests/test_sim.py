@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from reinsure_dp.distributions import FamilySpec, discretize, ess_sup
+from reinsure_dp import sim
+from reinsure_dp.distributions import FamilySpec, discretize, ess_sup, quantile
 from reinsure_dp.dp import (
     GridSpec,
     ModelConfig,
     PolicyTable,
     SearchSpec,
     StageData,
+    _policy_values,
     solve_finite,
 )
 from reinsure_dp.errors import (
@@ -19,10 +21,10 @@ from reinsure_dp.errors import (
     NotVaRConfig,
     ValidationError,
 )
-from reinsure_dp.premiums import PremiumSpec
+from reinsure_dp.premiums import PremiumSpec, treaty_premium
 from reinsure_dp.risk import RiskSpec, var
 from reinsure_dp.sim import ruin_bound_check, simulate_paths
-from reinsure_dp.treaties import make_treaty
+from reinsure_dp.treaties import Treaty, make_treaty
 
 
 def point(z):
@@ -289,3 +291,139 @@ class TestRuinBoundCheck:
         for seed in (11, 12, 13):
             res = simulate_paths(policy, config, x0, 20_000, seed=seed)
             assert res.ruin_estimate - res.ci_half_width <= bound
+
+
+def mixed_policy_config(shared=True):
+    # every treaty family in one policy. Blocks of states run from the
+    # dearest one-period cost (identity) to the cheapest (stop-loss), so the
+    # policy's own cost-to-go decreases and the ruin bound can evaluate it.
+    stage = StageData(
+        dY=uniform01(301),
+        dZ=discretize(FamilySpec("uniform", (0.2, 0.5), atoms=3)),
+        risk=RiskSpec("value-at-risk", 0.95),
+        premium=PremiumSpec("expected", theta=0.2),
+        beta=0.5,
+        budget_constrained=False,
+    )
+    config = ModelConfig(3, (stage,) if shared else (stage,) * 3, GridSpec(-0.5, 1.5, 65),
+                         SearchSpec("stop-loss"))
+    custom = make_treaty("custom", {"fn": lambda y: 0.8 * np.minimum(y, 0.4)})
+    blocks = (
+        lambda: make_treaty("identity", {}),
+        lambda: make_treaty("proportional", {"c": 0.6}),
+        lambda: make_treaty("layer", {"a": 0.2, "w": 0.5}),
+        lambda: make_treaty(
+            "piecewise-linear", {"knots": [0.1, 0.4, 0.7], "slopes": [1.0, 0.3, 0.5]}
+        ),
+        lambda: custom,
+        lambda: make_treaty("full-cession", {}),
+        lambda: make_treaty("stop-loss", {"a": 0.3}),
+    )
+    grid = config.grid.points()
+    row = tuple(blocks[j * len(blocks) // grid.size]() for j in range(grid.size))
+    return config, PolicyTable(grid, (row,) * 3)
+
+
+def reference_simulate(policy, config, x0, n_paths, seed, values=None):
+    # the per-visited-state replay: Treaty.retained on each state's draws
+    grid = config.grid.points()
+    periods = config.horizon
+    prem = [
+        np.array([treaty_premium(config.stage(n).premium, config.stage(n).dY, f) for f in row])
+        for n, row in enumerate(policy.rows)
+    ]
+    counts = np.zeros(periods, dtype=np.int64)
+    imputed = np.zeros(periods, dtype=np.int64)
+    terminal, ruined_total = [], 0
+    for b, lo in enumerate(range(0, n_paths, sim._BATCH)):
+        bs = min(sim._BATCH, n_paths - lo)
+        u = np.random.Generator(np.random.Philox(key=seed).jumped(b)).random((bs, periods, 2))
+        x = np.full(bs, float(x0))
+        ruined = np.zeros(bs, dtype=bool)
+        for n in range(periods):
+            s = config.stage(n)
+            y = quantile(s.dY, 1.0 - u[:, n, 0])
+            z = quantile(s.dZ, 1.0 - u[:, n, 1])
+            j = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+            h = np.empty(bs)
+            for jj in np.unique(j):
+                sel = j == jj
+                h[sel] = policy.rows[n][jj].retained(y[sel])
+            x = x - h - prem[n][j] + z
+            counts[n] += np.count_nonzero(x < 0.0)
+            if values is not None:
+                imputed[n] += np.count_nonzero(-x + s.beta * values[n + 1](x) > 0.0)
+            ruined |= x < 0.0
+        terminal.append(x)
+        ruined_total += np.count_nonzero(ruined)
+    return np.concatenate(terminal), counts, imputed, ruined_total
+
+
+def reference_ruin_walk(policy, config, x0):
+    # the worst-case drift walk, applying each visited treaty to the top claim
+    grid = config.grid.points()
+    tails = _policy_values(policy, config)
+    walk, holds, x = [], True, float(x0)
+    for n in range(config.horizon):
+        s = config.stage(n)
+        walk.append(x)
+        holds &= not tails[n](x) > 0.0
+        j = int(np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1))
+        f = policy.rows[n][j]
+        worst = float(f.retained(ess_sup(s.dY)))
+        x = x - worst - treaty_premium(s.premium, s.dY, f) + float(s.dZ.values[0])
+    return walk, holds
+
+
+class TestReplayTable:
+
+    @pytest.mark.parametrize("with_values", [False, True])
+    def test_simulate_matches_per_state_replay(self, with_values):
+        config, policy = mixed_policy_config()
+        values = _policy_values(policy, config) if with_values else None
+        res = simulate_paths(policy, config, 0.3, 25_001, seed=5, values=values)
+        terminal, counts, imputed, ruined = reference_simulate(
+            policy, config, 0.3, 25_001, 5, values
+        )
+        assert np.array_equal(res.period_ruin_counts, counts)
+        assert res.ruin_estimate == ruined / 25_001
+        assert res.terminal_mean == terminal.mean()
+        assert np.array_equal(
+            [q for _, q in res.terminal_quantiles], np.quantile(terminal, sim._QUANTILE_LEVELS)
+        )
+        if with_values:
+            assert np.array_equal(res.imputed_ruin_counts, imputed)
+        else:
+            assert res.imputed_ruin_counts is None
+
+    def test_ruin_bound_matches_per_state_walk(self, monkeypatch):
+        # the check evaluates its cost-to-go at every state it visits, so
+        # wrapping the cost-to-go records the walk
+        config, policy = mixed_policy_config()
+        walk = []
+
+        def recording(policy, config):
+            return [lambda x, v=v: walk.append(x) or v(x) for v in _policy_values(policy, config)]
+
+        monkeypatch.setattr(sim, "_policy_values", recording)
+        held = []
+        for x0 in np.linspace(-0.6, 1.6, 12):
+            walk.clear()
+            bound, holds = ruin_bound_check(policy, config, x0)
+            want_walk, want_holds = reference_ruin_walk(policy, config, x0)
+            assert np.array_equal(walk, want_walk), x0
+            assert holds == want_holds
+            assert bound == pytest.approx(0.15, abs=1e-12)
+            held.append(holds)
+        assert any(held) and not all(held)
+
+    @pytest.mark.parametrize("shared, distinct", [(True, 7), (False, 21)])
+    def test_retained_once_per_treaty_and_stage_data(self, monkeypatch, shared, distinct):
+        # pricing goes through ceded, which is kept out of the count
+        config, policy = mixed_policy_config(shared)
+        retained = Treaty.retained
+        calls = []
+        monkeypatch.setattr(Treaty, "ceded", lambda f, y: np.asarray(y) - retained(f, y))
+        monkeypatch.setattr(Treaty, "retained", lambda f, y: calls.append(f) or retained(f, y))
+        simulate_paths(policy, config, 0.3, 25_001, seed=5)
+        assert len(calls) == distinct

@@ -113,6 +113,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A config number; a boolean is refused."""
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -158,7 +165,7 @@ def _parse_kind(obj, path, table, make):
                 if key == "preset":
                     kwargs["distortion"] = distortion_preset(str(obj[key]))
                 else:
-                    kwargs[key] = float(obj[key])
+                    kwargs[key] = _real(obj[key])
     with _at(path):
         return make(kind, **kwargs)
 
@@ -196,7 +203,7 @@ def _parse_stage(obj, idx) -> StageData:
             dZ=dZ,
             risk=risk,
             premium=prem,
-            beta=float(_need(obj, "beta", path)),
+            beta=_real(_need(obj, "beta", path)),
             budget_constrained=constrained,
         )
 
@@ -205,16 +212,16 @@ def _parse_grid(obj) -> GridSpec:
     with _at("grid.count"):
         count = _integer(_need(obj, "count", "grid"))
     with _at("grid"):
-        return GridSpec(float(_need(obj, "lo", "grid")), float(_need(obj, "hi", "grid")), count)
+        return GridSpec(_real(_need(obj, "lo", "grid")), _real(_need(obj, "hi", "grid")), count)
 
 
 def _parse_search(obj) -> SearchSpec:
     family = str(_need(obj, "family", "search"))
     settings = {k: v for k, v in obj.items() if k != "family" and v is not None}
-    for key in ("resolution", "sweeps"):
+    for key, read in (("resolution", _integer), ("sweeps", _integer), ("layer_upper", _real)):
         if key in settings:
             with _at(f"search.{key}"):
-                settings[key] = _integer(settings[key])
+                settings[key] = read(settings[key])
     with _at("search"):
         return SearchSpec(family, **settings)
 
@@ -235,7 +242,7 @@ def _config_from_doc(doc) -> ModelConfig:
         raise ParseError("field stages: expected a nonempty array")
     stages = tuple(_parse_stage(s, i) for i, s in enumerate(stages_doc))
     with _at("tol"):
-        tol = float(doc.get("tol", 1e-4))
+        tol = _real(doc.get("tol", 1e-4))
         if horizon is not None and doc.get("tol") is not None:
             raise ValidationError('read only with "horizon": null')
     config = ModelConfig(horizon, stages, grid, search, tol)
@@ -463,7 +470,7 @@ def _run_simulate(doc, config, out_dir, seed, policy_path):
             ' {"x0": 1.0, "paths": 100000}'
         )
     with _at("simulate.x0"):
-        x0 = float(_need(block, "x0", "simulate"))
+        x0 = _real(_need(block, "x0", "simulate"))
     with _at("simulate.paths"):
         n_paths = _integer(_need(block, "paths", "simulate"))
     stats: list = []
@@ -493,9 +500,10 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
                 f"unknown subcommand {subcommand!r}; expected one of"
                 f" {', '.join(_SUBCOMMANDS)}"
             )
-        seed = int(seed)
-        if seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        with _at("seed"):
+            seed = _integer(seed)
+            if seed < 0:
+                raise ValidationError("must be nonnegative")
         doc = _load_json(config_path)
         config = _config_from_doc(doc)
         if tol is not None:

@@ -13,9 +13,9 @@ for every admissible treaty, so a single weight vector per stage prices all
 of them; with stochastic income one stable argsort along the atom axis
 orders every pair at once and one batched weight call weights them; the
 entropic measure needs no order and takes a log-sum-exp over the atoms.
-States go through in fixed slices so the (state, candidate, atom)
-temporaries stay bounded; each pair reduces on its own, so slicing never
-changes a result bit.
+Pairs go through in cache-sized slices, so the (pair, atom) temporaries
+stay bounded whatever the grid and candidate counts; each pair reduces on
+its own, so slicing never changes a result bit.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -57,9 +57,9 @@ from .treaties import (
 # grid states; anything larger signals a resolution problem, not noise
 _MONO_TOL = 1e-6
 _ZOOM_LEVELS = 3
-# (state, candidate, atom) cells evaluated at once; bounds the evaluator's
-# temporaries whatever the atom count
-_CHUNK_ELEMS = 1 << 20
+# (pair, atom) cells evaluated at once: cache-sized, so the evaluator's
+# temporaries stay small whatever the grid and candidate counts
+_CHUNK_ELEMS = 1 << 14
 # tolerated excess of a stored policy's premium over its state's budget
 _BUDGET_SLACK = 1e-9
 # searchable family -> the settings its search reads
@@ -393,21 +393,20 @@ def apply_L(v: ValueFunction, x: float, f: Treaty, s: StageData) -> float:
 # batched candidate evaluation
 
 
-def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: SearchSpec):
+def _candidate_objectives(v: ValueFunction, s: StageData, x, params, prem, search: SearchSpec):
     """Objective value at every (state, candidate parameter) pair.
 
-    x has shape (S,), params (S, P); the result matches params. The cost
-    atoms run over the (Y, Z) product. The entropic kind takes a log-sum-exp
-    over them; the other kinds a weighted sum in descending next-surplus
-    order, with one shared weight vector when income is deterministic and a
-    batched argsort and atom_weights call otherwise. States go through in
-    slices of at most _CHUNK_ELEMS (state, candidate, atom) cells; each pair
-    reduces on its own, so slicing never changes a result bit.
+    x has shape (S,), params and their premiums prem (S, P); the result
+    matches params. The cost atoms run over the (Y, Z) product. The entropic
+    kind takes a log-sum-exp over them; the other kinds a weighted sum in
+    descending next-surplus order, with one shared weight vector when income
+    is deterministic and a batched argsort and atom_weights call otherwise.
+    Pairs go through flattened, in slices of _CHUNK_ELEMS (pair, atom) cells
+    (at least one pair) and reduce on their own, so slicing moves no bit.
     """
-    x = np.asarray(x, dtype=np.float64)
     params = np.asarray(params, dtype=np.float64)
-    bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
-    prem = np.interp(params, bp, bv)
+    xp = np.repeat(np.asarray(x, dtype=np.float64), params.shape[1])
+    par, prem = params.ravel(), np.ravel(prem)
 
     kz = len(s.dZ)
     y = np.repeat(s.dY.values, kz)
@@ -420,14 +419,14 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: Sea
         act = np.flatnonzero(w)
         shared, y, z = w[act], y[act], z[act]
 
-    out = np.empty(params.shape)
-    step = max(1, _CHUNK_ELEMS // (params.shape[1] * y.size))
-    for lo in range(0, x.size, step):
+    out = np.empty(par.size)
+    step = max(1, _CHUNK_ELEMS // y.size)
+    for lo in range(0, par.size, step):
         sl = slice(lo, lo + step)
-        xs = x[sl, None]
-        t = z - search.retained(params[sl, :, None], y) - prem[sl, :, None]
+        xs = xp[sl, None]
+        t = z - search.retained(par[sl, None], y) - prem[sl, None]
         if entropic:
-            xt = xs[..., None] + t
+            xt = xs + t
             g = s.risk.gamma
             out[sl] = logsumexp(g * (-xt + s.beta * v(xt)), b=probs, axis=-1) / g
             continue
@@ -436,9 +435,9 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, params, search: Sea
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
             w = atom_weights(s.risk, probs[order])
-        cont = np.sum(v(xs[..., None] + t) * w, axis=-1)
-        out[sl] = -xs * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont
-    return out
+        cont = np.sum(v(xs + t) * w, axis=-1)
+        out[sl] = -xp[sl] * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont
+    return out.reshape(params.shape)
 
 
 def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
@@ -448,6 +447,7 @@ def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
 
 def _scalar_family_search(v_next, s, grid, search):
     lo, hi = search.param_range(s.premium, s.dY, _budgets(s, grid))
+    bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
     r = search.resolution
     frac = np.linspace(0.0, 1.0, r + 1)
     sel = np.arange(grid.size)
@@ -456,7 +456,7 @@ def _scalar_family_search(v_next, s, grid, search):
     for _ in range(_ZOOM_LEVELS):
         params = lo[:, None] + (hi - lo)[:, None] * frac
         params = np.clip(params, lo[:, None], hi[:, None])
-        obj = _candidate_objectives(v_next, s, grid, params, search)
+        obj = _candidate_objectives(v_next, s, grid, params, np.interp(params, bp, bv), search)
         idx = np.argmin(obj, axis=1)
         val = obj[sel, idx]
         par = params[sel, idx]
@@ -683,7 +683,9 @@ def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row):
         fam = FAMILIES[row[0].family]
         if fam.fields == (fam.scalar,):
             params = np.asarray([[f.params[fam.scalar]] for f in row])
-            return _candidate_objectives(v_next, s, grid, params, SearchSpec(row[0].family))[:, 0]
+            prem = np.interp(params, *premium_breakpoints(row[0].family, s.premium, s.dY))
+            obj = _candidate_objectives(v_next, s, grid, params, prem, SearchSpec(row[0].family))
+            return obj[:, 0]
     return np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
 
 

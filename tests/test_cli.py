@@ -311,6 +311,35 @@ def test_non_integer_exits_1_at_its_field(tmp_path, capsys, case):
     assert re.search(f"error: field {field}: expected an integer", capsys.readouterr().err)
 
 
+# a boolean each number field would otherwise read as 0.0 or 1.0
+BOOLEAN_NUMBERS = {
+    "beta": (("stages", 0, "beta"), True, r"stages\[0\]"),
+    "risk.alpha": (("stages", 0, "risk", "alpha"), True, r"stages\[0\]\.risk\.alpha"),
+    "risk.gamma": (
+        ("stages", 0, "risk"), {"kind": "entropic", "gamma": True}, r"stages\[0\]\.risk\.gamma"
+    ),
+    "premium.theta": (("stages", 0, "premium", "theta"), False, r"stages\[0\]\.premium\.theta"),
+    "grid.lo": (("grid", "lo"), False, "grid"),
+    "grid.hi": (("grid", "hi"), True, "grid"),
+    "search.layer_upper": (
+        ("search",), {"family": "layer", "layer_upper": True}, r"search\.layer_upper"
+    ),
+    "tol": (("tol",), True, "tol"),
+    "simulate.x0": (("simulate", "x0"), True, r"simulate\.x0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEAN_NUMBERS))
+def test_boolean_exits_1_at_its_number_field(tmp_path, capsys, case):
+    path, value, field = BOOLEAN_NUMBERS[case]
+    doc = finite_doc(m=11, horizon=1, count=17)
+    doc["simulate"] = {"x0": 1.0, "paths": 10}
+    _set(doc, path, value)
+    assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert re.search(f"error: field {field}: expected a number", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
 def test_budget_constrained_must_be_boolean(tmp_path, capsys, value):
     doc = finite_doc(m=11, horizon=1, count=17)
@@ -555,6 +584,14 @@ class TestSimulate:
         assert run("simulate", cfg, str(out1), seed=9) == 0
         assert run("simulate", cfg, str(out2), seed=9) == 0
         assert (out1 / "sim.json").read_bytes() == (out2 / "sim.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_non_integer_seed_exits_1(self, tmp_path, capsys, seed):
+        # a library call would otherwise run as seed 2 or 1
+        cfg = dump(tmp_path, self.simulate_doc())
+        assert run("simulate", cfg, str(tmp_path / "o"), seed=seed) == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert re.search(r"error: field seed: expected an integer", capsys.readouterr().err)
 
     def test_simulate_block_required(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())

@@ -312,6 +312,13 @@ class TestApplyL:
         assert apply_L(v, 0.2, f, s_rand) != pytest.approx(apply_L(v, 0.2, f, s_point), abs=1e-6)
 
 
+def _objectives(v, s, x, params, search):
+    # the batched evaluator with its candidates priced off the family's curve,
+    # as the scalar search prices them
+    bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
+    return _candidate_objectives(v, s, x, params, np.interp(params, bp, bv), search)
+
+
 def _ladder(rng, lo, hi, states, probes):
     base = rng.uniform(lo, hi, size=(states, probes))
     return np.sort(base, axis=1)
@@ -330,7 +337,7 @@ class TestBatchedAgainstScalar:
         top = ess_sup(s.dY)
         hi = {"stop-loss": top, "layer": search.layer_upper or top, "proportional": 1.0}
         params = _ladder(rng, 0.0, hi[search.family], self.GRID.size, 7)
-        got = _candidate_objectives(v, s, self.GRID, params, search)
+        got = _objectives(v, s, self.GRID, params, search)
         assert got.shape == params.shape
         for j in range(self.GRID.size):
             for k in range(params.shape[1]):
@@ -454,7 +461,7 @@ class TestEvaluatorGrid:
         b_low, b_high = bounding_functions(cfg, 0)
         v = random_inside(rng, self.GRID, b_low, b_high, slopes=(-1.5, -0.5))
         params = _ladder_for(rng, s, search, self.GRID.size, 4)
-        got = _candidate_objectives(v, s, self.GRID, params, search)
+        got = _objectives(v, s, self.GRID, params, search)
         assert got.shape == params.shape
         for j, k in np.ndindex(params.shape):
             want = apply_L(v, self.GRID[j], _treaty_from(search, params[j, k]), s)
@@ -462,7 +469,7 @@ class TestEvaluatorGrid:
 
 
 class TestEvaluatorChunking:
-    """State slices change memory, never a bit of the result."""
+    """Slices of (state, candidate) pairs change memory, never a bit of the result."""
 
     @pytest.mark.parametrize(
         "risk_id, income_id, family",
@@ -481,12 +488,15 @@ class TestEvaluatorChunking:
         grid = np.linspace(-0.5, 1.5, 23)
         v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
         params = _ladder_for(rng, s, search, grid.size, 9)
-        whole = _candidate_objectives(v, s, grid, params, search)
+        whole = _objectives(v, s, grid, params, search)
         atoms = len(s.dY) * len(s.dZ)
-        # three states per slice; 23 states leave a short last slice
-        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 3 * params.shape[1] * atoms)
-        sliced = _candidate_objectives(v, s, grid, params, search)
-        assert np.array_equal(whole, sliced)
+        # three whole states per slice, then one and two pairs, so slices cut
+        # through a state's candidates; 23 states x 9 candidates leave a
+        # short last slice for three states and for two pairs
+        for cells in (3 * params.shape[1] * atoms, atoms, 2 * atoms):
+            monkeypatch.setattr(dp, "_CHUNK_ELEMS", cells)
+            sliced = _objectives(v, s, grid, params, search)
+            assert np.array_equal(whole, sliced), cells
 
     def test_peak_memory_bounded(self):
         # 64 states x 65 candidates x 2001 atoms, full-support PH weights:
@@ -503,11 +513,32 @@ class TestEvaluatorChunking:
         params = np.tile(np.linspace(0.0, 1.0, 65), (grid.size, 1))
         tracemalloc.start()
         try:
-            _candidate_objectives(v, s, grid, params, SearchSpec("stop-loss"))
+            _objectives(v, s, grid, params, SearchSpec("stop-loss"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_peak_memory_bounded_for_one_state(self):
+        # one state x 1025 candidates x 2001 atoms: slicing by whole states
+        # would hold every candidate's atoms at once, about 51 MB traced
+        s = StageData(
+            uniform01(2001),
+            point(0.3),
+            RISKS["ph"],
+            PremiumSpec("expected", theta=0.2),
+            1.0,
+        )
+        grid = np.array([0.5])
+        v = ValueFunction(np.linspace(-0.5, 1.5, 64), -np.linspace(-0.5, 1.5, 64))
+        params = np.linspace(0.0, 1.0, 1025)[None, :]
+        tracemalloc.start()
+        try:
+            _objectives(v, s, grid, params, SearchSpec("stop-loss"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBatchedAtomWeights:
@@ -682,8 +713,9 @@ class TestBellmanStep:
                     want = treaty_premium(pspec, dY, f)
                     assert seg @ (1.0 - slopes) == pytest.approx(want, abs=1e-12), knots
 
-    def test_budget_step_reads_one_curve_per_zoom_level(self, monkeypatch):
-        # the feasible intervals of all states come from one premium curve
+    def test_budget_step_reads_two_curves(self, monkeypatch):
+        # the feasible intervals of all states come from one premium curve,
+        # and the candidates of every zoom level are priced off one more
         s = es_stage(m=201)
         grid = np.linspace(-0.5, 1.5, 512)
         calls = []
@@ -695,7 +727,7 @@ class TestBellmanStep:
         monkeypatch.setattr(dp, "premium_breakpoints", counting)
         monkeypatch.setattr(treaties, "premium_breakpoints", counting)
         bellman_step(zero_vf(grid), s, grid, SearchSpec("stop-loss"))
-        assert 0 < len(calls) <= 1 + dp._ZOOM_LEVELS
+        assert len(calls) == 2
 
 
 class TestWeightedNorm:

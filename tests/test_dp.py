@@ -488,8 +488,10 @@ class TestEvaluatorChunking:
         grid = np.linspace(-0.5, 1.5, 23)
         v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
         params = _ladder_for(rng, s, search, grid.size, 9)
-        whole = _objectives(v, s, grid, params, search)
         atoms = len(s.dY) * len(s.dZ)
+        # the reference is one slice holding every (pair, atom) cell
+        monkeypatch.setattr(dp, "_CHUNK_ELEMS", params.size * atoms)
+        whole = _objectives(v, s, grid, params, search)
         # three whole states per slice, then one and two pairs, so slices cut
         # through a state's candidates; 23 states x 9 candidates leave a
         # short last slice for three states and for two pairs

@@ -509,7 +509,8 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
         if tol is not None:
             if subcommand != "solve-infinite":
                 raise ValidationError("--tol applies to solve-infinite only")
-            config = replace(config, tol=float(tol))
+            with _at("tol"):
+                config = replace(config, tol=_real(tol))
         if policy is not None and subcommand not in ("evaluate-policy", "simulate"):
             raise ValidationError("--policy applies to evaluate-policy and simulate only")
         os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,8 @@ Conventions, fixed once here and relied on everywhere else:
 
 * ``quantile`` is the left-continuous generalized inverse,
   ``F^{-1}(u) = inf{x : F(x) >= u}``; ``quantile_index`` gives its atom.
-* ``survival(t) = P(X > t)`` is right-continuous in ``t``.
+* ``survival(t) = P(X > t)`` is right-continuous in ``t``, never negative, and
+  exactly 0 at and above the top atom.
 * Atom values are strictly increasing; construction merges exact duplicates by
   summing their probabilities (no fuzzy merging, for reproducibility).
 """
@@ -114,16 +115,22 @@ class FamilySpec:
 
 
 def _canonical(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
-    """Sort atoms and merge exact-equal values; mass is taken as given."""
+    """Sort atoms and merge exact-equal values; mass is taken as given.
+
+    Equal values are merged by summing their probabilities in stable sort
+    order, the order np.unique's inverse would give them.
+    """
     values = np.asarray(values, dtype=np.float64).ravel()
     probs = np.asarray(probs, dtype=np.float64).ravel()
     order = np.argsort(values, kind="stable")
     values = values[order]
     probs = probs[order]
-    uniq, inverse = np.unique(values, return_inverse=True)
-    if uniq.size != values.size:
-        probs = np.bincount(inverse, weights=probs, minlength=uniq.size)
-        values = uniq
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    if not new.all():
+        probs = np.bincount(np.cumsum(new) - 1, weights=probs)
+        values = values[new]
     return DiscreteDistribution(values, probs)
 
 
@@ -200,12 +207,62 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     return _canonical(values, np.full(m, 1.0 / m))
 
 
+# brackets wider than this finish in np.searchsorted, not by bisection
+_BISECT_WIDTH = 16
+
+
+def _search_bracketed(table, keys, lo, hi, side="left"):
+    """np.searchsorted(table, keys, side), exactly, given per-key bounds
+    lo <= answer <= hi (guide-table search; Devroye 1986, III.2.4).
+
+    Keys whose bracket is at most _BISECT_WIDTH wide finish by a vectorized
+    bisection with as many steps as the widest of them needs; wider ones go
+    to np.searchsorted.
+    """
+    width = hi - lo
+    wide = width > _BISECT_WIDTH
+    if wide.any():
+        lo = lo.copy()
+        lo[wide] = np.searchsorted(table, keys[wide], side=side)
+        hi = np.where(wide, lo, hi)
+        width = hi - lo
+    # the answer can be table.size; its sentinel never lies below a key
+    ext = np.append(table, np.inf)
+    below = np.less if side == "left" else np.less_equal
+    for _ in range(int(width.max()).bit_length()):
+        mid = (lo + hi) >> 1
+        go = below(ext[mid], keys)
+        lo = np.where(go, mid + 1, lo)
+        hi = np.where(go, hi, mid)
+    return lo
+
+
 def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:
-    """Index of the smallest atom whose cumulative probability reaches u."""
+    """Index of the smallest atom whose cumulative probability reaches u.
+
+    A batch at least as large as the distribution is bracketed by a guide
+    over 2**p dyadic buckets of (0, 1], p = ceil(log2 len(d)): a level in
+    bucket b, b/2**p < u <= (b+1)/2**p, has its index between the counts of
+    cumulative probabilities <= b/2**p and < (b+1)/2**p. Every step is
+    exact, so the result is np.searchsorted's.
+    """
     u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0.0) or np.any(u_arr > 1.0):
+    # a NaN level fails both comparisons
+    if u_arr.size and not (u_arr.min() > 0.0 and u_arr.max() <= 1.0):
         raise OutOfRange("quantile level must lie in (0, 1]")
-    return np.minimum(np.searchsorted(d._cum, u_arr, side="left"), len(d) - 1)
+    cum = d._cum
+    if u_arr.size < cum.size:
+        idx = np.searchsorted(cum, u_arr, side="left")
+    else:
+        m = 1 << (cum.size - 1).bit_length()
+        edges = np.arange(m + 1) / m
+        keys = u_arr.ravel()
+        # u * m is exact, so b/m < u <= (b+1)/m
+        b = (np.ceil(keys * m) - 1.0).astype(np.intp)
+        lo = np.searchsorted(cum, edges[:-1], side="right")[b]
+        hi = np.searchsorted(cum, edges[1:], side="left")[b]
+        idx = _search_bracketed(cum, keys, lo, hi).reshape(u_arr.shape)
+    return np.minimum(idx, len(d) - 1)
 
 
 def quantile(d: DiscreteDistribution, u):
@@ -220,7 +277,8 @@ def survival(d: DiscreteDistribution, t):
     t_arr = np.asarray(t, dtype=np.float64)
     k = np.searchsorted(d.values, t_arr, side="right")
     cdf = np.where(k > 0, d._cum[np.maximum(k - 1, 0)], 0.0)
-    out = 1.0 - cdf
+    # the cumulative sum can end an ulp off 1; no mass lies above the top atom
+    out = np.where(k < len(d), np.maximum(1.0 - cdf, 0.0), 0.0)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 

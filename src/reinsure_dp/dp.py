@@ -446,8 +446,11 @@ def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
 
 
 def _scalar_family_search(v_next, s, grid, search):
-    lo, hi = search.param_range(s.premium, s.dY, _budgets(s, grid))
+    # one premium curve gives the feasible intervals and every zoom price
     bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
+    lo, hi = feasible_retention_range(
+        search.family, s.premium, s.dY, _budgets(s, grid), table=(bp, bv)
+    )
     r = search.resolution
     frac = np.linspace(0.0, 1.0, r + 1)
     sel = np.arange(grid.size)

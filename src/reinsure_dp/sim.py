@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import quantile, quantile_index
+from .distributions import _search_bracketed, quantile, quantile_index
 # evaluate_policy stays importable from here: bench/tracing.py patches it at
 # this import site
 from .dp import (  # noqa: F401
@@ -80,6 +80,21 @@ class SimResult:
                 else list(self.imputed_ruin_counts)
             ),
         }
+
+
+def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the grid state at or below each x, the first or last state
+    off the grid's ends: the count of states <= x is guessed from the
+    uniform spacing, verified, and searched for where the guess fails."""
+    ext = np.concatenate([[-np.inf], grid, [np.inf]])
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    guess = np.clip(np.floor((x - grid[0]) / step) + 1.0, 0.0, grid.size).astype(np.intp)
+    # ext[c] <= x < ext[c + 1] says exactly c states lie at or below x
+    hit = (ext[guess] <= x) & (x < ext[guess + 1])
+    lo = np.where(hit, guess, 0)
+    hi = np.where(hit, guess, grid.size)
+    count = _search_bracketed(grid, x, lo, hi, side="right")
+    return np.clip(count - 1, 0, grid.size - 1)
 
 
 def simulate_paths(
@@ -132,7 +147,7 @@ def simulate_paths(
             # 1-u lies in (0, 1], the quantile map's exact domain
             k = quantile_index(s.dY, 1.0 - u[:, n, 0])
             z = quantile(s.dZ, 1.0 - u[:, n, 1])
-            j = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+            j = _grid_index(grid, x)
             x = x - claims[n][index[n, j], k] - premiums[n, j] + z
             neg = x < 0.0
             period_counts[n] += int(np.count_nonzero(neg))
@@ -147,12 +162,14 @@ def simulate_paths(
 
     p_hat = ruin_total / n_paths
     half = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
-    qs = np.quantile(terminal, _QUANTILE_LEVELS)
+    terminal_mean = float(terminal.mean())
+    # partitions terminal in place rather than a copy, so the mean comes first
+    qs = np.quantile(terminal, _QUANTILE_LEVELS, overwrite_input=True)
     return SimResult(
         paths=n_paths,
         ruin_estimate=p_hat,
         ci_half_width=half,
-        terminal_mean=float(terminal.mean()),
+        terminal_mean=terminal_mean,
         terminal_quantiles=tuple(
             (lvl, float(q)) for lvl, q in zip(_QUANTILE_LEVELS, qs)
         ),

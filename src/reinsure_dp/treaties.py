@@ -209,6 +209,8 @@ def feasible_retention_range(
     dY: DiscreteDistribution,
     budget,
     upper: float | None = None,
+    *,
+    table=None,
 ):
     """Sub-interval of the retention parameter whose premium fits the budget.
 
@@ -217,9 +219,12 @@ def feasible_retention_range(
     end, which is always feasible (zero premium). ``budget`` is one budget
     (floats returned) or an array of them (arrays of its shape returned),
     all read off one breakpoint table; an infinite budget gives the range.
+    ``table`` is that premium_breakpoints table when the caller holds it.
     """
     budget = np.maximum(0.0, np.asarray(budget, dtype=np.float64))
-    params, prems = premium_breakpoints(family, pspec, dY, upper=upper)
+    if table is None:
+        table = premium_breakpoints(family, pspec, dY, upper=upper)
+    params, prems = table
     j = np.searchsorted(-prems, -budget, side="left") - 1
     j = np.clip(j, 0, len(params) - 2)
     run = prems[j] - prems[j + 1]

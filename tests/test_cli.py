@@ -387,9 +387,13 @@ class TestSolveSubcommands:
         assert manifest["certificates"]["iterations"] >= 1
         assert 0.0 <= manifest["certificates"]["certificate"] <= 1e-4
 
-    def test_tol_flag_overrides_config(self, tmp_path):
+    def test_tol_flag_overrides_config(self, tmp_path, capsys):
         cfg = dump(tmp_path, infinite_doc())
         out = tmp_path / "inf"
+        # a library call would otherwise run a boolean as tol 1.0
+        assert run("solve-infinite", cfg, str(out), tol=True) == 1
+        assert "error: field tol: expected a number" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
         assert run("solve-infinite", cfg, str(out), tol=1e-6) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tol"] == 1e-6

@@ -152,6 +152,14 @@ class TestQuantile:
             for v, F in zip(d.values, cum):
                 assert quantile(d, min(F, 1.0)) == v
 
+    def test_nan_level_refused(self):
+        # a NaN passes neither bound check; it used to read as the top atom
+        d = uniform_grid(11)
+        with pytest.raises(OutOfRange):
+            quantile(d, math.nan)
+        with pytest.raises(OutOfRange):
+            quantile_index(d, np.array([0.5, math.nan] * 20))
+
     def test_vectorized_matches_scalar(self):
         d = uniform_grid(51)
         us = np.linspace(0.01, 1.0, 37)
@@ -167,6 +175,16 @@ class TestSurvival:
         assert survival(d, 1.0) == 0.0
         assert survival(d, 0.5) == 0.5
 
+    @pytest.mark.parametrize("m", [11, 101, 2001])
+    def test_zero_at_and_above_top_atom(self, m):
+        # the cumulative sum ends an ulp or more off 1 (-2.2e-16 at 11 atoms,
+        # +1e-14 at 2001), which must not leak out as a tail probability
+        d = uniform_grid(m)
+        top = ess_sup(d)
+        assert survival(d, top) == 0.0
+        assert np.array_equal(survival(d, np.array([top, top + 1.0])), [0.0, 0.0])
+        assert np.all(survival(d, d.values) >= 0.0)
+
     def test_consistency_with_quantile(self):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(50):
@@ -177,6 +195,102 @@ class TestSurvival:
             for u in rng.uniform(0.01, 1.0, size=20):
                 q = quantile(d, u)
                 assert survival(d, q - 1e-9) >= 1.0 - u - 1e-12
+
+
+def skewed_table():
+    # 2441 atoms share the first of 4096 dyadic buckets, so their bracket is
+    # too wide to bisect
+    k, small = 2500, 1e-7
+    probs = np.full(k, small)
+    probs[2441:] = (1.0 - 2441 * small) / (k - 2441)
+    return DiscreteDistribution(np.arange(k, dtype=np.float64), probs)
+
+
+LOOKUP_TABLES = {
+    "uniform-2001": lambda: uniform_grid(2001),
+    "skewed": skewed_table,
+    "point-mass": lambda: make_discrete([(0.4, 1.0)]),
+    # 1e-300 leaves the cumulative sum where it is: equal consecutive entries
+    "equal-cum": lambda: DiscreteDistribution(
+        np.arange(6.0), np.array([0.25, 1e-300, 1e-300, 0.5, 1e-300, 0.25])
+    ),
+}
+
+
+def lookup_keys(table, rng):
+    # every table value, its neighbours, 1, the smallest subnormal, and
+    # enough uniform levels that the batch outgrows the table
+    keys = np.concatenate([
+        table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
+        [1.0, 5e-324], 1.0 - rng.random(table.size + 64),
+    ])
+    return keys[(keys > 0.0) & (keys <= 1.0)]
+
+
+class TestGuideLookup:
+    """quantile_index and the bracketed search equal np.searchsorted."""
+
+    @pytest.mark.parametrize("name", LOOKUP_TABLES)
+    def test_quantile_index_is_searchsorted(self, name):
+        d = LOOKUP_TABLES[name]()
+        cum = d._cum
+        keys = lookup_keys(cum, np.random.default_rng(SEED))
+        assert keys.size >= len(d)  # the guide path, not the small-batch one
+        want = np.minimum(np.searchsorted(cum, keys, side="left"), len(d) - 1)
+        assert np.array_equal(quantile_index(d, keys), want)
+        assert np.array_equal(quantile_index(d, keys.reshape(1, -1)), want.reshape(1, -1))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", LOOKUP_TABLES)
+    def test_bracketed_search_both_sides(self, name, side):
+        # brackets of random slack, some bisected and some past _BISECT_WIDTH
+        rng = np.random.default_rng(SEED + 5)
+        table = LOOKUP_TABLES[name]()._cum
+        keys = lookup_keys(table, rng)
+        want = np.searchsorted(table, keys, side=side)
+        lo = np.maximum(want - rng.integers(0, 2 * dist._BISECT_WIDTH, keys.size), 0)
+        hi = np.minimum(want + rng.integers(0, 2 * dist._BISECT_WIDTH, keys.size), table.size)
+        assert np.array_equal(dist._search_bracketed(table, keys, lo, hi, side), want)
+
+
+def canonical_by_unique(values, probs):
+    # _canonical as it was: a stable sort, then np.unique's inverse
+    values = np.asarray(values, dtype=np.float64).ravel()
+    probs = np.asarray(probs, dtype=np.float64).ravel()
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    probs = probs[order]
+    uniq, inverse = np.unique(values, return_inverse=True)
+    if uniq.size != values.size:
+        probs = np.bincount(inverse, weights=probs, minlength=uniq.size)
+        values = uniq
+    return DiscreteDistribution(values, probs)
+
+
+class TestCanonical:
+    @pytest.mark.parametrize("case", ["random", "ties", "all-equal", "one-atom"])
+    def test_bitwise_equal_to_unique_merge(self, case):
+        rng = np.random.default_rng(SEED + 6)
+        n = {"random": 3000, "ties": 3000, "all-equal": 500, "one-atom": 1}[case]
+        values = {
+            "random": lambda: rng.normal(size=n),
+            "ties": lambda: rng.integers(0, 40, n) * 0.1,
+            "all-equal": lambda: np.full(n, 0.7),
+            "one-atom": lambda: np.array([2.5]),
+        }[case]()
+        probs = rng.dirichlet(np.ones(n))
+        got, want = dist._canonical(values, probs), canonical_by_unique(values, probs)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_alike(self, bad):
+        values, probs = np.array([0.3, bad, 0.1, bad]), np.full(4, 0.25)
+        with pytest.raises(ValidationError, match="finite") as got:
+            dist._canonical(values, probs)
+        with pytest.raises(ValidationError) as want:
+            canonical_by_unique(values, probs)
+        assert str(got.value) == str(want.value)
 
 
 class TestPushForward:

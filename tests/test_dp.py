@@ -715,9 +715,9 @@ class TestBellmanStep:
                     want = treaty_premium(pspec, dY, f)
                     assert seg @ (1.0 - slopes) == pytest.approx(want, abs=1e-12), knots
 
-    def test_budget_step_reads_two_curves(self, monkeypatch):
-        # the feasible intervals of all states come from one premium curve,
-        # and the candidates of every zoom level are priced off one more
+    def test_budget_step_reads_one_curve(self, monkeypatch):
+        # the feasible intervals of all states and the candidates of every
+        # zoom level are read off one premium curve
         s = es_stage(m=201)
         grid = np.linspace(-0.5, 1.5, 512)
         calls = []
@@ -729,7 +729,7 @@ class TestBellmanStep:
         monkeypatch.setattr(dp, "premium_breakpoints", counting)
         monkeypatch.setattr(treaties, "premium_breakpoints", counting)
         bellman_step(zero_vf(grid), s, grid, SearchSpec("stop-loss"))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestWeightedNorm:

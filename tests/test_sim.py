@@ -1,6 +1,7 @@
 """Tests for Monte Carlo surplus simulation and the per-period ruin bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,37 @@ class TestSamplingAndDeterminism:
         res = simulate_paths(policy, config, 0.0, 10_077, seed=5)
         assert res.paths == 10_077
         assert res.period_ruin_counts == (0,)
+
+    def test_peak_memory_one_terminal_array(self):
+        # the terminal quantiles partition the surplus array in place: the
+        # traced peak stays under 1.5 floats per path (2.16 with a copy)
+        config = basic_config(point(0.4), point(0.5), horizon=1)
+        policy = identity_policy(config)
+        n = 400_000
+        simulate_paths(policy, config, 0.0, 20_000, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_paths(policy, config, 0.0, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n
+
+
+class TestGridIndex:
+    """sim._grid_index is the clipped np.searchsorted lookup, bit for bit."""
+
+    @pytest.mark.parametrize("lo,hi,count", [(-1.0, 2.0, 33), (-0.5, 1.5, 512), (0.1, 0.7, 17)])
+    def test_matches_searchsorted(self, lo, hi, count):
+        grid = GridSpec(lo, hi, count).points()
+        rng = np.random.default_rng(11)
+        x = np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+            [1.0, 5e-324, -5e-324, 0.0, lo - 1.0, hi + 1.0, -1e300, 1e300],
+            rng.uniform(lo - 0.5, hi + 0.5, 5000),
+        ])
+        want = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+        assert np.array_equal(sim._grid_index(grid, x), want)
 
 
 class TestPolicyLookup:

@@ -207,13 +207,17 @@ class TestFeasibleRange:
     def test_budget_array_matches_scalar_calls(self, family, kw):
         d = uniform01(301)
         for spec in (self.spec, PremiumSpec("ph", theta=0.1, gamma=0.6)):
-            _, prems = premium_breakpoints(family, spec, d, **kw)
+            table = premium_breakpoints(family, spec, d, **kw)
+            prems = table[1]
             rng = np.random.default_rng(SEED + 3)
             budgets = np.concatenate([
                 [-1.0, -0.0, 0.0, np.inf], prems, rng.uniform(-0.2, 1.2 * prems[0], 200),
             ])
             lo, hi = feasible_retention_range(family, spec, d, budgets, **kw)
             assert lo.shape == hi.shape == budgets.shape
+            # a caller's own table gives the same intervals, bit for bit
+            given = feasible_retention_range(family, spec, d, budgets, table=table, **kw)
+            assert lo.tobytes() == given[0].tobytes() and hi.tobytes() == given[1].tobytes()
             for b, got_lo, got_hi in zip(budgets, lo, hi):
                 want = feasible_retention_range(family, spec, d, float(b), **kw)
                 assert type(want[0]) is float and type(want[1]) is float

@@ -106,6 +106,18 @@ def _at(path: str):
         raise ParseError(f"field {path}: {exc}") from exc
 
 
+def _only(obj, path, keys):
+    """Refuse a key of config object obj that nothing reads, at its field path."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"field {path}: expected an object")
+    unread = sorted(set(obj) - set(keys))
+    if unread:
+        raise ValidationError(
+            f"field {_field(path, unread[0])}: read by nothing;"
+            f" {path or 'the config'} takes {', '.join(keys)}"
+        )
+
+
 def _integer(value) -> int:
     """A config integer; a boolean or a number with a fraction is refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -131,10 +143,11 @@ def _load_json(path):
 
 
 def _parse_dist(obj, path) -> DiscreteDistribution:
-    if not isinstance(obj, dict):
-        raise ParseError(f"field {path}: expected an object")
+    # pairs, or a family to discretize; neither form reads the other's keys
+    pairs = isinstance(obj, dict) and "pairs" in obj
+    _only(obj, path, ("pairs",) if pairs else ("family", "params", "atoms", "truncation"))
     with _at(path):
-        if "pairs" in obj:
+        if pairs:
             return make_discrete(obj["pairs"])
         with _at(f"{path}.atoms"):
             atoms = _integer(obj.get("atoms", 2))
@@ -186,6 +199,7 @@ def _kind_doc(spec, table) -> dict:
 
 def _parse_stage(obj, idx) -> StageData:
     path = f"stages[{idx}]"
+    _only(obj, path, ("claims", "income", "risk", "premium", "beta", "budget_constrained"))
     dY = _parse_dist(_need(obj, "claims", path), f"{path}.claims")
     dZ = _parse_dist(_need(obj, "income", path), f"{path}.income")
     risk = _parse_kind(_need(obj, "risk", path), f"{path}.risk", _RISK_FIELDS, RiskSpec)
@@ -209,6 +223,7 @@ def _parse_stage(obj, idx) -> StageData:
 
 
 def _parse_grid(obj) -> GridSpec:
+    _only(obj, "grid", ("lo", "hi", "count"))
     with _at("grid.count"):
         count = _integer(_need(obj, "count", "grid"))
     with _at("grid"):
@@ -229,6 +244,8 @@ def _parse_search(obj) -> SearchSpec:
 def _config_from_doc(doc) -> ModelConfig:
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
+    _only(doc, "", ("horizon", "grid", "search", "stages", "tol", "oracle", "simulate",
+                    *_DOC_KEYS))
     if "horizon" not in doc:
         raise ParseError("field horizon: required (integer, or null for infinite)")
     horizon = doc["horizon"]
@@ -414,11 +431,23 @@ def _gap_rows(label, grid, dp_params, oracle_params):
         yield f"{label},{_fmt(x)},{_fmt(d)},{_fmt(o)},{_fmt(abs(d - o))}"
 
 
+# oracle -> the search family whose parameter its closed form gives
+_ORACLE_FAMILIES = {"es-uniform": "stop-loss", "var-layer": "layer"}
+
+
 def _run_oracle_compare(doc, config, out_dir):
     kind = doc.get("oracle")
     if kind is None:
         raise ValidationError("field oracle: required for oracle-compare"
                               " (es-uniform or var-layer)")
+    family = _ORACLE_FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise ValidationError(f"field oracle: unknown oracle {kind!r}")
+    if config.search.family != family:
+        raise ValidationError(
+            f"field search.family: oracle {kind} describes a {family} search,"
+            f" not {config.search.family}"
+        )
     if config.is_infinite:
         raise ValidationError("oracle-compare needs a finite horizon")
     stats: list = []
@@ -437,7 +466,7 @@ def _run_oracle_compare(doc, config, out_dir):
             [oracle_es_uniform(s.premium.theta, s.risk.alpha, x) for x in grid]
         )
         lines.extend(_gap_rows(str(last), grid, policy.stage_params(last), oracle_params))
-    elif kind == "var-layer":
+    else:
         shared_sol = None
         for n in range(config.horizon):
             s = config.stage(n)
@@ -449,15 +478,13 @@ def _run_oracle_compare(doc, config, out_dir):
                 shared_sol = oracle_var_layer(
                     s.dY, s.premium.handle(), s.premium.theta, s.risk.alpha
                 )
-                if abs(float(config.search.layer_upper) - shared_sol.var_level) > 1e-9:
+                if abs(config.search.layer_upper - shared_sol.var_level) > 1e-9:
                     raise ValidationError(
                         "oracle var-layer needs search.layer_upper equal to the"
                         " claim VaR at the risk level"
                     )
             oracle_params = np.array([shared_sol.a_of_x(x) for x in grid])
             lines.extend(_gap_rows(str(n), grid, policy.stage_params(n), oracle_params))
-    else:
-        raise ValidationError(f"field oracle: unknown oracle {kind!r}")
     _write_text(os.path.join(out_dir, "oracle_gap.csv"), "\n".join(lines) + "\n")
     return outputs + ["oracle_gap.csv"], stats, {}
 
@@ -469,6 +496,7 @@ def _run_simulate(doc, config, out_dir, seed, policy_path):
             'field simulate: required for the simulate subcommand, e.g.'
             ' {"x0": 1.0, "paths": 100000}'
         )
+    _only(block, "simulate", ("x0", "paths"))
     with _at("simulate.x0"):
         x0 = _real(_need(block, "x0", "simulate"))
     with _at("simulate.paths"):

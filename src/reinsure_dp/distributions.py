@@ -243,8 +243,9 @@ def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:
     A batch at least as large as the distribution is bracketed by a guide
     over 2**p dyadic buckets of (0, 1], p = ceil(log2 len(d)): a level in
     bucket b, b/2**p < u <= (b+1)/2**p, has its index between the counts of
-    cumulative probabilities <= b/2**p and < (b+1)/2**p. Every step is
-    exact, so the result is np.searchsorted's.
+    cumulative probabilities <= b/2**p and <= (b+1)/2**p, both read off one
+    search over the bucket edges. Every step is exact, so the result is
+    np.searchsorted's.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     # a NaN level fails both comparisons
@@ -259,8 +260,8 @@ def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:
         keys = u_arr.ravel()
         # u * m is exact, so b/m < u <= (b+1)/m
         b = (np.ceil(keys * m) - 1.0).astype(np.intp)
-        lo = np.searchsorted(cum, edges[:-1], side="right")[b]
-        hi = np.searchsorted(cum, edges[1:], side="left")[b]
+        ends = np.searchsorted(cum, edges, side="right")
+        lo, hi = ends[b], ends[b + 1]
         idx = _search_bracketed(cum, keys, lo, hi).reshape(u_arr.shape)
     return np.minimum(idx, len(d) - 1)
 

@@ -7,15 +7,13 @@ next surplus. Because -x' + beta v(x') is strictly decreasing in x' whenever
 v is decreasing, sorting the cost atoms is the same as sorting next-surplus
 atoms in reverse, and the risk-measure weights depend only on that ordering.
 
-One batched evaluator prices every (state, candidate) pair of a search
-ladder. With deterministic premium income the ordering is claim-ascending
-for every admissible treaty, so a single weight vector per stage prices all
-of them; with stochastic income one stable argsort along the atom axis
-orders every pair at once and one batched weight call weights them; the
-entropic measure needs no order and takes a log-sum-exp over the atoms.
-Pairs go through in cache-sized slices, so the (pair, atom) temporaries
-stay bounded whatever the grid and candidate counts; each pair reduces on
-its own, so slicing never changes a result bit.
+One batched evaluator prices every (state, treaty) pair, whether a search
+ladder's candidates or a stored policy's rows. With deterministic premium
+income the ordering is claim-ascending for every admissible treaty, so one
+weight vector per stage prices all of them; with stochastic income one
+stable argsort orders every pair at once; the entropic measure needs no
+order. Pairs go through in cache-sized slices and each reduces on its own,
+so the temporaries stay bounded and slicing never changes a result bit.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -390,54 +388,64 @@ def apply_L(v: ValueFunction, x: float, f: Treaty, s: StageData) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched candidate evaluation
+# batched evaluation
 
 
-def _candidate_objectives(v: ValueFunction, s: StageData, x, params, prem, search: SearchSpec):
-    """Objective value at every (state, candidate parameter) pair.
+def _next_atoms(s: StageData, prem, retained):
+    """Next-surplus atoms of flattened (state, treaty) pairs, slice by slice.
 
-    x has shape (S,), params and their premiums prem (S, P); the result
-    matches params. The cost atoms run over the (Y, Z) product. The entropic
-    kind takes a log-sum-exp over them; the other kinds a weighted sum in
-    descending next-surplus order, with one shared weight vector when income
-    is deterministic and a batched argsort and atom_weights call otherwise.
-    Pairs go through flattened, in slices of _CHUNK_ELEMS (pair, atom) cells
-    (at least one pair) and reduce on their own, so slicing moves no bit.
+    prem holds each pair's premium, retained(sl, cols, y) the retained claims
+    of pairs sl at claim atoms cols, whose values are y. Yields (sl, t, w):
+    pair i of sl moves to its surplus plus t[i], over the (Y, Z) product,
+    and w weights t's atoms, shared or per pair; for the entropic kind w
+    holds the probabilities, unordered. A slice holds _CHUNK_ELEMS (pair,
+    atom) cells, at least one pair.
     """
-    params = np.asarray(params, dtype=np.float64)
-    xp = np.repeat(np.asarray(x, dtype=np.float64), params.shape[1])
-    par, prem = params.ravel(), np.ravel(prem)
-
+    prem = np.ravel(prem)
     kz = len(s.dZ)
-    y = np.repeat(s.dY.values, kz)
+    cols = np.repeat(np.arange(len(s.dY)), kz)
     z = np.tile(s.dZ.values, len(s.dY))
     probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
-    entropic = s.risk.kind == "entropic"
     shared = None
-    if kz == 1 and not entropic:
+    if s.risk.kind == "entropic":
+        shared = probs
+    elif kz == 1:
         w = atom_weights(s.risk, probs)
         act = np.flatnonzero(w)
-        shared, y, z = w[act], y[act], z[act]
-
-    out = np.empty(par.size)
-    step = max(1, _CHUNK_ELEMS // y.size)
-    for lo in range(0, par.size, step):
+        shared, cols, z = w[act], cols[act], z[act]
+    y = s.dY.values[cols]
+    step = max(1, _CHUNK_ELEMS // cols.size)
+    for lo in range(0, prem.size, step):
         sl = slice(lo, lo + step)
-        xs = xp[sl, None]
-        t = z - search.retained(par[sl, None], y) - prem[sl, None]
-        if entropic:
-            xt = xs + t
-            g = s.risk.gamma
-            out[sl] = logsumexp(g * (-xt + s.beta * v(xt)), b=probs, axis=-1) / g
-            continue
+        t = z - retained(sl, cols, y) - prem[sl, None]
         w = shared
         if w is None:
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
             w = atom_weights(s.risk, probs[order])
-        cont = np.sum(v(xs + t) * w, axis=-1)
+        yield sl, t, w
+
+
+def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
+    """Objective value of every (state, treaty) pair.
+
+    x is each pair's surplus, broadcast against the premiums prem; the
+    result matches prem. retained is the claims source of _next_atoms. The
+    entropic kind takes a log-sum-exp over the atoms, the other kinds a
+    weighted sum.
+    """
+    shape = np.shape(prem)
+    xp = np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel()
+    out = np.empty(xp.size)
+    for sl, t, w in _next_atoms(s, prem, retained):
+        xt = xp[sl, None] + t
+        if s.risk.kind == "entropic":
+            g = s.risk.gamma
+            out[sl] = logsumexp(g * (-xt + s.beta * v(xt)), b=w, axis=-1) / g
+            continue
+        cont = np.sum(v(xt) * w, axis=-1)
         out[sl] = -xp[sl] * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont
-    return out.reshape(params.shape)
+    return out.reshape(shape)
 
 
 def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
@@ -459,7 +467,11 @@ def _scalar_family_search(v_next, s, grid, search):
     for _ in range(_ZOOM_LEVELS):
         params = lo[:, None] + (hi - lo)[:, None] * frac
         params = np.clip(params, lo[:, None], hi[:, None])
-        obj = _candidate_objectives(v_next, s, grid, params, np.interp(params, bp, bv), search)
+        flat = params.ravel()
+        obj = _candidate_objectives(
+            v_next, s, grid[:, None], np.interp(params, bp, bv),
+            lambda sl, cols, y: search.retained(flat[sl, None], y),
+        )
         idx = np.argmin(obj, axis=1)
         val = obj[sel, idx]
         par = params[sel, idx]
@@ -586,35 +598,23 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     linear system. Returns None if the system is singular.
     """
     s = config.stage(0)
-    prems, index, claims = _policy_table(PolicyTable(grid, (row,)), config)
+    (prems,), (index,), (claims,) = _policy_table(PolicyTable(grid, (row,)), config)
     size = grid.size
     a_mat = np.eye(size)
-    b_vec = np.zeros(size)
-    zz = np.tile(s.dZ.values, len(s.dY))
-    probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
-    t = zz - np.repeat(claims[0][index[0]], len(s.dZ), axis=1) - prems[0][:, None]
-    order = np.argsort(-t, axis=-1, kind="stable")
-    t = np.take_along_axis(t, order, axis=-1)
-    weights = atom_weights(s.risk, probs[order])
-    for j in range(size):
-        act = np.flatnonzero(weights[j])
-        ws = weights[j, act]
-        xt = grid[j] + t[j, act]
-        b_vec[j] = -float(np.dot(ws, xt))
-        left = xt <= grid[0]
-        right = xt >= grid[-1]
-        mid = ~(left | right)
-        if np.any(left):
-            a_mat[j, 0] -= s.beta * float(np.sum(ws[left]))
-            b_vec[j] += s.beta * tail * float(np.dot(ws[left], xt[left] - grid[0]))
-        if np.any(right):
-            a_mat[j, -1] -= s.beta * float(np.sum(ws[right]))
-            b_vec[j] += s.beta * tail * float(np.dot(ws[right], xt[right] - grid[-1]))
-        if np.any(mid):
-            cell = np.searchsorted(grid, xt[mid], side="right") - 1
-            lam = (xt[mid] - grid[cell]) / (grid[cell + 1] - grid[cell])
-            np.subtract.at(a_mat[j], cell, s.beta * ws[mid] * (1.0 - lam))
-            np.subtract.at(a_mat[j], cell + 1, s.beta * ws[mid] * lam)
+    b_vec = np.empty(size)
+    states = np.arange(size)
+    atoms = _next_atoms(s, prems, lambda sl, cols, y: claims[index[sl, None], cols])
+    for sl, t, w in atoms:
+        # v(x) = (1 - lam) v[cell] + lam v[cell + 1] + tail * off at every
+        # next surplus x; off is its distance past the grid's nearer end
+        xt = grid[sl, None] + t
+        xc = np.clip(xt, grid[0], grid[-1])
+        cell = np.minimum(np.searchsorted(grid, xc, side="right") - 1, size - 2)
+        lam = (xc - grid[cell]) / (grid[cell + 1] - grid[cell])
+        bw = s.beta * w
+        np.subtract.at(a_mat, (states[sl, None], cell), bw * (1.0 - lam))
+        np.subtract.at(a_mat, (states[sl, None], cell + 1), bw * lam)
+        b_vec[sl] = np.sum(w * (s.beta * tail * (xt - xc) - xt), axis=-1)
     try:
         return np.linalg.solve(a_mat, b_vec)
     except np.linalg.LinAlgError:
@@ -678,17 +678,15 @@ def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
             return sol
 
 
-def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row):
+def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row, prem, index, claims):
     # a one-family row whose scalar parameter is its only one goes through
-    # the batched evaluator; any other row through apply_L, state by state
-    families = {f.family for f in row}
-    if len(families) == 1:
-        fam = FAMILIES[row[0].family]
-        if fam.fields == (fam.scalar,):
-            params = np.asarray([[f.params[fam.scalar]] for f in row])
-            prem = np.interp(params, *premium_breakpoints(row[0].family, s.premium, s.dY))
-            obj = _candidate_objectives(v_next, s, grid, params, prem, SearchSpec(row[0].family))
-            return obj[:, 0]
+    # the batched evaluator, with its premiums and retained claims off the
+    # policy table; any other row through apply_L, state by state
+    fam = FAMILIES[row[0].family]
+    if fam.fields == (fam.scalar,) and all(f.family == row[0].family for f in row):
+        return _candidate_objectives(
+            v_next, s, grid, prem, lambda sl, cols, y: claims[index[sl, None], cols]
+        )
     return np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
 
 
@@ -738,29 +736,29 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     return premiums, index, claims
 
 
-def _policy_values(policy: PolicyTable, config: ModelConfig):
+def _policy_values(policy: PolicyTable, config: ModelConfig, table):
     """Cost-to-go [J_0 .. J_N] of a fixed Markov policy, one backward pass.
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
-    The caller checks the policy with _policy_table.
+    table is the policy's _policy_table, which has checked it.
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
+    premiums, index, claims = table
     grid = policy.grid
     n = config.horizon
     values: list[ValueFunction] = [None] * (n + 1)
     values[n] = v = ValueFunction(grid, np.zeros(grid.size))
     for k in range(n - 1, -1, -1):
         s = config.stage(k)
-        row = policy.rows[k]
+        row_values = _row_values(v, s, grid, policy.rows[k], premiums[k], index[k], claims[k])
         out_left = -(1.0 - s.beta * v.slope_left)
         out_right = -(1.0 - s.beta * v.slope_right)
-        values[k] = v = ValueFunction(grid, _row_values(v, s, grid, row), out_left, out_right)
+        values[k] = v = ValueFunction(grid, row_values, out_left, out_right)
     return values
 
 
 def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
     """Value of a fixed Markov policy by backward application of its rows."""
-    _policy_table(policy, config)  # raises on an unaffordable row
-    return _policy_values(policy, config)[0]
+    return _policy_values(policy, config, _policy_table(policy, config))[0]

@@ -198,8 +198,9 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
     grid = config.grid.points()
 
     # cost-to-go of the given policy for each start stage
-    premiums, index, claims = _policy_table(policy, config)
-    tails = _policy_values(policy, config)
+    table = _policy_table(policy, config)
+    premiums, index, claims = table
+    tails = _policy_values(policy, config, table)
 
     holds = True
     x = float(x0)

@@ -311,6 +311,41 @@ def test_non_integer_exits_1_at_its_field(tmp_path, capsys, case):
     assert re.search(f"error: field {field}: expected an integer", capsys.readouterr().err)
 
 
+# a key nothing reads in each config section, and the field path it is refused at
+UNREAD_KEYS = {
+    "top": (("horison",), 2, "horison"),
+    "grid": (("grid", "step"), 0.1, r"grid\.step"),
+    # misspelled: left unread, the stage would solve budget-constrained
+    "stage": (
+        ("stages", 0, "budget_constrainted"), False, r"stages\[0\]\.budget_constrainted"
+    ),
+    "claims": (("stages", 0, "claims", "scale"), 2.0, r"stages\[0\]\.claims\.scale"),
+    # a pairs block reads none of the family keys, nor the reverse
+    "claims-pairs": (
+        ("stages", 0, "claims"),
+        {"pairs": [[0.5, 1]], "family": "uniform", "atoms": 7},
+        r"stages\[0\]\.claims\.atoms",
+    ),
+    "income-family": (
+        ("stages", 0, "income"),
+        {"family": "point-mass", "params": [0.3], "pairs": [[0.3, 1]]},
+        r"stages\[0\]\.income\.family",
+    ),
+    "simulate": (("simulate", "seeds"), 3, r"simulate\.seeds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
+def test_unread_key_exits_1_at_its_field(tmp_path, capsys, case):
+    path, value, field = UNREAD_KEYS[case]
+    doc = finite_doc(m=11, horizon=1, count=17)
+    doc["simulate"] = {"x0": 1.0, "paths": 10}
+    _set(doc, path, value)
+    assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert re.search(f"error: field {field}: read by nothing", capsys.readouterr().err)
+
+
 # a boolean each number field would otherwise read as 0.0 or 1.0
 BOOLEAN_NUMBERS = {
     "beta": (("stages", 0, "beta"), True, r"stages\[0\]"),
@@ -560,6 +595,21 @@ class TestOracleCompare:
     def test_oracle_key_required(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())
         assert run("oracle-compare", cfg, str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("oracle, family", [
+        ("var-layer", "stop-loss"),
+        # its gap table would compare a share c against a stop-loss retention
+        ("es-uniform", "proportional"),
+    ])
+    def test_search_the_oracle_does_not_describe(self, tmp_path, capsys, oracle, family):
+        doc = finite_doc(m=11, horizon=1, count=17, family=family)
+        if oracle == "var-layer":
+            doc["stages"][0]["risk"] = {"kind": "value-at-risk", "alpha": 0.95}
+        doc["oracle"] = oracle
+        out = tmp_path / "o"
+        assert run("oracle-compare", dump(tmp_path, doc), str(out)) == 1
+        assert "error: field search.family: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestSimulate:

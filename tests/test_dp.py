@@ -313,10 +313,14 @@ class TestApplyL:
 
 
 def _objectives(v, s, x, params, search):
-    # the batched evaluator with its candidates priced off the family's curve,
-    # as the scalar search prices them
+    # the batched evaluator with its candidates priced off the family's curve
+    # and retained by the search, as the scalar search prices them
     bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
-    return _candidate_objectives(v, s, x, params, np.interp(params, bp, bv), search)
+    par = np.ravel(params)
+    return _candidate_objectives(
+        v, s, np.asarray(x)[:, None], np.interp(params, bp, bv),
+        lambda sl, cols, y: search.retained(par[sl, None], y),
+    )
 
 
 def _ladder(rng, lo, hi, states, probes):
@@ -541,6 +545,31 @@ class TestEvaluatorChunking:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestPolicyValuesSolve:
+    """The solve-infinite jump's affine solve is the fixed point of apply_L."""
+
+    @pytest.mark.parametrize("constrained", [True, False], ids=["budget", "free"])
+    @pytest.mark.parametrize("family", ["stop-loss", "proportional", "layer"])
+    @pytest.mark.parametrize("income_id", ["point", "3-atom"])
+    @pytest.mark.parametrize("risk_id", ["mean", "es", "ph", "spectral-anti"])
+    def test_fixed_point_of_apply_L(self, risk_id, income_id, family, constrained):
+        s = _grid_stage(risk_id, income_id)
+        s = StageData(s.dY, s.dZ, s.risk, s.premium, s.beta, constrained)
+        search = _grid_search(family, s.dY)
+        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 17), search)
+        grid = cfg.grid.points()
+        tail = -1.0 / (1.0 - s.beta)
+        # a seeded, affordable row: the minimizers from a random continuation
+        b_low, b_high = bounding_functions(cfg, 0)
+        v0 = random_inside(np.random.default_rng(SEED), grid, b_low, b_high, (tail, tail))
+        _, row = bellman_step(v0, s, grid, search)
+        u = dp._policy_values_solve(row, cfg, grid, tail)
+        v = ValueFunction(grid, u, tail, tail)
+        scale = float(np.max(np.abs(u)))
+        for j, (x, f) in enumerate(zip(grid, row)):
+            assert apply_L(v, x, f, s) == pytest.approx(u[j], rel=1e-9, abs=1e-9 * scale), j
 
 
 class TestBatchedAtomWeights:
@@ -964,7 +993,7 @@ class TestEvaluatePolicy:
         )
         cfg = ModelConfig(3, stages, GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
         _, policy = solve_finite(cfg)
-        tails = _policy_values(policy, cfg)
+        tails = _policy_values(policy, cfg, dp._policy_table(policy, cfg))
         assert len(tails) == 4
         assert np.array_equal(tails[3].values, np.zeros(33))
         for n in range(3):

@@ -14,6 +14,7 @@ from reinsure_dp.dp import (
     PolicyTable,
     SearchSpec,
     StageData,
+    _policy_table,
     _policy_values,
     solve_finite,
 )
@@ -394,7 +395,7 @@ def reference_simulate(policy, config, x0, n_paths, seed, values=None):
 def reference_ruin_walk(policy, config, x0):
     # the worst-case drift walk, applying each visited treaty to the top claim
     grid = config.grid.points()
-    tails = _policy_values(policy, config)
+    tails = _policy_values(policy, config, _policy_table(policy, config))
     walk, holds, x = [], True, float(x0)
     for n in range(config.horizon):
         s = config.stage(n)
@@ -412,7 +413,9 @@ class TestReplayTable:
     @pytest.mark.parametrize("with_values", [False, True])
     def test_simulate_matches_per_state_replay(self, with_values):
         config, policy = mixed_policy_config()
-        values = _policy_values(policy, config) if with_values else None
+        values = (
+            _policy_values(policy, config, _policy_table(policy, config)) if with_values else None
+        )
         res = simulate_paths(policy, config, 0.3, 25_001, seed=5, values=values)
         terminal, counts, imputed, ruined = reference_simulate(
             policy, config, 0.3, 25_001, 5, values
@@ -434,8 +437,9 @@ class TestReplayTable:
         config, policy = mixed_policy_config()
         walk = []
 
-        def recording(policy, config):
-            return [lambda x, v=v: walk.append(x) or v(x) for v in _policy_values(policy, config)]
+        def recording(policy, config, table):
+            tails = _policy_values(policy, config, table)
+            return [lambda x, v=v: walk.append(x) or v(x) for v in tails]
 
         monkeypatch.setattr(sim, "_policy_values", recording)
         held = []

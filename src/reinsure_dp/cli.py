@@ -21,11 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,13 +52,6 @@ from .treaties import FAMILIES, make_treaty
 
 __all__ = ["main", "parse_config", "read_policy_csv", "run", "write_config"]
 
-_SUBCOMMANDS = (
-    "solve-finite",
-    "solve-infinite",
-    "evaluate-policy",
-    "oracle-compare",
-    "simulate",
-)
 _DOC_KEYS = ("cost_of_capital_rate", "risk_free_rate")
 
 
@@ -126,10 +121,13 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """A config number; a boolean is refused."""
+    """A finite config number; a boolean, NaN or an infinity is refused."""
     if isinstance(value, bool):
         raise ValidationError(f"expected a number, got {value!r}")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValidationError(f"expected a finite number, got {value!r}")
+    return x
 
 
 def _load_json(path):
@@ -241,11 +239,11 @@ def _parse_search(obj) -> SearchSpec:
         return SearchSpec(family, **settings)
 
 
-def _config_from_doc(doc) -> ModelConfig:
+def _config_from_doc(doc, keys) -> ModelConfig:
+    """The model of config document doc; keys are the other top-level keys read."""
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
-    _only(doc, "", ("horizon", "grid", "search", "stages", "tol", "oracle", "simulate",
-                    *_DOC_KEYS))
+    _only(doc, "", ("horizon", "grid", "search", "stages", "tol", *keys, *_DOC_KEYS))
     if "horizon" not in doc:
         raise ParseError("field horizon: required (integer, or null for infinite)")
     horizon = doc["horizon"]
@@ -272,8 +270,9 @@ def _config_from_doc(doc) -> ModelConfig:
 
 
 def parse_config(path) -> ModelConfig:
-    """Read and validate a JSON config file."""
-    return _config_from_doc(_load_json(path))
+    """Read and validate a JSON config file; it may hold any subcommand's keys."""
+    keys = [k for sub in _SUBCOMMANDS.values() for k in sub.keys]
+    return _config_from_doc(_load_json(path), keys)
 
 
 def config_to_doc(config: ModelConfig) -> dict:
@@ -336,8 +335,11 @@ def _param_cells(f) -> list[str]:
     return cells + [""] * (2 - len(cells))
 
 
+_POLICY_COLUMNS = ["stage", "x", "family", "p1", "p2"]
+
+
 def _policy_csv(policy: PolicyTable, labels) -> str:
-    lines = ["stage,x,family,p1,p2"]
+    lines = [",".join(_POLICY_COLUMNS)]
     for label, row in zip(labels, policy.rows):
         for x, f in zip(policy.grid, row):
             lines.append(",".join([label, _fmt(x), f.family, *_param_cells(f)]))
@@ -348,17 +350,18 @@ def read_policy_csv(path) -> PolicyTable:
     """Rebuild a PolicyTable from a policy.csv written by this tool."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (OSError, ValueError, csv.Error) as exc:
         raise ParseError(f"cannot read policy {path}: {exc}") from exc
+    if reader.fieldnames != _POLICY_COLUMNS:
+        raise ParseError(f"{path}: needs the header {','.join(_POLICY_COLUMNS)}")
     if not rows:
         raise ParseError(f"{path}: empty policy file")
     order: list[str] = []
     by_stage: dict[str, list] = {}
     for row in rows:
-        label = row.get("stage")
-        if label is None or row.get("x") is None or row.get("family") is None:
-            raise ParseError(f"{path}: needs stage,x,family,p1,p2 columns")
+        label = row["stage"]
         if label not in by_stage:
             order.append(label)
             by_stage[label] = []
@@ -367,13 +370,14 @@ def read_policy_csv(path) -> PolicyTable:
         if fam is None or fam.fields is None:
             raise ParseError(f"{path}: unsupported treaty family {name!r}")
         try:
+            x = float(row["x"])
             params = {
                 k: [float(t) for t in cell.split()] if k in fam.vectors else float(cell)
                 for k, cell in zip(fam.fields, (row["p1"], row["p2"]))
             }
         except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad {name} parameters: {exc}") from exc
-        by_stage[label].append((float(row["x"]), make_treaty(name, params)))
+            raise ParseError(f"{path}: bad {name} row: {exc}") from exc
+        by_stage[label].append((x, make_treaty(name, params)))
     first = [x for x, _ in by_stage[order[0]]]
     for label in order[1:]:
         if [x for x, _ in by_stage[label]] != first:
@@ -405,23 +409,28 @@ def _atomic_json(path, obj) -> None:
 # subcommand bodies
 
 
-def _run_solve_finite(doc, config, out_dir):
+def _solve_and_write(config, out_dir):
+    """Solve the finite horizon and write values.csv and policy.csv."""
     stats: list = []
     values, policy = solve_finite(config, stats=stats)
-    return _write_solution(out_dir, values, policy), stats, {}
+    return values, policy, _write_solution(out_dir, values, policy), stats
 
 
-def _run_solve_infinite(doc, config, out_dir):
+def _run_solve_finite(doc, config, out_dir, seed, policy):
+    _, _, outputs, stats = _solve_and_write(config, out_dir)
+    return outputs, stats, {}
+
+
+def _run_solve_infinite(doc, config, out_dir, seed, policy):
     sol = solve_infinite(config)
     outputs = _write_solution(out_dir, [sol.value], sol.policy, ["inf"])
     return outputs, [], {"iterations": sol.iterations, "certificate": sol.certificate}
 
 
-def _run_evaluate_policy(doc, config, out_dir, policy_path):
-    if policy_path is None:
+def _run_evaluate_policy(doc, config, out_dir, seed, policy):
+    if policy is None:
         raise ValidationError("evaluate-policy needs --policy pointing at a policy.csv")
-    table = read_policy_csv(policy_path)
-    vf = evaluate_policy(table, config)
+    vf = evaluate_policy(read_policy_csv(policy), config)
     _write_text(os.path.join(out_dir, "values.csv"), _values_csv([("0", vf)]))
     return ["values.csv"], [], {}
 
@@ -435,24 +444,17 @@ def _gap_rows(label, grid, dp_params, oracle_params):
 _ORACLE_FAMILIES = {"es-uniform": "stop-loss", "var-layer": "layer"}
 
 
-def _run_oracle_compare(doc, config, out_dir):
-    kind = doc.get("oracle")
-    if kind is None:
-        raise ValidationError("field oracle: required for oracle-compare"
-                              " (es-uniform or var-layer)")
+def _run_oracle_compare(doc, config, out_dir, seed, policy):
+    kind = _need(doc, "oracle")
     family = _ORACLE_FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
-        raise ValidationError(f"field oracle: unknown oracle {kind!r}")
+        raise ValidationError(f"field oracle: {kind!r} is not one of {', '.join(_ORACLE_FAMILIES)}")
     if config.search.family != family:
         raise ValidationError(
             f"field search.family: oracle {kind} describes a {family} search,"
             f" not {config.search.family}"
         )
-    if config.is_infinite:
-        raise ValidationError("oracle-compare needs a finite horizon")
-    stats: list = []
-    values, policy = solve_finite(config, stats=stats)
-    outputs = _write_solution(out_dir, values, policy)
+    _, policy, outputs, stats = _solve_and_write(config, out_dir)
     grid = config.grid.points()
     lines = ["stage,x,dp_param,oracle_param,gap"]
     if kind == "es-uniform":
@@ -489,30 +491,53 @@ def _run_oracle_compare(doc, config, out_dir):
     return outputs + ["oracle_gap.csv"], stats, {}
 
 
-def _run_simulate(doc, config, out_dir, seed, policy_path):
-    block = doc.get("simulate")
-    if not isinstance(block, dict):
-        raise ValidationError(
-            'field simulate: required for the simulate subcommand, e.g.'
-            ' {"x0": 1.0, "paths": 100000}'
-        )
+def _run_simulate(doc, config, out_dir, seed, policy):
+    block = _need(doc, "simulate")
     _only(block, "simulate", ("x0", "paths"))
     with _at("simulate.x0"):
         x0 = _real(_need(block, "x0", "simulate"))
     with _at("simulate.paths"):
         n_paths = _integer(_need(block, "paths", "simulate"))
-    stats: list = []
-    outputs = ["sim.json"]
-    if policy_path is None:
-        values, table = solve_finite(config, stats=stats)
-        outputs = _write_solution(out_dir, values, table) + outputs
+    if policy is None:
+        values, table, outputs, stats = _solve_and_write(config, out_dir)
     else:
-        table = read_policy_csv(policy_path)
-        values = None
+        values, table, outputs, stats = None, read_policy_csv(policy), [], []
     result = simulate_paths(table, config, x0, n_paths, seed, values=values)
     payload = {"x0": x0, "seed": seed, **result.to_json_dict()}
     _write_text(os.path.join(out_dir, "sim.json"), json.dumps(payload, indent=2) + "\n")
-    return outputs, stats, {}
+    return outputs + ["sim.json"], stats, {}
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    # body(doc, config, out_dir, seed, policy) -> (outputs, per-stage stats, certificates)
+    body: Callable
+    keys: tuple[str, ...] = ()  # top-level config keys read beyond the model
+    flags: tuple[str, ...] = ()  # flags read beyond --config, --out and --seed
+
+
+_SUBCOMMANDS = {
+    "solve-finite": _Subcommand("backward induction over a finite horizon", _run_solve_finite),
+    "solve-infinite": _Subcommand(
+        "stationary fixed point with an error certificate", _run_solve_infinite, flags=("tol",)
+    ),
+    "evaluate-policy": _Subcommand(
+        "cost-to-go of a stored policy.csv", _run_evaluate_policy, flags=("policy",)
+    ),
+    "oracle-compare": _Subcommand(
+        "solve, then gap against the named closed form", _run_oracle_compare, keys=("oracle",)
+    ),
+    "simulate": _Subcommand(
+        "Monte Carlo ruin statistics under a policy", _run_simulate,
+        keys=("simulate",), flags=("policy",),
+    ),
+}
+# argparse settings of each flag a subcommand may read
+_FLAGS = {
+    "tol": {"type": float, "help": "override the config tolerance"},
+    "policy": {"help": "policy.csv to load"},
+}
 
 
 def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> int:
@@ -523,40 +548,31 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
     """
     try:
         t0 = time.perf_counter()
-        if subcommand not in _SUBCOMMANDS:
+        sub = _SUBCOMMANDS.get(subcommand)
+        if sub is None:
             raise ValidationError(
-                f"unknown subcommand {subcommand!r}; expected one of"
-                f" {', '.join(_SUBCOMMANDS)}"
+                f"unknown subcommand {subcommand!r}; expected one of {', '.join(_SUBCOMMANDS)}"
             )
+        for flag, value in (("tol", tol), ("policy", policy)):
+            if value is not None and flag not in sub.flags:
+                readers = " and ".join(n for n, c in _SUBCOMMANDS.items() if flag in c.flags)
+                raise ValidationError(f"--{flag} applies to {readers} only")
         with _at("seed"):
             seed = _integer(seed)
             if seed < 0:
                 raise ValidationError("must be nonnegative")
         doc = _load_json(config_path)
-        config = _config_from_doc(doc)
+        config = _config_from_doc(doc, sub.keys)
         if tol is not None:
-            if subcommand != "solve-infinite":
-                raise ValidationError("--tol applies to solve-infinite only")
             with _at("tol"):
                 config = replace(config, tol=_real(tol))
-        if policy is not None and subcommand not in ("evaluate-policy", "simulate"):
-            raise ValidationError("--policy applies to evaluate-policy and simulate only")
         os.makedirs(out_dir, exist_ok=True)
-        if subcommand == "solve-finite":
-            outputs, stats, certs = _run_solve_finite(doc, config, out_dir)
-        elif subcommand == "solve-infinite":
-            outputs, stats, certs = _run_solve_infinite(doc, config, out_dir)
-        elif subcommand == "evaluate-policy":
-            outputs, stats, certs = _run_evaluate_policy(doc, config, out_dir, policy)
-        elif subcommand == "oracle-compare":
-            outputs, stats, certs = _run_oracle_compare(doc, config, out_dir)
-        else:
-            outputs, stats, certs = _run_simulate(doc, config, out_dir, seed, policy)
+        outputs, stats, certs = sub.body(doc, config, out_dir, seed, policy)
         manifest = {
             "artifact_version": __version__,
             "subcommand": subcommand,
             "seed": seed,
-            **({"tol": config.tol} if subcommand == "solve-infinite" else {}),
+            **({"tol": config.tol} if "tol" in sub.flags else {}),
             "config": config_to_doc(config),
             "documentation": {k: doc[k] for k in _DOC_KEYS if k in doc},
             "stats": {
@@ -582,23 +598,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dynamic reinsurance solver: solve, evaluate, compare, simulate.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "solve-finite": "backward induction over a finite horizon",
-        "solve-infinite": "stationary fixed point with an error certificate",
-        "evaluate-policy": "cost-to-go of a stored policy.csv",
-        "oracle-compare": "solve, then gap against the named closed form",
-        "simulate": "Monte Carlo ruin statistics under a policy",
-    }
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", required=True, help="output directory")
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        # dests are run()'s parameter names, so main passes the namespace as is
+        p.add_argument("--config", dest="config_path", required=True, help="JSON config path")
+        p.add_argument("--out", dest="out_dir", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        if name == "solve-infinite":
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the config tolerance")
-        if name in ("evaluate-policy", "simulate"):
-            p.add_argument("--policy", default=None, help="policy.csv to load")
+        for flag in spec.flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -607,11 +614,4 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    return run(
-        args.subcommand,
-        args.config,
-        args.out,
-        seed=args.seed,
-        tol=getattr(args, "tol", None),
-        policy=getattr(args, "policy", None),
-    )
+    return run(**vars(args))

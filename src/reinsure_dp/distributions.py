@@ -59,12 +59,12 @@ class DiscreteDistribution:
             raise ValidationError("distribution needs at least one atom")
         if not np.all(np.isfinite(values)):
             raise ValidationError("atom values must be finite")
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):  # NaN fails too
             raise NonpositiveProb("every atom probability must be positive")
         if np.any(np.diff(values) <= 0.0):
             raise ValidationError("atom values must be strictly increasing")
         total = float(probs.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise MassNotOne(f"probabilities sum to {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
@@ -150,10 +150,10 @@ def make_discrete(pairs) -> DiscreteDistribution:
         raise ValidationError("need at least one (value, prob) pair")
     values = np.array([p[0] for p in pairs], dtype=np.float64)
     probs = np.array([p[1] for p in pairs], dtype=np.float64)
-    if np.any(probs <= 0.0):
+    if not np.all(probs > 0.0):  # NaN fails too
         raise NonpositiveProb("every atom probability must be positive")
     total = float(probs.sum())
-    if abs(total - 1.0) > _MAKE_MASS_TOL:
+    if not abs(total - 1.0) <= _MAKE_MASS_TOL:
         raise MassNotOne(f"probabilities sum to {total!r}; deviation exceeds {_MAKE_MASS_TOL}")
     return _canonical(values, probs / total if abs(total - 1.0) > MASS_TOL else probs)
 

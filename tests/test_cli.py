@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,6 +16,8 @@ import reinsure_dp
 from reinsure_dp.cli import (
     _PREMIUM_FIELDS,
     _RISK_FIELDS,
+    _SUBCOMMANDS,
+    _build_parser,
     _policy_csv,
     config_to_doc,
     main,
@@ -268,6 +271,9 @@ BAD_VALUES = {
     "premium": (("stages", 0, "premium", "theta"), "x", r"stages\[0\]\.premium\.theta"),
     "stage": (("stages", 0, "beta"), "x", r"stages\[0\]"),
     "simulate.x0": (("simulate", "x0"), "x", r"simulate\.x0"),
+    # json writes NaN as the non-JSON token NaN, and json.load reads it back
+    "premium-nan": (("stages", 0, "premium", "theta"), math.nan, r"stages\[0\]\.premium\.theta"),
+    "stage-nan": (("stages", 0, "beta"), math.nan, r"stages\[0\]"),
     "simulate.paths": (("simulate", "paths"), "x", r"simulate\.paths"),
 }
 
@@ -434,6 +440,18 @@ class TestSolveSubcommands:
         assert manifest["tol"] == 1e-6
         assert manifest["certificates"]["certificate"] <= 1e-6
 
+    @pytest.mark.parametrize("config_tol, flag", [(math.inf, []), (math.nan, []),
+                                                  (None, ["--tol", "inf"])])
+    def test_non_finite_tol_exits_1(self, tmp_path, capsys, config_tol, flag):
+        # an infinite tol is "met" after one iteration, and the manifest would
+        # record it as the non-JSON token Infinity
+        doc = infinite_doc() if config_tol is None else dict(infinite_doc(), tol=config_tol)
+        out = tmp_path / "inf"
+        argv = ["solve-infinite", "--config", dump(tmp_path, doc), "--out", str(out), *flag]
+        assert main(argv) == 1
+        assert "error: field tol: expected a finite number" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_finite_config_refuses_tol(self, tmp_path, capsys):
         doc = finite_doc()
         doc["tol"] = 1e-4
@@ -549,6 +567,21 @@ class TestPolicyFlow:
             with pytest.raises(ValidationError):
                 read_policy_csv(str(path))
 
+    @pytest.mark.parametrize("text", [
+        "stage,x,family,p1\n0,0,stop-loss,0.3\n",  # no p2 column
+        "stage,x,family,p1,p2\n0,abc,stop-loss,0.3,\n",
+    ])
+    def test_malformed_policy_file_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "policy.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_policy_csv(str(path))
+        cfg = dump(tmp_path, finite_doc(m=11, horizon=1, count=17))
+        out = tmp_path / "o"
+        assert run("evaluate-policy", cfg, str(out), policy=str(path)) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_custom_treaty_has_no_csv_form(self):
         f = make_treaty("custom", {"fn": lambda y: 0.5 * np.asarray(y)})
         with pytest.raises(ValidationError, match="no CSV form"):
@@ -652,9 +685,12 @@ class TestSimulate:
         assert run("simulate", cfg, str(tmp_path / "o")) == 1
 
     def test_simulate_with_external_policy(self, tmp_path):
-        cfg = dump(tmp_path, self.simulate_doc())
+        doc = self.simulate_doc()
+        cfg = dump(tmp_path, doc)
         out = tmp_path / "solve"
-        assert run("solve-finite", cfg, str(out)) == 0
+        # solve-finite reads no simulate block
+        solve = {k: v for k, v in doc.items() if k != "simulate"}
+        assert run("solve-finite", dump(tmp_path, solve, "solve.json"), str(out)) == 0
         out2 = tmp_path / "sim"
         assert run(
             "simulate", cfg, str(out2), seed=1,
@@ -663,6 +699,57 @@ class TestSimulate:
         payload = json.loads((out2 / "sim.json").read_text())
         # external policies come without value functions
         assert payload["imputed_ruin_counts"] is None
+
+
+# each subcommand: the top-level config keys it reads beyond the model, and its flags
+READS = {
+    "solve-finite": ((), ()),
+    "solve-infinite": ((), ("tol",)),
+    "evaluate-policy": ((), ("policy",)),
+    "oracle-compare": (("oracle",), ()),
+    "simulate": (("simulate",), ("policy",)),
+}
+SUB_KEYS = {"oracle": "es-uniform", "simulate": {"x0": 1.0, "paths": 10}}
+FLAG_ARGS = {"tol": ("1e-3", 1e-3), "policy": ("policy.csv", "policy.csv")}
+
+
+class TestSubcommandTable:
+
+    def test_table_matches_the_documented_reads(self):
+        assert {name: (sub.keys, sub.flags) for name, sub in _SUBCOMMANDS.items()} == READS
+
+    @pytest.mark.parametrize("sub", sorted(READS))
+    def test_refuses_keys_it_does_not_read(self, tmp_path, capsys, sub):
+        for key in sorted(set(SUB_KEYS) - set(READS[sub][0])):
+            doc = dict(finite_doc(m=11, horizon=1, count=17), **{key: SUB_KEYS[key]})
+            out = tmp_path / key
+            assert run(sub, dump(tmp_path, doc, f"{key}.json"), str(out)) == 1, key
+            assert f"error: field {key}: read by nothing" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
+    def test_parse_config_accepts_every_subcommand_key(self, tmp_path):
+        parse_config(dump(tmp_path, dict(finite_doc(), **SUB_KEYS)))
+
+    @pytest.mark.parametrize("sub", sorted(READS))
+    def test_run_refuses_flags_it_does_not_read(self, tmp_path, capsys, sub):
+        cfg = dump(tmp_path, finite_doc(m=11, horizon=1, count=17))
+        for flag in sorted(set(FLAG_ARGS) - set(READS[sub][1])):
+            out = tmp_path / flag
+            assert run(sub, cfg, str(out), **{flag: FLAG_ARGS[flag][1]}) == 1, flag
+            readers = " and ".join(n for n in READS if flag in READS[n][1])
+            assert f"error: --{flag} applies to {readers} only" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sub", sorted(READS))
+    def test_parser_takes_exactly_the_flags_it_reads(self, tmp_path, capsys, sub):
+        base = [sub, "--config", "c.json", "--out", "o"]
+        for flag, (text, _) in FLAG_ARGS.items():
+            argv = base + [f"--{flag}", text]
+            if flag in READS[sub][1]:
+                assert getattr(_build_parser().parse_args(argv), flag) == FLAG_ARGS[flag][1]
+            else:
+                assert main(argv) == 1, flag
+        assert main(base + ["--bogus", "1"]) == 1
 
 
 class TestMain:

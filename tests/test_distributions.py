@@ -49,6 +49,13 @@ class TestMakeDiscrete:
         with pytest.raises(NonpositiveProb):
             make_discrete([(0.0, -0.5), (1.0, 1.5)])
 
+    def test_nan_prob_refused(self):
+        # a NaN fails no `<=` comparison; the mean would read nan
+        with pytest.raises(NonpositiveProb):
+            make_discrete([(0.0, math.nan), (1.0, 1.0)])
+        with pytest.raises(NonpositiveProb):
+            DiscreteDistribution(np.array([0.0, 1.0]), np.array([math.nan, 0.5]))
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             make_discrete([])

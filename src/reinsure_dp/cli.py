@@ -27,7 +27,7 @@ import sys
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -141,9 +141,13 @@ def _load_json(path):
 
 
 def _parse_dist(obj, path) -> DiscreteDistribution:
-    # pairs, or a family to discretize; neither form reads the other's keys
+    # pairs, or a family to discretize; neither form reads the other's keys,
+    # and a point mass, one atom, reads no atom count and nothing caps it
     pairs = isinstance(obj, dict) and "pairs" in obj
-    _only(obj, path, ("pairs",) if pairs else ("family", "params", "atoms", "truncation"))
+    keys = ("pairs",) if pairs else ("family", "params", "atoms", "truncation")
+    if not pairs and isinstance(obj, dict) and obj.get("family") == "point-mass":
+        keys = keys[:2]
+    _only(obj, path, keys)
     with _at(path):
         if pairs:
             return make_discrete(obj["pairs"])
@@ -375,9 +379,10 @@ def read_policy_csv(path) -> PolicyTable:
                 k: [float(t) for t in cell.split()] if k in fam.vectors else float(cell)
                 for k, cell in zip(fam.fields, (row["p1"], row["p2"]))
             }
-        except (AttributeError, TypeError, ValueError) as exc:
+            treaty = make_treaty(name, params)
+        except (AttributeError, TypeError, ValueError, ValidationError) as exc:
             raise ParseError(f"{path}: bad {name} row: {exc}") from exc
-        by_stage[label].append((x, make_treaty(name, params)))
+        by_stage[label].append((x, treaty))
     first = [x for x, _ in by_stage[order[0]]]
     for label in order[1:]:
         if [x for x, _ in by_stage[label]] != first:
@@ -454,9 +459,9 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
             f"field search.family: oracle {kind} describes a {family} search,"
             f" not {config.search.family}"
         )
-    _, policy, outputs, stats = _solve_and_write(config, out_dir)
+    # every stage's oracle parameters come first, so a refusal writes nothing
     grid = config.grid.points()
-    lines = ["stage,x,dp_param,oracle_param,gap"]
+    oracle_params = {}
     if kind == "es-uniform":
         last = config.horizon - 1
         s = config.stage(last)
@@ -464,10 +469,9 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
             raise ValidationError(
                 "oracle es-uniform needs expected-shortfall risk and expected premium"
             )
-        oracle_params = np.array(
+        oracle_params[last] = np.array(
             [oracle_es_uniform(s.premium.theta, s.risk.alpha, x) for x in grid]
         )
-        lines.extend(_gap_rows(str(last), grid, policy.stage_params(last), oracle_params))
     else:
         shared_sol = None
         for n in range(config.horizon):
@@ -485,8 +489,11 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
                         "oracle var-layer needs search.layer_upper equal to the"
                         " claim VaR at the risk level"
                     )
-            oracle_params = np.array([shared_sol.a_of_x(x) for x in grid])
-            lines.extend(_gap_rows(str(n), grid, policy.stage_params(n), oracle_params))
+            oracle_params[n] = np.array([shared_sol.a_of_x(x) for x in grid])
+    _, policy, outputs, stats = _solve_and_write(config, out_dir)
+    lines = ["stage,x,dp_param,oracle_param,gap"]
+    for n, params in oracle_params.items():
+        lines.extend(_gap_rows(str(n), grid, policy.stage_params(n), params))
     _write_text(os.path.join(out_dir, "oracle_gap.csv"), "\n".join(lines) + "\n")
     return outputs + ["oracle_gap.csv"], stats, {}
 
@@ -503,7 +510,7 @@ def _run_simulate(doc, config, out_dir, seed, policy):
     else:
         values, table, outputs, stats = None, read_policy_csv(policy), [], []
     result = simulate_paths(table, config, x0, n_paths, seed, values=values)
-    payload = {"x0": x0, "seed": seed, **result.to_json_dict()}
+    payload = {"x0": x0, "seed": seed, **asdict(result)}
     _write_text(os.path.join(out_dir, "sim.json"), json.dumps(payload, indent=2) + "\n")
     return outputs + ["sim.json"], stats, {}
 

@@ -93,7 +93,7 @@ class FamilySpec:
             point-mass (z,).
         truncation: upper bound at which unbounded supports are capped; the
             mass beyond is assigned to the bound atom. Required for
-            exponential and lognormal.
+            exponential and lognormal, refused for point-mass.
         atoms: number of midpoint-quantile atoms (>= 2 except point-mass).
     """
 
@@ -105,6 +105,8 @@ class FamilySpec:
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.truncation is not None:
+            if self.family == "point-mass":
+                raise ValidationError("a point mass takes no truncation bound")
             t = float(self.truncation)
             if not np.isfinite(t) or t <= 0.0:
                 raise ValidationError("truncation bound must be finite and positive")
@@ -284,7 +286,8 @@ def survival(d: DiscreteDistribution, t):
 
 
 def _apply_map(phi, *arrays):
-    """Apply phi to full arrays, falling back to elementwise evaluation."""
+    """Apply phi to full arrays, falling back to elementwise evaluation; every
+    user function called on an array comes here, so scalar-only ones work."""
     try:
         out = np.asarray(phi(*arrays), dtype=np.float64)
         if out.shape == np.broadcast_shapes(*(a.shape for a in arrays)):

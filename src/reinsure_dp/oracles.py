@@ -48,7 +48,6 @@ def oracle_var_layer(
     g: Callable,
     theta: float,
     alpha: float,
-    budget: Callable[[float], float] | None = None,
 ) -> VarLayerSolution:
     """Optimal layer deductible under value-at-risk, by the kink equation.
 
@@ -56,8 +55,8 @@ def oracle_var_layer(
     with slope 1 - (1+theta) g(S_Y(a)), so its minimum sits where the slope
     crosses zero (a claim atom) unless reinsurance is cheap enough that the
     slope never turns positive, in which case the whole layer up to the
-    quantile is retained. The budget map returns the smallest feasible
-    deductible at or above the unconstrained one.
+    quantile is retained. a_of_x returns the smallest deductible at or above
+    the unconstrained one whose premium fits the budget x+.
     """
     if not (0.0 < alpha < 1.0):
         raise OutOfRange("alpha must lie in (0, 1)")
@@ -66,10 +65,6 @@ def oracle_var_layer(
     if not callable(g):
         raise InvalidDistortion("distortion handle must be callable")
     _check_distortion(g)
-    if budget is None:
-        def budget(x):
-            return max(float(x), 0.0)
-
     v = var(dY, alpha)
 
     def pi_of(a: float) -> float:
@@ -101,7 +96,7 @@ def oracle_var_layer(
     pi_star = pi_of(a_star)
 
     def a_of_x(x: float) -> float:
-        b = budget(x)
+        b = max(float(x), 0.0)
         if pi_star <= b:
             return a_star
         # premium decreases continuously in the deductible and hits zero at

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, push_forward
+from .distributions import DiscreteDistribution, _apply_map, push_forward
 from .errors import NegativeSupport, OutOfRange, ValidationError
 from .risk import _check_distortion, distortion_preset
 
@@ -68,7 +68,7 @@ def _survival_gap_sum(values: np.ndarray, probs: np.ndarray, g: Callable) -> flo
     # integral over [0, max) of g(S(t)); S is constant between sorted atoms
     pts = np.concatenate([[0.0], np.maximum(values, 0.0)])
     tail = 1.0 - np.concatenate([[0.0], np.cumsum(probs)])
-    gs = np.asarray(g(np.clip(tail[:-1], 0.0, 1.0)), dtype=np.float64)
+    gs = _apply_map(g, np.clip(tail[:-1], 0.0, 1.0))
     return float(np.dot(np.diff(pts), gs))
 
 
@@ -114,5 +114,5 @@ def layer_premium_closed_form(
     pts = np.concatenate([[a], dY.values[(dY.values > a) & (dY.values < v)], [v]])
     tail = 1.0 - np.concatenate([[0.0], np.cumsum(dY.probs)])
     idx = np.searchsorted(dY.values, pts[:-1], side="right")
-    gs = np.asarray(g(np.clip(tail[idx], 0.0, 1.0)), dtype=np.float64)
+    gs = _apply_map(g, np.clip(tail[idx], 0.0, 1.0))
     return (1.0 + theta) * float(np.dot(np.diff(pts), gs))

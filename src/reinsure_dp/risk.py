@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import DiscreteDistribution, quantile
+from .distributions import DiscreteDistribution, _apply_map, quantile
 from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError
 
 _PROBE = np.linspace(0.0, 1.0, 1001)
@@ -37,20 +37,9 @@ _KINDS = (
 )
 
 
-def _call_on_grid(fn: Callable, grid: np.ndarray) -> np.ndarray:
-    """fn on every point of ``grid``, any shape; scalar-only handles work too."""
-    try:
-        out = np.asarray(fn(grid), dtype=np.float64)
-        if out.shape == grid.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(u)) for u in grid.ravel()]).reshape(grid.shape)
-
-
 def _check_distortion(g: Callable) -> np.ndarray:
     """Probe g on a 1001-point grid: g(0)=0, g(1)=1, increasing."""
-    vals = _call_on_grid(g, _PROBE)
+    vals = _apply_map(g, _PROBE)
     if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
         raise InvalidDistortion("distortion must satisfy g(0)=0 and g(1)=1")
     if np.any(np.diff(vals) < -1e-12):
@@ -83,12 +72,12 @@ def _spectrum_mass(s: Spectrum) -> float:
     lo, hi = panels[:-1], panels[1:]
     half = 0.5 * (hi - lo)
     pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    vals = _call_on_grid(s.density, pts.ravel()).reshape(pts.shape)
+    vals = _apply_map(s.density, pts)
     return float(np.sum(half[:, None] * weights[None, :] * vals))
 
 
 def _check_spectrum(s: Spectrum) -> None:
-    vals = _call_on_grid(s.density, _PROBE)
+    vals = _apply_map(s.density, _PROBE)
     if np.any(vals < -1e-12):
         raise InvalidSpectrum("spectrum density must be nonnegative")
     if np.any(np.diff(vals) < -1e-9):
@@ -226,7 +215,7 @@ def _quadrature_weights(density: Callable, F: np.ndarray) -> np.ndarray:
     for r in range(0, half.shape[0], step):
         lo_b, half_b = lo[r : r + step, :, None], half[r : r + step, :, None]
         pts = lo_b + half_b * (nodes + 1.0)
-        vals = _call_on_grid(density, pts.ravel()).reshape(pts.shape)
+        vals = _apply_map(density, pts)
         out[r : r + step] = np.sum(half_b * wts * vals, axis=-1)
     return out.reshape(F.shape[:-1] + (k,))
 
@@ -258,12 +247,12 @@ def atom_weights(spec: RiskSpec, probs: np.ndarray) -> np.ndarray | None:
         dual = np.maximum(F - spec.alpha, 0.0) / (1.0 - spec.alpha)
         return np.diff(dual)
     if kind == "distortion":
-        dual = 1.0 - _call_on_grid(spec.distortion, 1.0 - F)
+        dual = 1.0 - _apply_map(spec.distortion, 1.0 - F)
         return np.diff(dual)
     if kind == "spectral":
         s = spec.spectrum
         if s.antiderivative is not None:
-            anti = _call_on_grid(s.antiderivative, F)
+            anti = _apply_map(s.antiderivative, F)
             return np.diff(anti)
         return _quadrature_weights(s.density, F)
     raise ValidationError(f"unknown risk kind {kind!r}")
@@ -297,7 +286,7 @@ def distortion_rm(d: DiscreteDistribution, g: Callable) -> float:
     """Distortion risk measure via the dual distortion on the quantile cells."""
     _check_distortion(g)
     F = _cell_bounds(d.probs)
-    dual = 1.0 - _call_on_grid(g, 1.0 - F)
+    dual = 1.0 - _apply_map(g, 1.0 - F)
     return float(np.dot(np.diff(dual), d.values))
 
 
@@ -347,6 +336,6 @@ def is_coherent(spec: RiskSpec) -> bool:
     if kind in ("value-at-risk", "entropic"):
         return False
     if kind == "distortion":
-        vals = _call_on_grid(spec.distortion, _PROBE)
+        vals = _apply_map(spec.distortion, _PROBE)
         return bool(np.all(np.diff(vals, 2) <= 1e-9))
     return False

@@ -66,21 +66,6 @@ class SimResult:
     period_ruin_counts: tuple[int, ...]
     imputed_ruin_counts: tuple[int, ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "paths": self.paths,
-            "ruin_estimate": self.ruin_estimate,
-            "ci_half_width": self.ci_half_width,
-            "terminal_mean": self.terminal_mean,
-            "terminal_quantiles": [list(q) for q in self.terminal_quantiles],
-            "period_ruin_counts": list(self.period_ruin_counts),
-            "imputed_ruin_counts": (
-                None
-                if self.imputed_ruin_counts is None
-                else list(self.imputed_ruin_counts)
-            ),
-        }
-
 
 def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the grid state at or below each x, the first or last state

@@ -10,7 +10,8 @@ check, the retained map, and the one parameter a scalar search varies.
 A piecewise-linear treaty retains the claim below its first knot in full
 and the slope-weighted part of each segment above it, so all-ones slopes
 are the identity treaty. Every constructor here produces an admissible
-shape; `is_admissible` probes that numerically as the safety net for
+shape and refuses parameters outside the class, NaN included;
+`is_admissible` probes that numerically as the safety net for
 user-supplied pieces.
 """
 
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _apply_map
 from .errors import InvalidTreaty, NegativeClaim, UnsupportedFamily
 from .premiums import PremiumSpec, premium
 
@@ -58,15 +59,16 @@ def _check_proportional(p: dict) -> dict:
 
 def _check_stop_loss(p: dict) -> dict:
     a = float(p["a"])
-    if a < 0.0:
+    if not a >= 0.0:  # NaN fails too
         raise InvalidTreaty("stop-loss retention must be >= 0")
     return {"a": a}
 
 
 def _check_layer(p: dict) -> dict:
     a, w = float(p["a"]), float(p["w"])
-    if a < 0.0 or w < 0.0:
-        raise InvalidTreaty("layer needs deductible >= 0 and width >= 0")
+    # an infinite deductible would retain inf - inf
+    if not (0.0 <= a < np.inf and w >= 0.0):
+        raise InvalidTreaty("layer needs a finite deductible >= 0 and width >= 0")
     return {"a": a, "w": w}
 
 
@@ -81,8 +83,10 @@ def _check_piecewise(p: dict) -> dict:
     slopes = np.asarray(p["slopes"], dtype=np.float64)
     if knots.ndim != 1 or knots.shape != slopes.shape or len(knots) == 0:
         raise InvalidTreaty("knots and slopes must be equal-length vectors")
-    if knots[0] < 0.0 or np.any(np.diff(knots) <= 0.0) or not np.all(np.isfinite(slopes)):
-        raise InvalidTreaty("knots must be increasing and nonnegative, slopes finite")
+    if not (knots[0] >= 0.0 and np.all(np.diff(knots) > 0.0) and knots[-1] < np.inf):
+        raise InvalidTreaty("knots must be finite, increasing and nonnegative")
+    if not np.all((slopes >= 0.0) & (slopes <= 1.0)):
+        raise InvalidTreaty("slopes must lie in [0, 1]")
     return {"knots": [float(t) for t in knots], "slopes": [float(s) for s in slopes]}
 
 
@@ -98,9 +102,8 @@ def _piecewise_retained(p: dict, y: np.ndarray) -> np.ndarray:
 
 def _survival_steps(pspec: PremiumSpec, dY: DiscreteDistribution):
     # g(S_Y(y)) between consecutive atoms, from each atom to the next
-    g = pspec.handle()
     tail = 1.0 - np.cumsum(dY.probs)
-    return np.asarray(g(np.clip(tail, 0.0, 1.0)), dtype=np.float64)
+    return _apply_map(pspec.handle(), np.clip(tail, 0.0, 1.0))
 
 
 def _retention_curve(pspec: PremiumSpec, dY: DiscreteDistribution, upper: float | None):
@@ -136,7 +139,7 @@ FAMILIES: dict[str, Family] = {
     "piecewise-linear": Family(
         ("knots", "slopes"), _check_piecewise, _piecewise_retained, vectors=("knots", "slopes")
     ),
-    "custom": Family(None, _check_custom, lambda p, y: np.asarray(p["fn"](y), dtype=np.float64)),
+    "custom": Family(None, _check_custom, lambda p, y: _apply_map(p["fn"], y)),
 }
 
 

@@ -295,7 +295,12 @@ NON_INTEGERS = {
     "horizon-bool": (("horizon",), True, "horizon"),
     "grid.count": (("grid", "count"), 16.9, r"grid\.count"),
     "claims.atoms": (("stages", 0, "claims", "atoms"), 11.5, r"stages\[0\]\.claims\.atoms"),
-    "income.atoms": (("stages", 0, "income", "atoms"), 2.5, r"stages\[0\]\.income\.atoms"),
+    # on a family that reads it: a point mass refuses any atom count
+    "income.atoms": (
+        ("stages", 0, "income"),
+        {"family": "uniform", "params": [0.2, 0.4], "atoms": 2.5},
+        r"stages\[0\]\.income\.atoms",
+    ),
     "search.resolution": (("search", "resolution"), 8.5, r"search\.resolution"),
     "search.sweeps": (("search", "sweeps"), 1.5, r"search\.sweeps"),
     "search.sweeps-bool": (("search", "sweeps"), True, r"search\.sweeps"),
@@ -336,6 +341,15 @@ UNREAD_KEYS = {
         ("stages", 0, "income"),
         {"family": "point-mass", "params": [0.3], "pairs": [[0.3, 1]]},
         r"stages\[0\]\.income\.family",
+    ),
+    # a point mass is one atom: no count to read and nothing to cap
+    "income-point-mass-atoms": (
+        ("stages", 0, "income"),
+        {"family": "point-mass", "params": [0.3], "atoms": 7},
+        r"stages\[0\]\.income\.atoms",
+    ),
+    "income-point-mass-truncation": (
+        ("stages", 0, "income", "truncation"), 0.1, r"stages\[0\]\.income\.truncation"
     ),
     "simulate": (("simulate", "seeds"), 3, r"simulate\.seeds"),
 }
@@ -570,6 +584,10 @@ class TestPolicyFlow:
     @pytest.mark.parametrize("text", [
         "stage,x,family,p1\n0,0,stop-loss,0.3\n",  # no p2 column
         "stage,x,family,p1,p2\n0,abc,stop-loss,0.3,\n",
+        # parameters the admissible class excludes
+        "stage,x,family,p1,p2\n0,0,piecewise-linear,0.2 0.6,-0.5 1\n",
+        "stage,x,family,p1,p2\n0,0,stop-loss,nan,\n",
+        "stage,x,family,p1,p2\n0,0,layer,0.2,nan\n",
     ])
     def test_malformed_policy_file_exits_1(self, tmp_path, capsys, text):
         path = tmp_path / "policy.csv"
@@ -624,6 +642,26 @@ class TestOracleCompare:
         rows = read_csv(out / "oracle_gap.csv")
         assert len(rows) == 2 * 65
         assert max(float(r["gap"]) for r in rows) <= 5e-3
+
+    @pytest.mark.parametrize("oracle, risk, search, message", [
+        ("es-uniform", {"kind": "value-at-risk", "alpha": 0.95}, {"family": "stop-loss"},
+         "needs expected-shortfall risk"),
+        # 1/(1 - alpha) < 1 + theta: outside the closed form's regime
+        ("es-uniform", {"kind": "expected-shortfall", "alpha": 0.1}, {"family": "stop-loss"},
+         "needs 1/(1-alpha) >= 1+theta"),
+        # the claim VaR at 0.95 is about 0.95, not 0.5
+        ("var-layer", {"kind": "value-at-risk", "alpha": 0.95},
+         {"family": "layer", "layer_upper": 0.5}, "needs search.layer_upper equal to"),
+    ], ids=["kind", "regime", "layer-upper"])
+    def test_refusal_writes_nothing(self, tmp_path, capsys, oracle, risk, search, message):
+        doc = finite_doc(m=501, horizon=2, count=33)
+        doc["stages"][0]["risk"] = risk
+        doc["search"] = search
+        doc["oracle"] = oracle
+        out = tmp_path / "o"
+        assert run("oracle-compare", dump(tmp_path, doc), str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not any((out / name).exists() for name in ("values.csv", "policy.csv"))
 
     def test_oracle_key_required(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())

@@ -84,6 +84,11 @@ class TestDiscretize:
         assert np.array_equal(d.values, [0.3])
         assert np.array_equal(d.probs, [1.0])
 
+    def test_point_mass_refuses_truncation(self):
+        # one atom: a bound would be silently ignored
+        with pytest.raises(ValidationError, match="point mass"):
+            FamilySpec("point-mass", (0.3,), truncation=0.1)
+
     def test_exponential_midpoint_quantiles(self):
         # independent route: quantile of Exp(1) is -ln(1-u)
         d = discretize(FamilySpec("exponential", (1.0,), truncation=10.0, atoms=4))

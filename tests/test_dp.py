@@ -1006,6 +1006,46 @@ class TestEvaluatePolicy:
             )
 
 
+class TestScalarOnlyHandles:
+    """A user function that takes only scalars gives, on every route, the
+    bits of its vectorized twin (math.sqrt and min reject arrays)."""
+
+    def test_wang_premium_solve(self):
+        def solve(g):
+            s = es_stage(m=101)
+            wang = PremiumSpec("wang", theta=0.1, distortion=g)
+            s = StageData(s.dY, s.dZ, s.risk, wang, s.beta)
+            grid = GridSpec(-0.5, 1.5, 33)
+            return solve_finite(ModelConfig(1, (s,), grid, SearchSpec("stop-loss")))
+
+        (got_v, got_p), (want_v, want_p) = solve(lambda u: math.sqrt(u)), solve(np.sqrt)
+        assert np.array_equal(got_v[0].values, want_v[0].values)
+        assert np.array_equal(got_p.stage_params(0), want_p.stage_params(0))
+
+    def test_custom_treaty_policy(self):
+        s = es_stage(m=51, constrained=False)
+        cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        grid = cfg.grid.points()
+
+        def policy(fn):
+            f = make_treaty("custom", {"fn": fn})
+            return PolicyTable(grid, ((f,) * grid.size,) * 2)
+
+        scalar, vector = policy(lambda y: min(y, 0.5)), policy(lambda y: np.minimum(y, 0.5))
+        got, want = dp._policy_table(scalar, cfg), dp._policy_table(vector, cfg)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert all(np.array_equal(g, w) for g, w in zip(got[2], want[2]))
+        got_v = evaluate_policy(scalar, cfg).values
+        assert np.array_equal(got_v, evaluate_policy(vector, cfg).values)
+        # every stage's row against the reference route
+        tails = _policy_values(scalar, cfg, got)
+        f = scalar.rows[0][0]
+        for n in range(2):
+            for j, x in enumerate(grid):
+                want_j = apply_L(tails[n + 1], x, f, s)
+                assert tails[n].values[j] == pytest.approx(want_j, abs=1e-12), (n, j)
+
+
 class TestContractionAndIteration:
     def small_cfg(self, beta=0.5, count=33):
         s = es_stage(m=101, beta=beta, constrained=True)

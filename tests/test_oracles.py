@@ -8,6 +8,8 @@ piecewise linear with kinks only at atoms, so an atom lattice contains the
 true minimizer).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,14 @@ class TestVarLayerOracle:
                 pspec, self.dY, make_treaty("layer", {"a": a, "w": v - a})
             )
             assert direct == pytest.approx(priced, rel=1e-10, abs=1e-13)
+
+    def test_scalar_only_distortion(self):
+        # math.sqrt rejects arrays; the layer premiums call it point by point
+        got = oracle_var_layer(self.dY, lambda u: math.sqrt(u), 0.2, 0.9)
+        want = oracle_var_layer(self.dY, np.sqrt, 0.2, 0.9)
+        assert (got.a_star, got.var_level) == (want.a_star, want.var_level)
+        for x in (-0.1, 0.0, 0.05, 0.2, 1.0):
+            assert got.a_of_x(x) == want.a_of_x(x)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidDistortion):

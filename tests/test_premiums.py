@@ -1,5 +1,7 @@
 """Premium principle tests: hand oracles, analytic integrals, dual-route checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,12 @@ class TestLayerClosedForm:
             f = make_treaty("layer", {"a": float(a), "w": float(v - a)})
             assert direct == pytest.approx(treaty_premium(spec, d, f), abs=1e-9)
 
+    def test_scalar_only_distortion(self):
+        # math.sqrt rejects arrays, so the survival steps go point by point
+        d = uniform01(301)
+        got = layer_premium_closed_form(d, lambda u: math.sqrt(u), 0.1, 0.2, 0.9)
+        assert got == layer_premium_closed_form(d, np.sqrt, 0.1, 0.2, 0.9)
+
     def test_rejects_bad_interval(self):
         d = uniform01(101)
         with pytest.raises(OutOfRange):
@@ -205,6 +213,11 @@ class TestPremiumSpec:
         g = distortion_preset("es:0.8")
         spec = PremiumSpec("wang", theta=0.0, distortion=g)
         assert premium(spec, d) == pytest.approx(wang_premium(d, g, 0.0), abs=1e-14)
+
+    def test_scalar_only_wang_distortion(self):
+        d = uniform01(301)
+        scalar = PremiumSpec("wang", theta=0.1, distortion=lambda u: math.sqrt(u))
+        assert premium(scalar, d) == premium(PremiumSpec("wang", theta=0.1, distortion=np.sqrt), d)
 
     def test_normalized_on_zero(self):
         d0 = make_discrete([(0.0, 1.0)])

@@ -213,6 +213,18 @@ class TestPolicyLookup:
         for _, q in res.terminal_quantiles:
             assert q == pytest.approx(want, abs=1e-12)
 
+    def test_scalar_only_custom_treaty(self):
+        # min rejects arrays; the policy table calls it claim by claim
+        config = basic_config(uniform01(51), point(0.3), horizon=2, grid=GridSpec(-0.5, 1.5, 17))
+        pts = config.grid.points()
+
+        def run(fn):
+            f = make_treaty("custom", {"fn": fn})
+            policy = PolicyTable(pts, ((f,) * pts.size,) * 2)
+            return simulate_paths(policy, config, 0.4, 3000, seed=7)
+
+        assert run(lambda y: min(y, 0.5)) == run(lambda y: np.minimum(y, 0.5))
+
     def test_infeasible_row_rejected(self):
         config = var_layer_config(1, grid_count=17)
         pts = config.grid.points()

@@ -1,5 +1,7 @@
 """Treaty family tests: retained-loss shapes, admissibility, feasibility ranges."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,10 @@ class TestAdmissibility:
             assert is_admissible(f, PROBE)
 
     def test_steep_slope_fails(self):
-        f = make_treaty("piecewise-linear", {"knots": [0.0, 0.5], "slopes": [1.5, 0.0]})
+        with pytest.raises(InvalidTreaty):
+            make_treaty("piecewise-linear", {"knots": [0.0, 0.5], "slopes": [1.5, 0.0]})
+        # the same map, built as a user map, fails the probe
+        f = make_treaty("custom", {"fn": lambda y: 1.5 * np.minimum(y, 0.5)})
         assert not is_admissible(f, PROBE)
 
     def test_user_map_above_identity_fails(self):
@@ -122,6 +127,28 @@ class TestAdmissibility:
             make_treaty("piecewise-linear", {"knots": [0.5, 0.2], "slopes": [1.0, 1.0]})
         with pytest.raises(UnsupportedFamily):
             make_treaty("surplus-share", {})
+
+    @pytest.mark.parametrize("family, params", [
+        ("piecewise-linear", {"knots": [0.2, 0.6], "slopes": [-0.5, 1.0]}),
+        ("piecewise-linear", {"knots": [0.2, 0.6], "slopes": [1.0, np.nan]}),
+        ("piecewise-linear", {"knots": [0.2, np.nan], "slopes": [1.0, 1.0]}),
+        ("piecewise-linear", {"knots": [np.nan, 0.6], "slopes": [1.0, 1.0]}),
+        # an infinite knot or deductible retains inf - inf
+        ("piecewise-linear", {"knots": [0.2, np.inf], "slopes": [0.5, 1.0]}),
+        ("layer", {"a": np.inf, "w": 0.1}),
+        ("stop-loss", {"a": np.nan}),
+        ("layer", {"a": np.nan, "w": 0.5}),
+        ("layer", {"a": 0.2, "w": np.nan}),
+        ("proportional", {"c": np.nan}),
+    ])
+    def test_parameters_outside_the_class_refused(self, family, params):
+        with pytest.raises(InvalidTreaty):
+            make_treaty(family, params)
+
+    def test_scalar_only_custom_map_on_arrays(self):
+        y = np.linspace(0.0, 1.0, 11)
+        f = make_treaty("custom", {"fn": lambda t: min(t, 0.5)})
+        assert np.array_equal(f.retained(y), np.minimum(y, 0.5))
 
 
 class TestPremiumCurve:
@@ -147,6 +174,17 @@ class TestPremiumCurve:
             f = make_treaty("layer", {"a": float(a), "w": upper - float(a)})
             direct = treaty_premium(self.spec, d, f)
             assert np.interp(a, params, prems) == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("family", ["stop-loss", "layer", "proportional"])
+    def test_scalar_only_distortion(self, family):
+        # math.sqrt rejects arrays; the curve calls it point by point
+        dY = uniform01(51)
+        scalar = PremiumSpec("wang", theta=0.1, distortion=lambda u: math.sqrt(u))
+        vector = PremiumSpec("wang", theta=0.1, distortion=np.sqrt)
+        got = premium_breakpoints(family, scalar, dY, upper=0.9)
+        want = premium_breakpoints(family, vector, dY, upper=0.9)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_curve_is_decreasing(self):
         d = uniform01(301)

@@ -459,6 +459,8 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
             f"field search.family: oracle {kind} describes a {family} search,"
             f" not {config.search.family}"
         )
+    if config.is_infinite:
+        raise ValidationError("field horizon: oracle-compare compares a finite-horizon solve")
     # every stage's oracle parameters come first, so a refusal writes nothing
     grid = config.grid.points()
     oracle_params = {}
@@ -473,23 +475,21 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
             [oracle_es_uniform(s.premium.theta, s.risk.alpha, x) for x in grid]
         )
     else:
-        shared_sol = None
-        for n in range(config.horizon):
-            s = config.stage(n)
+        # one row per distinct stage: a shared stage's row serves every stage
+        for n, s in enumerate(config.stages):
             if s.risk.kind != "value-at-risk" or s.premium.kind != "expected":
                 raise ValidationError(
                     "oracle var-layer needs value-at-risk risk and expected premium"
                 )
-            if shared_sol is None or len(config.stages) > 1:
-                shared_sol = oracle_var_layer(
-                    s.dY, s.premium.handle(), s.premium.theta, s.risk.alpha
+            sol = oracle_var_layer(s.dY, s.premium.handle(), s.premium.theta, s.risk.alpha)
+            if abs(config.search.layer_upper - sol.var_level) > 1e-9:
+                raise ValidationError(
+                    "oracle var-layer needs search.layer_upper equal to the"
+                    " claim VaR at the risk level"
                 )
-                if abs(config.search.layer_upper - shared_sol.var_level) > 1e-9:
-                    raise ValidationError(
-                        "oracle var-layer needs search.layer_upper equal to the"
-                        " claim VaR at the risk level"
-                    )
-            oracle_params[n] = np.array([shared_sol.a_of_x(x) for x in grid])
+            oracle_params[n] = np.array([sol.a_of_x(x) for x in grid])
+        for n in range(len(config.stages), config.horizon):
+            oracle_params[n] = oracle_params[0]
     _, policy, outputs, stats = _solve_and_write(config, out_dir)
     lines = ["stage,x,dp_param,oracle_param,gap"]
     for n, params in oracle_params.items():

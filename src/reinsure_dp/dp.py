@@ -36,6 +36,7 @@ from .errors import (
     EnvelopeViolation,
     GridMismatch,
     InfeasiblePolicyRow,
+    InvalidTreaty,
     MaxIterations,
     MonotonicityViolation,
     UnsupportedFamily,
@@ -46,6 +47,7 @@ from .risk import RiskSpec, atom_weights, evaluate, is_coherent
 from .treaties import (
     FAMILIES,
     Treaty,
+    _admissible_values,
     feasible_retention_range,
     make_treaty,
     premium_breakpoints,
@@ -60,13 +62,6 @@ _ZOOM_LEVELS = 3
 _CHUNK_ELEMS = 1 << 14
 # tolerated excess of a stored policy's premium over its state's budget
 _BUDGET_SLACK = 1e-9
-# searchable family -> the settings its search reads
-_SEARCH_FAMILIES = {
-    "stop-loss": ("resolution",),
-    "layer": ("resolution", "layer_upper"),
-    "proportional": ("resolution",),
-    "piecewise-linear": ("resolution", "knots", "sweeps"),
-}
 
 
 class ValueFunction:
@@ -155,7 +150,8 @@ class SearchSpec:
         family, where the searched parameter is the lower edge.
     knots / sweeps: piecewise-linear family only; sweeps defaults to 3.
 
-    A setting the family does not read is refused, so a spec carries only
+    The settings each family reads are its FAMILIES entry's ``search``; a
+    setting the family does not read is refused, so a spec carries only
     settings that act. The methods hold the family's facts that only the
     search needs.
     """
@@ -167,7 +163,7 @@ class SearchSpec:
     sweeps: int | None = None
 
     def __post_init__(self):
-        reads = _SEARCH_FAMILIES.get(self.family)
+        reads = FAMILIES[self.family].search if self.family in FAMILIES else None
         if reads is None:
             raise UnsupportedFamily(f"cannot search over family {self.family!r}")
         unread = [k for k in ("layer_upper", "knots", "sweeps")
@@ -195,7 +191,7 @@ class SearchSpec:
     def config(self) -> dict:
         """Config form: the family and every setting it reads."""
         doc = {"family": self.family}
-        for key in _SEARCH_FAMILIES[self.family]:
+        for key in FAMILIES[self.family].search:
             value = getattr(self, key)
             doc[key] = list(value) if key == "knots" else value
         return doc
@@ -205,12 +201,11 @@ class SearchSpec:
         """The parameter a scalar search varies; None for coordinate descent."""
         return FAMILIES[self.family].scalar
 
-    def param_range(self, pspec: PremiumSpec, dY: DiscreteDistribution, budget=None):
-        """(lo, hi) of the searched parameter at one budget or an array of
-        them. hi retains in full and costs nothing; lo is the smallest value
-        whose premium fits ``budget``; None is an infinite budget."""
-        budget = np.inf if budget is None else budget
-        return feasible_retention_range(self.family, pspec, dY, budget, upper=self.layer_upper)
+    def curve(self, pspec: PremiumSpec, dY: DiscreteDistribution):
+        """premium_breakpoints table of the searched parameter: the layer's
+        curve ends at layer_upper. Its budget-feasible intervals are
+        feasible_retention_range(curve, budget)."""
+        return premium_breakpoints(self.family, pspec, dY, upper=self.layer_upper)
 
     def treaty(self, p) -> Treaty:
         """The treaty at search parameter p."""
@@ -222,8 +217,9 @@ class SearchSpec:
     def retained(self, params, y):
         """Retained claims y at every search parameter in params, broadcast."""
         if self.family == "layer":
-            # rounds differently from Treaty's layer map, which stays the
-            # reference; keep the two apart so artifacts keep their bytes
+            # one scalar upper edge off the atoms; Treaty's map, the
+            # reference, subtracts a separate edge a + w per (state,
+            # candidate) pair over every atom, which is slower
             return np.minimum(y, params) + np.maximum(y - self.layer_upper, 0.0)
         return FAMILIES[self.family].retained({self.scalar: params}, y)
 
@@ -455,10 +451,8 @@ def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
 
 def _scalar_family_search(v_next, s, grid, search):
     # one premium curve gives the feasible intervals and every zoom price
-    bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
-    lo, hi = feasible_retention_range(
-        search.family, s.premium, s.dY, _budgets(s, grid), table=(bp, bv)
-    )
+    bp, bv = search.curve(s.premium, s.dY)
+    lo, hi = feasible_retention_range((bp, bv), _budgets(s, grid))
     r = search.resolution
     frac = np.linspace(0.0, 1.0, r + 1)
     sel = np.arange(grid.size)
@@ -705,8 +699,9 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
 
     The policy must live on the config grid (else GridMismatch) and hold one
     row per stage, one when stationary. Each distinct treaty is priced and
-    applied once per stage data. Raises InfeasiblePolicyRow where a
-    budget-constrained stage's treaty costs more than the surplus of its state.
+    applied once per stage data. Raises InvalidTreaty where a custom treaty
+    fails is_admissible on the stage's claim atoms, InfeasiblePolicyRow where
+    a budget-constrained stage's treaty costs more than its state's surplus.
     """
     grid = policy.grid
     if not np.array_equal(grid, config.grid.points()):
@@ -725,7 +720,12 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
         for j, f in enumerate(row):
             key = (0 if shared else n, _treaty_key(f))
             if key not in cache:
-                cache[key] = treaty_premium(s.premium, s.dY, f), f.retained(s.dY.values)
+                kept = f.retained(s.dY.values)
+                if FAMILIES[f.family].fields is None and not _admissible_values(s.dY.values, kept):
+                    raise InvalidTreaty(
+                        f"stage {n}: custom treaty at x = {grid[j]:.6g} fails is_admissible"
+                    )
+                cache[key] = treaty_premium(s.premium, s.dY, f), kept
             index[n, j] = local.setdefault(key, len(local))
             premiums[n, j] = prem = cache[key][0]
             if s.budget_constrained and prem > max(float(grid[j]), 0.0) + _BUDGET_SLACK:

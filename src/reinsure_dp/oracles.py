@@ -23,6 +23,7 @@ from .dp import ModelConfig, SearchSpec
 from .errors import InvalidDistortion, OutOfRange, ParameterRegime, ValidationError
 from .premiums import PremiumSpec, layer_premium_closed_form, treaty_premium
 from .risk import RiskSpec, _check_distortion, evaluate, var
+from .treaties import feasible_retention_range
 
 # bracket width for the bisections; parameters are only meaningful to the
 # claim-atom resolution anyway
@@ -172,7 +173,7 @@ def oracle_unconstrained(config: ModelConfig):
         dist = independent_product(s.dY, s.dZ, lambda y, z: f.retained(y) - z)
         return evaluate(s.risk, dist) + treaty_premium(s.premium, s.dY, f)
 
-    lo, hi = search.param_range(s.premium, s.dY)
+    lo, hi = feasible_retention_range(search.curve(s.premium, s.dY), math.inf)
     par, c = _zoom_scalar(objective, lo, hi, search.resolution)
     f_star = search.treaty(par)
 
@@ -200,17 +201,14 @@ def static_reinsurance(
 ):
     """One-period optimum of rho(f(Y) + pi(f) - Z) over the search family.
 
-    budget None (or infinity) lifts the premium constraint. With a point mass
-    at zero for dZ this is the classical static problem; with the actual
-    income distribution it equals the one-stage dynamic solve shifted by the
-    surplus.
+    budget None (or infinity) lifts the premium constraint; a negative or
+    NaN budget is refused. With a point mass at zero for dZ this is the
+    classical static problem; with the actual income distribution it equals
+    the one-stage dynamic solve shifted by the surplus.
     """
-    if budget is not None:
-        budget = float(budget)
-        if math.isinf(budget):
-            budget = None
-        elif budget < 0.0:
-            raise OutOfRange("budget must be >= 0, or None when unconstrained")
+    budget = math.inf if budget is None else float(budget)
+    if not budget >= 0.0:  # NaN fails too
+        raise OutOfRange("budget must be >= 0, or None when unconstrained")
 
     def objective(p: float) -> float:
         f = search.treaty(p)
@@ -218,6 +216,6 @@ def static_reinsurance(
         dist = independent_product(dY, dZ, lambda y, z: f.retained(y) + prem - z)
         return evaluate(risk, dist)
 
-    lo, hi = search.param_range(premium_spec, dY, budget)
+    lo, hi = feasible_retention_range(search.curve(premium_spec, dY), budget)
     par, val = _zoom_scalar(objective, lo, hi, search.resolution)
     return search.treaty(par), val

@@ -5,14 +5,15 @@ y - f(y) is what the reinsurer prices. Admissible treaties satisfy f(0) = 0
 and 0 <= f(y2) - f(y1) <= y2 - y1. Every family is one way to parameterize
 that class, and FAMILIES holds each family's facts in one place: parameter
 names in policy.csv column order, which of them are vectors, the parameter
-check, the retained map, and the one parameter a scalar search varies.
+check, the retained map, the one parameter a scalar search varies, and the
+settings a search over the family reads.
 
 A piecewise-linear treaty retains the claim below its first knot in full
 and the slope-weighted part of each segment above it, so all-ones slopes
 are the identity treaty. Every constructor here produces an admissible
 shape and refuses parameters outside the class, NaN included;
-`is_admissible` probes that numerically as the safety net for
-user-supplied pieces.
+`is_admissible` probes that numerically as the safety net for custom
+treaties, which a stored policy's table runs on the claim atoms.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class Family:
     curve: (pspec, dY, upper) -> premium_breakpoints table of the scalar
         parameter; upper is the layer's upper edge.
     vectors: the fields holding one number per knot.
+    search: the SearchSpec settings a search over the family reads; None
+        when the family cannot be searched.
     """
 
     fields: tuple[str, ...] | None
@@ -48,6 +51,7 @@ class Family:
     scalar: str | None = None
     curve: Callable | None = None
     vectors: tuple[str, ...] = ()
+    search: tuple[str, ...] | None = None
 
 
 def _check_proportional(p: dict) -> dict:
@@ -130,14 +134,19 @@ FAMILIES: dict[str, Family] = {
     "proportional": Family(
         ("c",), _check_proportional, lambda p, y: p["c"] * y, "c",
         lambda pspec, dY, upper: (np.array([0.0, 1.0]), np.array([premium(pspec, dY), 0.0])),
+        search=("resolution",),
     ),
     "stop-loss": Family(
         ("a",), _check_stop_loss, lambda p, y: np.minimum(y, p["a"]), "a",
-        lambda pspec, dY, upper: _retention_curve(pspec, dY, None),
+        lambda pspec, dY, upper: _retention_curve(pspec, dY, None), search=("resolution",),
     ),
-    "layer": Family(("a", "w"), _check_layer, _layer_retained, "a", _retention_curve),
+    "layer": Family(
+        ("a", "w"), _check_layer, _layer_retained, "a", _retention_curve,
+        search=("resolution", "layer_upper"),
+    ),
     "piecewise-linear": Family(
-        ("knots", "slopes"), _check_piecewise, _piecewise_retained, vectors=("knots", "slopes")
+        ("knots", "slopes"), _check_piecewise, _piecewise_retained, vectors=("knots", "slopes"),
+        search=("resolution", "knots", "sweeps"),
     ),
     "custom": Family(None, _check_custom, lambda p, y: _apply_map(p["fn"], y)),
 }
@@ -175,13 +184,14 @@ def make_treaty(family: str, params: dict) -> Treaty:
 def is_admissible(f: Treaty, probe_grid) -> bool:
     """Probe 0 <= f <= id and 1-Lipschitz monotonicity on a sorted grid."""
     t = np.asarray(probe_grid, dtype=np.float64)
-    vals = f.retained(t)
+    return _admissible_values(t, f.retained(t))
+
+
+def _admissible_values(t: np.ndarray, vals: np.ndarray) -> bool:
+    # is_admissible's probe of retained values vals at the sorted grid t; NaN fails
     slack = 1e-12
-    if np.any(vals < -slack) or np.any(vals > t + slack):
-        return False
-    if np.any(np.diff(vals) < -slack):
-        return False
-    return not np.any(np.diff(t - vals) < -slack)
+    inside = np.all((vals >= -slack) & (vals <= t + slack))
+    return bool(inside and np.all(np.diff(vals) >= -slack) and np.all(np.diff(t - vals) >= -slack))
 
 
 def premium_breakpoints(
@@ -206,27 +216,16 @@ def premium_breakpoints(
     return curve(pspec, dY, upper)
 
 
-def feasible_retention_range(
-    family: str,
-    pspec: PremiumSpec,
-    dY: DiscreteDistribution,
-    budget,
-    upper: float | None = None,
-    *,
-    table=None,
-):
+def feasible_retention_range(table, budget):
     """Sub-interval of the retention parameter whose premium fits the budget.
 
-    Covers the one-parameter families whose premium is continuous and
-    decreasing in the parameter. Returns (lo, hi); hi is the full-retention
-    end, which is always feasible (zero premium). ``budget`` is one budget
-    (floats returned) or an array of them (arrays of its shape returned),
-    all read off one breakpoint table; an infinite budget gives the range.
-    ``table`` is that premium_breakpoints table when the caller holds it.
+    table is a premium_breakpoints table: the premium is continuous and
+    decreasing along it. Returns (lo, hi); hi is the full-retention end,
+    which is always feasible (zero premium). ``budget`` is one budget
+    (floats returned) or an array of them (arrays of its shape returned);
+    an infinite budget gives the whole table.
     """
     budget = np.maximum(0.0, np.asarray(budget, dtype=np.float64))
-    if table is None:
-        table = premium_breakpoints(family, pspec, dY, upper=upper)
     params, prems = table
     j = np.searchsorted(-prems, -budget, side="left") - 1
     j = np.clip(j, 0, len(params) - 2)

@@ -26,13 +26,13 @@ from reinsure_dp.cli import (
     run,
     write_config,
 )
-from reinsure_dp.dp import _SEARCH_FAMILIES, PolicyTable, solve_finite
+from reinsure_dp.dp import PolicyTable, solve_finite
 from reinsure_dp.errors import (
     MonotonicityViolation,
     ParseError,
     ValidationError,
 )
-from reinsure_dp.oracles import oracle_es_uniform
+from reinsure_dp.oracles import oracle_es_uniform, oracle_var_layer
 from reinsure_dp.risk import RiskSpec, tabulated_distortion, var
 from reinsure_dp.treaties import FAMILIES, make_treaty
 
@@ -522,7 +522,7 @@ class TestSolveSubcommands:
 class TestPolicyFlow:
 
     def test_evaluate_policy_matches_solver(self, tmp_path):
-        assert set(SEARCH_DOCS) == set(_SEARCH_FAMILIES)
+        assert set(SEARCH_DOCS) == {f for f, fam in FAMILIES.items() if fam.search is not None}
         for family, search in SEARCH_DOCS.items():
             doc = finite_doc()
             doc["search"] = search
@@ -666,6 +666,56 @@ class TestOracleCompare:
     def test_oracle_key_required(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())
         assert run("oracle-compare", cfg, str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("oracle, search", [
+        ("es-uniform", {"family": "stop-loss"}),
+        ("var-layer", {"family": "layer", "layer_upper": 0.95}),
+    ])
+    def test_stationary_config_refused_at_horizon(self, tmp_path, capsys, monkeypatch,
+                                                  oracle, search):
+        def boom(config, stats=None):
+            raise AssertionError("solved a config oracle-compare refuses")
+
+        monkeypatch.setattr("reinsure_dp.cli.solve_finite", boom)
+        doc = infinite_doc()
+        doc["search"] = search
+        doc["oracle"] = oracle
+        cfg = dump(tmp_path, doc)
+        for i, call in enumerate((
+            lambda out: run("oracle-compare", cfg, out),
+            lambda out: main(["oracle-compare", "--config", cfg, "--out", out]),
+        )):
+            out = tmp_path / f"o{i}"
+            assert call(str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: field horizon: ") and "Traceback" not in err
+            assert not any(out.glob("*"))
+
+    def test_var_layer_rows_once_per_distinct_stage(self, tmp_path, monkeypatch):
+        real = oracle_var_layer
+        probes = []
+
+        def counting(*args):
+            sol = real(*args)
+            return replace(sol, a_of_x=lambda x: probes.append(x) or sol.a_of_x(x))
+
+        monkeypatch.setattr("reinsure_dp.cli.oracle_var_layer", counting)
+        probe = parse_config(dump(tmp_path, finite_doc(m=101), "probe.json"))
+        doc = finite_doc(m=101, horizon=3, count=17, family="layer")
+        doc["stages"][0]["risk"] = {"kind": "value-at-risk", "alpha": 0.95}
+        doc["search"]["layer_upper"] = var(probe.stages[0].dY, 0.95)
+        doc["oracle"] = "var-layer"
+        shared = tmp_path / "shared"
+        assert run("oracle-compare", dump(tmp_path, doc), str(shared)) == 0
+        assert len(probes) == 17
+        # the same stage listed once per stage: one row each, the same bytes
+        doc["stages"] = doc["stages"] * 3
+        listed = tmp_path / "listed"
+        assert run("oracle-compare", dump(tmp_path, doc), str(listed)) == 0
+        assert len(probes) == 17 + 3 * 17
+        gap = (shared / "oracle_gap.csv").read_bytes()
+        assert gap == (listed / "oracle_gap.csv").read_bytes()
+        assert len(gap.splitlines()) == 1 + 3 * 17
 
     @pytest.mark.parametrize("oracle, family", [
         ("var-layer", "stop-loss"),

@@ -29,7 +29,6 @@ from reinsure_dp.dp import (
     StageData,
     PolicyTable,
     ValueFunction,
-    _SEARCH_FAMILIES,
     _candidate_objectives,
     _policy_values,
     apply_L,
@@ -43,8 +42,10 @@ from reinsure_dp.dp import (
 from reinsure_dp.errors import (
     GridMismatch,
     InfeasiblePolicyRow,
+    InvalidTreaty,
     MaxIterations,
     MonotonicityViolation,
+    UnsupportedFamily,
     ValidationError,
 )
 from reinsure_dp.premiums import PremiumSpec, premium, treaty_premium
@@ -58,9 +59,11 @@ from reinsure_dp.risk import (
     evaluate,
     var,
 )
-from reinsure_dp.treaties import make_treaty, premium_breakpoints
+from reinsure_dp.treaties import FAMILIES, make_treaty, premium_breakpoints
 
 SEED = 31415
+# families a SearchSpec can search over
+SEARCHABLE = sorted(name for name, fam in FAMILIES.items() if fam.search is not None)
 
 
 def uniform01(m=201):
@@ -150,11 +153,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             ModelConfig(None, (es_stage(), es_stage()), GridSpec(-1.0, 1.0, 33), SearchSpec("stop-loss"))
 
-    @pytest.mark.parametrize("family", sorted(_SEARCH_FAMILIES))
+    @pytest.mark.parametrize("family", SEARCHABLE)
     def test_search_refuses_settings_its_family_does_not_read(self, family):
         unread = {"layer_upper": 0.5, "knots": (0.1,), "sweeps": 7}
         read = {"resolution": 16, "layer_upper": 0.5, "knots": (0.1, 0.5), "sweeps": 2}
-        reads = _SEARCH_FAMILIES[family]
+        reads = FAMILIES[family].search
         assert reads[0] == "resolution"
         spec = SearchSpec(family, **{k: read[k] for k in reads})
         assert list(spec.config()) == ["family", *reads]
@@ -167,6 +170,21 @@ class TestConfigValidation:
         assert SearchSpec("piecewise-linear", knots=(0.2,)).sweeps == 3
         assert SearchSpec("stop-loss").sweeps is None
         assert SearchSpec("stop-loss").config() == {"family": "stop-loss", "resolution": 64}
+
+    @pytest.mark.parametrize("family", SEARCHABLE)
+    def test_curve_is_the_family_premium_curve(self, family):
+        # the search's one curve is the family's, ending at the layer's edge
+        s = es_stage(m=101)
+        settings = {"layer_upper": 0.9, "knots": (0.2, 0.6)}
+        reads = FAMILIES[family].search
+        spec = SearchSpec(family, **{k: v for k, v in settings.items() if k in reads})
+        if FAMILIES[family].scalar is None:
+            with pytest.raises(UnsupportedFamily):
+                spec.curve(s.premium, s.dY)
+            return
+        got = spec.curve(s.premium, s.dY)
+        want = premium_breakpoints(family, s.premium, s.dY, upper=spec.layer_upper)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -946,6 +964,24 @@ class TestEvaluatePolicy:
         table = PolicyTable(grid, (tuple(cheap_nothing for _ in grid),))
         with pytest.raises(InfeasiblePolicyRow):
             evaluate_policy(table, cfg)
+
+    def test_inadmissible_custom_treaty_refused_before_pricing(self, monkeypatch):
+        # y**2 stays below y on [0, 1] but cedes less as claims grow
+        cfg = ModelConfig(2, (es_stage(m=101),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        grid = cfg.grid.points()
+        ok = make_treaty("identity", {})
+        bad = make_treaty("custom", {"fn": lambda y: np.asarray(y) ** 2})
+        row = (ok,) * 5 + (bad,) * (grid.size - 5)
+        priced = []
+        monkeypatch.setattr(
+            dp, "treaty_premium", lambda pspec, dY, f: priced.append(f.family) or 0.0
+        )
+        with pytest.raises(InvalidTreaty, match=rf"stage 1: .* x = {grid[5]:.6g} "):
+            dp._policy_table(PolicyTable(grid, ((ok,) * grid.size, row)), cfg)
+        assert "custom" not in priced
+        monkeypatch.undo()
+        with pytest.raises(InvalidTreaty):
+            evaluate_policy(PolicyTable(grid, (row, row)), cfg)
 
 
     def test_policy_table_checks_policy_against_config(self):

@@ -21,6 +21,7 @@ from reinsure_dp.distributions import (
 from reinsure_dp.dp import GridSpec, ModelConfig, SearchSpec, StageData, solve_finite
 from reinsure_dp.errors import (
     InvalidDistortion,
+    OutOfRange,
     ParameterRegime,
     UnsupportedFamily,
     ValidationError,
@@ -329,3 +330,13 @@ class TestStaticReinsurance:
                 risk, pspec, self.dY, self.dZ, 0.5,
                 SearchSpec("piecewise-linear", knots=(0.0, 0.5)),
             )
+
+    def test_nan_budget_refused_and_infinite_budget_unconstrained(self):
+        risk = RiskSpec("expected-shortfall", alpha=0.9)
+        pspec = PremiumSpec("expected", theta=0.1)
+        search = SearchSpec("stop-loss")
+        with pytest.raises(OutOfRange):
+            static_reinsurance(risk, pspec, self.dY, self.dZ, math.nan, search)
+        f_none, val_none = static_reinsurance(risk, pspec, self.dY, self.dZ, None, search)
+        f_inf, val_inf = static_reinsurance(risk, pspec, self.dY, self.dZ, math.inf, search)
+        assert (f_inf.params, val_inf) == (f_none.params, val_none)

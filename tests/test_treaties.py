@@ -112,6 +112,10 @@ class TestAdmissibility:
         f = make_treaty("custom", {"fn": lambda y: np.asarray(y) ** 2})
         assert not is_admissible(f, np.linspace(0.0, 2.0, 201))
 
+    def test_user_map_returning_nan_fails(self):
+        f = make_treaty("custom", {"fn": lambda y: np.where(y > 0.5, np.nan, y)})
+        assert not is_admissible(f, PROBE)
+
     def test_user_map_within_class_passes(self):
         f = make_treaty("custom", {"fn": lambda y: 0.5 * np.asarray(y)})
         assert is_admissible(f, PROBE)
@@ -193,13 +197,17 @@ class TestPremiumCurve:
             assert np.all(np.diff(prems) <= 1e-12)
 
 
+def _stop_loss_range(spec, d, budget):
+    return feasible_retention_range(premium_breakpoints("stop-loss", spec, d), budget)
+
+
 class TestFeasibleRange:
     spec = PremiumSpec("expected", theta=0.2)
 
     def test_uniform_budget_hand_value(self):
         # budget 0.15: (1+theta)(1-a)^2/2 <= 0.15 iff a >= 0.5
         d = uniform01()
-        lo, hi = feasible_retention_range("stop-loss", self.spec, d, 0.15)
+        lo, hi = _stop_loss_range(self.spec, d, 0.15)
         assert lo == pytest.approx(0.5, abs=1e-3)
         # hi is the top atom of the discretized claim, not the continuous 1.0
         assert hi == d.values[-1]
@@ -207,12 +215,13 @@ class TestFeasibleRange:
     def test_large_budget_gives_full_interval(self):
         d = uniform01(501)
         full = treaty_premium(self.spec, d, make_treaty("full-cession", {}))
-        lo, hi = feasible_retention_range("stop-loss", self.spec, d, full + 0.01)
+        lo, hi = _stop_loss_range(self.spec, d, full + 0.01)
         assert lo == 0.0
+        assert _stop_loss_range(self.spec, d, np.inf) == (0.0, float(d.values[-1]))
 
     def test_zero_budget_pins_to_top(self):
         d = uniform01(501)
-        lo, hi = feasible_retention_range("stop-loss", self.spec, d, 0.0)
+        lo, hi = _stop_loss_range(self.spec, d, 0.0)
         assert lo == pytest.approx(hi, abs=1e-9)
         assert hi == pytest.approx(float(d.values[-1]), abs=1e-12)
 
@@ -221,7 +230,7 @@ class TestFeasibleRange:
         d = uniform01(301)
         for _ in range(20):
             budget = float(rng.uniform(0.005, 0.5))
-            lo, hi = feasible_retention_range("stop-loss", self.spec, d, budget)
+            lo, hi = _stop_loss_range(self.spec, d, budget)
             at_lo = treaty_premium(self.spec, d, make_treaty("stop-loss", {"a": lo}))
             assert at_lo <= budget + 1e-9
             if lo > 1e-9:
@@ -234,7 +243,8 @@ class TestFeasibleRange:
         d = uniform01(501)
         upper = 0.95
         budget = 0.1
-        lo, hi = feasible_retention_range("layer", self.spec, d, budget, upper=upper)
+        table = premium_breakpoints("layer", self.spec, d, upper=upper)
+        lo, hi = feasible_retention_range(table, budget)
         assert hi == pytest.approx(upper, abs=1e-12)
         f = make_treaty("layer", {"a": lo, "w": upper - lo})
         assert treaty_premium(self.spec, d, f) <= budget + 1e-9
@@ -251,17 +261,15 @@ class TestFeasibleRange:
             budgets = np.concatenate([
                 [-1.0, -0.0, 0.0, np.inf], prems, rng.uniform(-0.2, 1.2 * prems[0], 200),
             ])
-            lo, hi = feasible_retention_range(family, spec, d, budgets, **kw)
+            lo, hi = feasible_retention_range(table, budgets)
             assert lo.shape == hi.shape == budgets.shape
-            # a caller's own table gives the same intervals, bit for bit
-            given = feasible_retention_range(family, spec, d, budgets, table=table, **kw)
-            assert lo.tobytes() == given[0].tobytes() and hi.tobytes() == given[1].tobytes()
             for b, got_lo, got_hi in zip(budgets, lo, hi):
-                want = feasible_retention_range(family, spec, d, float(b), **kw)
+                want = feasible_retention_range(table, float(b))
                 assert type(want[0]) is float and type(want[1]) is float
                 assert (got_lo, got_hi) == want, b
 
     def test_multiparameter_families_unsupported(self):
-        d = uniform01(101)
+        # a multiparameter family has no premium curve, so no feasible range
         with pytest.raises(UnsupportedFamily):
-            feasible_retention_range("piecewise-linear", self.spec, d, 0.1)
+            premium_breakpoints("piecewise-linear", self.spec, uniform01(101))
+

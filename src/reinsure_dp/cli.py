@@ -459,8 +459,6 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
             f"field search.family: oracle {kind} describes a {family} search,"
             f" not {config.search.family}"
         )
-    if config.is_infinite:
-        raise ValidationError("field horizon: oracle-compare compares a finite-horizon solve")
     # every stage's oracle parameters come first, so a refusal writes nothing
     grid = config.grid.points()
     oracle_params = {}
@@ -522,12 +520,14 @@ class _Subcommand:
     body: Callable
     keys: tuple[str, ...] = ()  # top-level config keys read beyond the model
     flags: tuple[str, ...] = ()  # flags read beyond --config, --out and --seed
+    stationary: bool = False  # reads "horizon": null, else an integer horizon
 
 
 _SUBCOMMANDS = {
     "solve-finite": _Subcommand("backward induction over a finite horizon", _run_solve_finite),
     "solve-infinite": _Subcommand(
-        "stationary fixed point with an error certificate", _run_solve_infinite, flags=("tol",)
+        "stationary fixed point with an error certificate", _run_solve_infinite,
+        flags=("tol",), stationary=True,
     ),
     "evaluate-policy": _Subcommand(
         "cost-to-go of a stored policy.csv", _run_evaluate_policy, flags=("policy",)
@@ -570,6 +570,11 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
                 raise ValidationError("must be nonnegative")
         doc = _load_json(config_path)
         config = _config_from_doc(doc, sub.keys)
+        if config.is_infinite != sub.stationary:
+            want = "null (stationary)" if sub.stationary else "an integer (finite)"
+            raise ValidationError(
+                f"field horizon: {subcommand} reads {want}, got {json.dumps(config.horizon)}"
+            )
         if tol is not None:
             with _at("tol"):
                 config = replace(config, tol=_real(tol))

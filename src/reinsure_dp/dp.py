@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import DiscreteDistribution, ess_sup, independent_product
 from .errors import (
@@ -398,10 +397,13 @@ def _next_atoms(s: StageData, prem, retained):
     atom) cells, at least one pair.
     """
     prem = np.ravel(prem)
-    kz = len(s.dZ)
-    cols = np.repeat(np.arange(len(s.dY)), kz)
-    z = np.tile(s.dZ.values, len(s.dY))
-    probs = np.outer(s.dY.probs, s.dZ.probs).ravel()
+    ky, kz = len(s.dY), len(s.dZ)
+    # z-major: within each income atom the claims ascend, so with h
+    # increasing a pair's row is kz descending runs, which the stable sort
+    # merges rather than sorting from scratch
+    cols = np.tile(np.arange(ky), kz)
+    z = np.repeat(s.dZ.values, ky)
+    probs = np.outer(s.dZ.probs, s.dY.probs).ravel()
     shared = None
     if s.risk.kind == "entropic":
         shared = probs
@@ -433,6 +435,8 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
     shape = np.shape(prem)
     xp = np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel()
     out = np.empty(xp.size)
+    if s.risk.kind == "entropic":
+        from scipy.special import logsumexp
     for sl, t, w in _next_atoms(s, prem, retained):
         xt = xp[sl, None] + t
         if s.risk.kind == "entropic":

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import DiscreteDistribution, _apply_map, quantile
 from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError
@@ -301,6 +300,8 @@ def entropic(d: DiscreteDistribution, gamma: float) -> float:
     """Entropic risk measure (1/gamma) log E[exp(gamma X)], overflow safe."""
     if gamma <= 0.0:
         raise OutOfRange("entropic risk aversion must be positive")
+    from scipy.special import logsumexp
+
     return float(logsumexp(gamma * d.values, b=d.probs)) / gamma
 
 

@@ -789,13 +789,14 @@ class TestSimulate:
         assert payload["imputed_ruin_counts"] is None
 
 
-# each subcommand: the top-level config keys it reads beyond the model, and its flags
+# each subcommand: the top-level config keys it reads beyond the model, its
+# flags, and whether it reads a stationary horizon
 READS = {
-    "solve-finite": ((), ()),
-    "solve-infinite": ((), ("tol",)),
-    "evaluate-policy": ((), ("policy",)),
-    "oracle-compare": (("oracle",), ()),
-    "simulate": (("simulate",), ("policy",)),
+    "solve-finite": ((), (), False),
+    "solve-infinite": ((), ("tol",), True),
+    "evaluate-policy": ((), ("policy",), False),
+    "oracle-compare": (("oracle",), (), False),
+    "simulate": (("simulate",), ("policy",), False),
 }
 SUB_KEYS = {"oracle": "es-uniform", "simulate": {"x0": 1.0, "paths": 10}}
 FLAG_ARGS = {"tol": ("1e-3", 1e-3), "policy": ("policy.csv", "policy.csv")}
@@ -804,7 +805,21 @@ FLAG_ARGS = {"tol": ("1e-3", 1e-3), "policy": ("policy.csv", "policy.csv")}
 class TestSubcommandTable:
 
     def test_table_matches_the_documented_reads(self):
-        assert {name: (sub.keys, sub.flags) for name, sub in _SUBCOMMANDS.items()} == READS
+        table = {name: (sub.keys, sub.flags, sub.stationary) for name, sub in _SUBCOMMANDS.items()}
+        assert table == READS
+
+    @pytest.mark.parametrize("sub", sorted(READS))
+    def test_wrong_horizon_kind_refused_before_the_out_directory(self, tmp_path, capsys, sub):
+        keys, flags, stationary = READS[sub]
+        doc = finite_doc(m=11, horizon=1, count=17) if stationary else infinite_doc()
+        doc.update({key: SUB_KEYS[key] for key in keys})
+        # a named policy file is never read: the horizon is refused first
+        kwargs = {"policy": str(tmp_path / "missing.csv")} if "policy" in flags else {}
+        out = tmp_path / "out"
+        assert run(sub, dump(tmp_path, doc), str(out), **kwargs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field horizon: ") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub", sorted(READS))
     def test_refuses_keys_it_does_not_read(self, tmp_path, capsys, sub):

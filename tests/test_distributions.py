@@ -252,6 +252,27 @@ class TestGuideLookup:
         assert np.array_equal(quantile_index(d, keys), want)
         assert np.array_equal(quantile_index(d, keys.reshape(1, -1)), want.reshape(1, -1))
 
+    @pytest.mark.parametrize("probs", ["equal", "random"])
+    @pytest.mark.parametrize("k", [1, 2, 2001, 2048, 2049])
+    def test_guide_is_built_once_and_exact_on_bucket_edges(self, k, probs):
+        rng = np.random.default_rng(SEED + k)
+        p = np.full(k, 1.0 / k) if probs == "equal" else rng.dirichlet(np.ones(k))
+        d = DiscreteDistribution(np.arange(float(k)), p)
+        m = 1 << (k - 1).bit_length()
+        edges = np.arange(1, m + 1) / m
+        keys = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            1.0 - rng.random(k),
+        ])
+        keys = keys[(keys > 0.0) & (keys <= 1.0)]
+        want = np.minimum(np.searchsorted(d._cum, keys, side="left"), k - 1)
+        assert d._guide is None
+        assert np.array_equal(quantile_index(d, keys), want)
+        guide = d._guide
+        assert guide.size == m + 1
+        assert np.array_equal(quantile_index(d, keys[::-1]), want[::-1])
+        assert d._guide is guide
+
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("name", LOOKUP_TABLES)
     def test_bracketed_search_both_sides(self, name, side):

@@ -490,6 +490,31 @@ class TestEvaluatorGrid:
             assert got[j, k] == pytest.approx(want, abs=1e-10), (j, k)
 
 
+class TestTiedIncomeAtoms:
+    """Next surpluses tied across income atoms: the z-major layout may put
+    them in another order than a y-major one, but never moves a value."""
+
+    @pytest.mark.parametrize("risk_id", list(RISKS))
+    def test_tied_next_surpluses_against_apply_L(self, risk_id):
+        rng = np.random.default_rng(SEED + 7)
+        # dyadic claims, incomes and retentions keep z - h(y) exact, so it
+        # repeats across income atoms (and within one, above the retention)
+        dY = make_discrete(list(zip(np.arange(9) / 8, rng.dirichlet(np.ones(9)))))
+        dZ = make_discrete(list(zip((0.0, 0.25, 0.5), rng.dirichlet(np.ones(3)))))
+        s = StageData(dY, dZ, RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
+        search = SearchSpec("stop-loss")
+        retentions = np.array([0.0, 0.25, 0.375, 0.5, 1.0])
+        shift = dZ.values[:, None] - np.minimum(dY.values, 0.375)
+        assert np.intersect1d(shift[0], shift[1]).size and np.intersect1d(shift[1], shift[2]).size
+        grid = np.linspace(-0.5, 1.5, 9)
+        v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
+        params = np.tile(retentions, (grid.size, 1))
+        got = _objectives(v, s, grid, params, search)
+        for j, k in np.ndindex(params.shape):
+            want = apply_L(v, grid[j], _treaty_from(search, params[j, k]), s)
+            assert got[j, k] == pytest.approx(want, abs=1e-10), (j, k)
+
+
 class TestEvaluatorChunking:
     """Slices of (state, candidate) pairs change memory, never a bit of the result."""
 

@@ -1,0 +1,119 @@
+"""scipy.special loads only where it is used.
+
+The package imports it inside the entropic risk kind and the lognormal
+discretization alone, so an import, the CLI's help and a solve with any
+other risk kind and claim law never load it. Each check runs in a fresh
+interpreter, whose sys.modules this test process cannot have touched.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import reinsure_dp
+
+SRC = os.path.dirname(os.path.dirname(reinsure_dp.__file__))
+MODULES = ("distributions", "risk", "treaties", "premiums", "dp", "oracles", "sim", "cli")
+
+ENTROPIC_SOLVE = """
+from reinsure_dp.distributions import FamilySpec, discretize
+from reinsure_dp.dp import GridSpec, ModelConfig, SearchSpec, StageData, solve_finite
+from reinsure_dp.premiums import PremiumSpec
+from reinsure_dp.risk import RiskSpec
+stage = StageData(
+    discretize(FamilySpec("uniform", (0.0, 1.0), atoms=21)),
+    discretize(FamilySpec("point-mass", (0.3,))),
+    RiskSpec("entropic", gamma=1.5), PremiumSpec("expected", theta=0.2), 0.9,
+)
+config = ModelConfig(2, (stage,), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+values, policy = solve_finite(config)
+result = [v.values.tolist() for v in values] + [policy.stage_params(0).tolist()]
+"""
+ENTROPIC_EVALUATE = """
+from reinsure_dp.distributions import make_discrete
+from reinsure_dp.risk import RiskSpec, evaluate
+d = make_discrete([(-1.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
+result = evaluate(RiskSpec("entropic", gamma=2.0), d)
+"""
+LOGNORMAL = """
+from reinsure_dp.distributions import FamilySpec, discretize
+d = discretize(FamilySpec("lognormal", (0.0, 0.5), truncation=4.0, atoms=101))
+result = [d.values.tolist(), d.probs.tolist()]
+"""
+
+
+def fresh(body, *args):
+    """Run body in a new interpreter; its `result` and whether it loaded scipy.special."""
+    code = (
+        f"import json, sys\n{body}\n"
+        "print(json.dumps({'loaded': 'scipy.special' in sys.modules, 'result': result}))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    return out["loaded"], out["result"]
+
+
+def here(body):
+    ns = {}
+    exec(body, ns)
+    return json.loads(json.dumps(ns["result"]))
+
+
+def test_importing_every_module_leaves_it_out():
+    body = "".join(f"import reinsure_dp.{m}\n" for m in MODULES) + "result = None"
+    assert fresh(body) == (False, None)
+
+
+def test_module_help_leaves_it_out():
+    # python -m reinsure_dp --help, with sys.modules read after it exits
+    body = (
+        "import runpy\n"
+        "sys.argv = ['reinsure_dp', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('reinsure_dp', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    result = exc.code\n"
+    )
+    assert fresh(body) == (False, 0)
+
+
+def test_es_stop_loss_solve_through_run_leaves_it_out(tmp_path):
+    doc = {
+        "horizon": 2,
+        "grid": {"lo": -0.5, "hi": 1.5, "count": 17},
+        "search": {"family": "stop-loss"},
+        "stages": [{
+            "claims": {"family": "uniform", "params": [0.0, 1.0], "atoms": 11},
+            "income": {"family": "point-mass", "params": [0.3]},
+            "risk": {"kind": "expected-shortfall", "alpha": 0.95},
+            "premium": {"kind": "expected", "theta": 0.2},
+            "beta": 1.0,
+        }],
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    body = (
+        "from reinsure_dp import cli\n"
+        "result = cli.run('solve-finite', sys.argv[1], sys.argv[2])\n"
+    )
+    assert fresh(body, str(cfg), str(out)) == (False, 0)
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body", [ENTROPIC_SOLVE, ENTROPIC_EVALUATE, LOGNORMAL],
+    ids=["entropic-solve", "entropic-evaluate", "lognormal-discretize"],
+)
+def test_users_load_it_and_match_the_in_process_run(body):
+    loaded, result = fresh(body)
+    assert loaded
+    assert result == here(body)

@@ -433,8 +433,6 @@ def _run_solve_infinite(doc, config, out_dir, seed, policy):
 
 
 def _run_evaluate_policy(doc, config, out_dir, seed, policy):
-    if policy is None:
-        raise ValidationError("evaluate-policy needs --policy pointing at a policy.csv")
     vf = evaluate_policy(read_policy_csv(policy), config)
     _write_text(os.path.join(out_dir, "values.csv"), _values_csv([("0", vf)]))
     return ["values.csv"], [], {}
@@ -520,6 +518,7 @@ class _Subcommand:
     body: Callable
     keys: tuple[str, ...] = ()  # top-level config keys read beyond the model
     flags: tuple[str, ...] = ()  # flags read beyond --config, --out and --seed
+    required: tuple[str, ...] = ()  # those of flags that must be given
     stationary: bool = False  # reads "horizon": null, else an integer horizon
 
 
@@ -530,7 +529,8 @@ _SUBCOMMANDS = {
         flags=("tol",), stationary=True,
     ),
     "evaluate-policy": _Subcommand(
-        "cost-to-go of a stored policy.csv", _run_evaluate_policy, flags=("policy",)
+        "cost-to-go of a stored policy.csv", _run_evaluate_policy,
+        flags=("policy",), required=("policy",),
     ),
     "oracle-compare": _Subcommand(
         "solve, then gap against the named closed form", _run_oracle_compare, keys=("oracle",)
@@ -560,10 +560,14 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
             raise ValidationError(
                 f"unknown subcommand {subcommand!r}; expected one of {', '.join(_SUBCOMMANDS)}"
             )
-        for flag, value in (("tol", tol), ("policy", policy)):
+        given = {"tol": tol, "policy": policy}
+        for flag, value in given.items():
             if value is not None and flag not in sub.flags:
                 readers = " and ".join(n for n, c in _SUBCOMMANDS.items() if flag in c.flags)
                 raise ValidationError(f"--{flag} applies to {readers} only")
+        for flag in sub.required:
+            if given[flag] is None:
+                raise ValidationError(f"{subcommand} needs --{flag} ({_FLAGS[flag]['help']})")
         with _at("seed"):
             seed = _integer(seed)
             if seed < 0:
@@ -617,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         for flag in spec.flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            p.add_argument(f"--{flag}", required=flag in spec.required, **_FLAGS[flag])
     return parser
 
 

@@ -10,17 +10,20 @@ atoms in reverse, and the risk-measure weights depend only on that ordering.
 One batched evaluator prices every (state, treaty) pair, whether a search
 ladder's candidates or a stored policy's rows. With deterministic premium
 income the ordering is claim-ascending for every admissible treaty, so one
-weight vector per stage prices all of them; with stochastic income one
-stable argsort orders every pair at once; the entropic measure needs no
-order. Pairs go through in cache-sized slices and each reduces on its own,
-so the temporaries stay bounded and slicing never changes a result bit.
+weight vector per stage prices all of them; with stochastic income whose
+product atoms are equally likely one weight vector serves too, and each
+pair sorts only its values; otherwise one stable argsort orders every pair
+at once; the entropic measure needs no order. The zero terminal value is
+added as a constant, not interpolated. Pairs go through in cache-sized
+slices and each reduces on its own, so the temporaries stay bounded and
+slicing never changes a result bit.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
-the bracketing cells. Every probe ladder is a pure function of the feasible
-interval, and ties in the objective break toward the smaller parameter, so
-reruns and equivalent reformulations of the objective select identical
-parameters.
+the bracketing cells. A one-point interval takes one probe. Every probe
+ladder is a pure function of the feasible interval, and ties in the
+objective break toward the smaller parameter, so reruns and equivalent
+reformulations of the objective select identical parameters.
 """
 
 from __future__ import annotations
@@ -411,17 +414,34 @@ def _next_atoms(s: StageData, prem, retained):
         w = atom_weights(s.risk, probs)
         act = np.flatnonzero(w)
         shared, cols, z = w[act], cols[act], z[act]
+    # equal probabilities are those of every ordering, so one weight vector
+    # serves every pair and a slice sorts only its values; the stable sort
+    # keeps tied +-0.0 in the argsort's order
+    values_only = shared is None and _equal_probs(probs)
+    if values_only:
+        shared = atom_weights(s.risk, probs)
     y = s.dY.values[cols]
     step = max(1, _CHUNK_ELEMS // cols.size)
     for lo in range(0, prem.size, step):
         sl = slice(lo, lo + step)
         t = z - retained(sl, cols, y) - prem[sl, None]
         w = shared
-        if w is None:
+        if values_only:
+            t = -np.sort(-t, axis=-1, kind="stable")
+        elif w is None:
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
             w = atom_weights(s.risk, probs[order])
         yield sl, t, w
+
+
+def _equal_probs(probs) -> bool:
+    return bool(np.all(probs == probs[0]))
+
+
+def _is_zero(v: ValueFunction) -> bool:
+    # the zero terminal value: interpolating it gives +0.0 at every point
+    return v.slope_left == 0.0 and v.slope_right == 0.0 and not np.any(v.values)
 
 
 def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
@@ -437,13 +457,17 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
     out = np.empty(xp.size)
     if s.risk.kind == "entropic":
         from scipy.special import logsumexp
+    # a zero continuation adds the +0.0 its interpolation would, so a row
+    # summing to -0.0 keeps its sign
+    zero = _is_zero(v)
     for sl, t, w in _next_atoms(s, prem, retained):
-        xt = xp[sl, None] + t
         if s.risk.kind == "entropic":
+            xt = xp[sl, None] + t
             g = s.risk.gamma
-            out[sl] = logsumexp(g * (-xt + s.beta * v(xt)), b=w, axis=-1) / g
+            cont = 0.0 if zero else v(xt)
+            out[sl] = logsumexp(g * (-xt + s.beta * cont), b=w, axis=-1) / g
             continue
-        cont = np.sum(v(xt) * w, axis=-1)
+        cont = 0.0 if zero else np.sum(v(xp[sl, None] + t) * w, axis=-1)
         out[sl] = -xp[sl] * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont
     return out.reshape(shape)
 
@@ -457,19 +481,45 @@ def _scalar_family_search(v_next, s, grid, search):
     # one premium curve gives the feasible intervals and every zoom price
     bp, bv = search.curve(s.premium, s.dY)
     lo, hi = feasible_retention_range((bp, bv), _budgets(s, grid))
+
+    def objectives(states, params):
+        flat = params.ravel()
+        return _candidate_objectives(
+            v_next, s, grid[states, None], np.interp(params, bp, bv),
+            lambda sl, cols, y: search.retained(flat[sl, None], y),
+        )
+
     r = search.resolution
+    best_val = np.empty(grid.size)
+    best_par = hi.copy()
+    # a one-point interval holds one treaty, at hi: probe it once, where the
+    # zoom would probe it at every rung of every level
+    point = _one_point(lo, hi)
+    one, live = np.flatnonzero(point), np.flatnonzero(~point)
+    if one.size:
+        best_val[one] = objectives(one, hi[one, None])[:, 0]
+    if live.size:
+        best_val[live], best_par[live] = _zoom(objectives, live, lo[live], hi[live], r)
+    row = [search.treaty(p) for p in best_par]
+    return best_val, row, live.size * _ZOOM_LEVELS * (r + 1) + one.size
+
+
+def _one_point(lo, hi):
+    # the zoom's ladder on [lo, hi] clips every rung to hi when lo >= hi
+    return lo >= hi
+
+
+def _zoom(objectives, states, lo, hi, r):
+    # (value, parameter) of the best probe at each state over _ZOOM_LEVELS
+    # ladders of r cells, each inside the previous level's bracketing cells
     frac = np.linspace(0.0, 1.0, r + 1)
-    sel = np.arange(grid.size)
-    best_val = np.full(grid.size, np.inf)
+    sel = np.arange(states.size)
+    best_val = np.full(states.size, np.inf)
     best_par = hi.copy()
     for _ in range(_ZOOM_LEVELS):
         params = lo[:, None] + (hi - lo)[:, None] * frac
         params = np.clip(params, lo[:, None], hi[:, None])
-        flat = params.ravel()
-        obj = _candidate_objectives(
-            v_next, s, grid[:, None], np.interp(params, bp, bv),
-            lambda sl, cols, y: search.retained(flat[sl, None], y),
-        )
+        obj = objectives(states, params)
         idx = np.argmin(obj, axis=1)
         val = obj[sel, idx]
         par = params[sel, idx]
@@ -479,8 +529,7 @@ def _scalar_family_search(v_next, s, grid, search):
         best_par = np.where(better, par, best_par)
         lo = params[sel, np.maximum(idx - 1, 0)]
         hi = params[sel, np.minimum(idx + 1, r)]
-    row = [search.treaty(p) for p in best_par]
-    return best_val, row
+    return best_val, best_par
 
 
 def _segment_prices(s: StageData, knots: np.ndarray) -> np.ndarray:
@@ -522,17 +571,22 @@ def _pw_search(v_next, s, grid, search):
     return values, row
 
 
-def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec):
+def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, stats=None):
     """One backward step: minimize the one-period cost at every grid state.
 
     Returns the new value function (decreasing, enforced) and the minimizing
     treaty per state. Tail slopes follow the recursion a -> 1 + beta a.
+    When ``stats`` is a dict it receives the objective evaluations the
+    search ran under "argmin_evaluations" (None for the piecewise search).
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     if search.scalar is None:
         values, row = _pw_search(v_next, s, grid, search)
+        probes = None
     else:
-        values, row = _scalar_family_search(v_next, s, grid, search)
+        values, row, probes = _scalar_family_search(v_next, s, grid, search)
+    if stats is not None:
+        stats["argmin_evaluations"] = probes
     out_left = -(1.0 - s.beta * v_next.slope_left)
     out_right = -(1.0 - s.beta * v_next.slope_right)
     return ValueFunction(grid, values, out_left, out_right), tuple(row)
@@ -550,13 +604,6 @@ def _check_envelope(values, lo, hi, label):
         raise EnvelopeViolation(f"{label}: value exits its envelope by {worst:.3g}")
 
 
-def _probe_count(search: SearchSpec, n_states: int):
-    # exact for scalar searches: every state runs the full ladder
-    if search.scalar is None:
-        return None
-    return n_states * _ZOOM_LEVELS * (search.resolution + 1)
-
-
 def solve_finite(config: ModelConfig, stats: list | None = None):
     """Backward induction; returns ([J_0 .. J_N], PolicyTable).
 
@@ -572,19 +619,14 @@ def solve_finite(config: ModelConfig, stats: list | None = None):
     rows = [None] * n
     for k in range(n - 1, -1, -1):
         t0 = time.perf_counter()
-        vf, row = bellman_step(values[k + 1], config.stage(k), grid, config.search)
+        probes = {}
+        vf, row = bellman_step(values[k + 1], config.stage(k), grid, config.search, probes)
         b_low, b_high = bounding_functions(config, k)
         _check_envelope(vf.values, b_low(grid), b_high(grid), f"stage {k}")
         values[k] = vf
         rows[k] = row
         if stats is not None:
-            stats.append(
-                {
-                    "stage": k,
-                    "runtime_seconds": time.perf_counter() - t0,
-                    "argmin_evaluations": _probe_count(config.search, grid.size),
-                }
-            )
+            stats.append({"stage": k, "runtime_seconds": time.perf_counter() - t0, **probes})
     return values, PolicyTable(grid, tuple(rows))
 
 

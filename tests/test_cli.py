@@ -419,8 +419,10 @@ class TestSolveSubcommands:
         assert manifest["subcommand"] == "solve-finite"
         assert manifest["stats"]["runtime_seconds"] > 0.0
         assert len(manifest["stats"]["per_stage"]) == 2
+        # the 9 states at x <= 0 afford one retention and take one probe;
+        # the other 24 run the full 3-level, 65-rung zoom
         for entry in manifest["stats"]["per_stage"]:
-            assert entry["argmin_evaluations"] == 33 * 3 * 65
+            assert entry["argmin_evaluations"] == 24 * 3 * 65 + 9
         assert sorted(manifest["outputs"]) == ["policy.csv", "values.csv"]
         assert manifest["config"]["search"] == {"family": "stop-loss", "resolution": 64}
 
@@ -606,8 +608,15 @@ class TestPolicyFlow:
             _policy_csv(PolicyTable(np.array([0.0]), ((f,),)), ["0"])
 
     def test_evaluate_policy_requires_policy_flag(self, tmp_path, capsys):
+        # refused with the flags, before the out directory is made
         cfg = dump(tmp_path, finite_doc())
-        assert run("evaluate-policy", cfg, str(tmp_path / "o")) == 1
+        out = tmp_path / "o"
+        assert run("evaluate-policy", cfg, str(out)) == 1
+        assert "error: evaluate-policy needs --policy" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["evaluate-policy", "--config", cfg, "--out", str(out)]) == 1
+        assert "--policy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCompare:
@@ -790,13 +799,13 @@ class TestSimulate:
 
 
 # each subcommand: the top-level config keys it reads beyond the model, its
-# flags, and whether it reads a stationary horizon
+# flags, those of them it requires, and whether it reads a stationary horizon
 READS = {
-    "solve-finite": ((), (), False),
-    "solve-infinite": ((), ("tol",), True),
-    "evaluate-policy": ((), ("policy",), False),
-    "oracle-compare": (("oracle",), (), False),
-    "simulate": (("simulate",), ("policy",), False),
+    "solve-finite": ((), (), (), False),
+    "solve-infinite": ((), ("tol",), (), True),
+    "evaluate-policy": ((), ("policy",), ("policy",), False),
+    "oracle-compare": (("oracle",), (), (), False),
+    "simulate": (("simulate",), ("policy",), (), False),
 }
 SUB_KEYS = {"oracle": "es-uniform", "simulate": {"x0": 1.0, "paths": 10}}
 FLAG_ARGS = {"tol": ("1e-3", 1e-3), "policy": ("policy.csv", "policy.csv")}
@@ -805,12 +814,15 @@ FLAG_ARGS = {"tol": ("1e-3", 1e-3), "policy": ("policy.csv", "policy.csv")}
 class TestSubcommandTable:
 
     def test_table_matches_the_documented_reads(self):
-        table = {name: (sub.keys, sub.flags, sub.stationary) for name, sub in _SUBCOMMANDS.items()}
+        table = {
+            name: (sub.keys, sub.flags, sub.required, sub.stationary)
+            for name, sub in _SUBCOMMANDS.items()
+        }
         assert table == READS
 
     @pytest.mark.parametrize("sub", sorted(READS))
     def test_wrong_horizon_kind_refused_before_the_out_directory(self, tmp_path, capsys, sub):
-        keys, flags, stationary = READS[sub]
+        keys, flags, _, stationary = READS[sub]
         doc = finite_doc(m=11, horizon=1, count=17) if stationary else infinite_doc()
         doc.update({key: SUB_KEYS[key] for key in keys})
         # a named policy file is never read: the horizon is refused first
@@ -823,10 +835,12 @@ class TestSubcommandTable:
 
     @pytest.mark.parametrize("sub", sorted(READS))
     def test_refuses_keys_it_does_not_read(self, tmp_path, capsys, sub):
+        # a required flag is given, so the key is what gets refused
+        required = {flag: FLAG_ARGS[flag][1] for flag in READS[sub][2]}
         for key in sorted(set(SUB_KEYS) - set(READS[sub][0])):
             doc = dict(finite_doc(m=11, horizon=1, count=17), **{key: SUB_KEYS[key]})
             out = tmp_path / key
-            assert run(sub, dump(tmp_path, doc, f"{key}.json"), str(out)) == 1, key
+            assert run(sub, dump(tmp_path, doc, f"{key}.json"), str(out), **required) == 1, key
             assert f"error: field {key}: read by nothing" in capsys.readouterr().err
             assert not (out / "manifest.json").exists()
 

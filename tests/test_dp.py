@@ -590,6 +590,156 @@ class TestEvaluatorChunking:
         assert peak < 8 * 2**20
 
 
+def _bits(a):
+    # float64 bit patterns: unlike ==, they tell -0.0 from +0.0
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _counting(monkeypatch, module, name, log):
+    # wrap module.name so that each call appends its positional args to log
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        log.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+# equal-probability income laws: with uniform claims every product atom
+# carries the same probability
+EQUAL_INCOMES = {
+    "3-atom-uniform": lambda: discretize(FamilySpec("uniform", (0.0, 0.6), atoms=3)),
+    "5-atom-uniform": INCOMES["5-atom"],
+}
+
+
+def _dyadic_equal_stage(risk_id):
+    # dyadic claims and incomes with equal probabilities: next surpluses tie
+    # across income atoms, as in TestTiedIncomeAtoms
+    dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
+    dZ = make_discrete([(z, 1 / 3) for z in (0.0, 0.25, 0.5)])
+    return StageData(dY, dZ, RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
+
+
+class TestSharedComputations:
+    """What a Bellman stage shares is computed once, and each reduction,
+    turned off, gives the same bits by the route it replaces."""
+
+    GRID = np.linspace(-0.5, 1.5, 17)
+
+    def _continuation(self):
+        grid = self.GRID
+        return ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
+
+    @pytest.mark.parametrize("income_id", [*EQUAL_INCOMES, "dyadic-tied"])
+    @pytest.mark.parametrize("risk_id", ["es", "var", "ph", "spectral-anti", "spectral-quad"])
+    def test_equal_probabilities_share_one_weight_vector(self, monkeypatch, risk_id, income_id):
+        search = SearchSpec("stop-loss")
+        if income_id == "dyadic-tied":
+            s = _dyadic_equal_stage(risk_id)
+            params = np.tile([0.0, 0.25, 0.375, 0.5, 1.0], (self.GRID.size, 1))
+        else:
+            s = StageData(uniform01(31), EQUAL_INCOMES[income_id](), RISKS[risk_id],
+                          PremiumSpec("expected", theta=0.2), 0.9)
+            params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
+        v = self._continuation()
+        # several slices, so the per-pair route weighs more than once
+        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 4 * len(s.dY) * len(s.dZ))
+        calls = []
+        _counting(monkeypatch, dp, "atom_weights", calls)
+        shared = _objectives(v, s, self.GRID, params, search)
+        assert [np.ndim(probs) for _, probs in calls] == [1]
+        monkeypatch.setattr(dp, "_equal_probs", lambda probs: False)
+        calls.clear()
+        per_pair = _objectives(v, s, self.GRID, params, search)
+        assert len(calls) > 1 and all(np.ndim(probs) == 2 for _, probs in calls)
+        assert np.array_equal(_bits(shared), _bits(per_pair))
+
+    def test_unequal_probabilities_keep_the_per_pair_route(self, monkeypatch):
+        dZ = make_discrete([(0.0, 0.2), (0.3, 0.5), (0.6, 0.3)])
+        s = StageData(uniform01(31), dZ, RISKS["es"], PremiumSpec("expected", theta=0.2), 0.9)
+        search = SearchSpec("stop-loss")
+        params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 4)
+        v = self._continuation()
+        calls = []
+        _counting(monkeypatch, dp, "atom_weights", calls)
+        got = _objectives(v, s, self.GRID, params, search)
+        assert calls and all(np.ndim(probs) == 2 for _, probs in calls)
+        for j, k in np.ndindex(params.shape):
+            want = apply_L(v, self.GRID[j], _treaty_from(search, params[j, k]), s)
+            assert got[j, k] == pytest.approx(want, abs=1e-10), (j, k)
+
+    @pytest.mark.parametrize("income_id", ["point", "3-atom-uniform", "3-atom"])
+    @pytest.mark.parametrize("risk_id", list(RISKS))
+    def test_zero_terminal_value_is_not_interpolated(self, monkeypatch, risk_id, income_id):
+        income = {**INCOMES, **EQUAL_INCOMES}[income_id]
+        s = StageData(uniform01(31), income(), RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
+        search = SearchSpec("stop-loss")
+        params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
+        calls = []
+        _counting(monkeypatch, ValueFunction, "__call__", calls)
+        direct = _objectives(zero_vf(self.GRID), s, self.GRID, params, search)
+        assert not calls
+        monkeypatch.setattr(dp, "_is_zero", lambda v: False)
+        interpolated = _objectives(zero_vf(self.GRID), s, self.GRID, params, search)
+        assert calls
+        assert np.array_equal(_bits(direct), _bits(interpolated))
+
+    def test_zero_terminal_value_adds_plus_zero(self, monkeypatch):
+        # no claims, no income, no premium: at x = 0 the row sums to -0.0
+        # before the continuation's +0.0, which either route adds
+        s = StageData(point(0.0), point(0.0), RISKS["es"], PremiumSpec("expected", theta=0.2), 0.9)
+        got = _objectives(zero_vf(self.GRID), s, np.array([0.0]), np.array([[0.0]]),
+                          SearchSpec("stop-loss"))
+        monkeypatch.setattr(dp, "_is_zero", lambda v: False)
+        want = _objectives(zero_vf(self.GRID), s, np.array([0.0]), np.array([[0.0]]),
+                           SearchSpec("stop-loss"))
+        assert np.array_equal(_bits(got), _bits(want)) and not np.signbit(got[0, 0])
+
+    @pytest.mark.parametrize("family", ["stop-loss", "layer", "proportional"])
+    @pytest.mark.parametrize(
+        "risk_id, income_id",
+        [("es", "point"), ("var", "5-atom"), ("ph", "3-atom"), ("entropic", "point")],
+    )
+    def test_one_point_interval_takes_one_probe(self, monkeypatch, risk_id, income_id, family):
+        s = _grid_stage(risk_id, income_id)
+        search = _grid_search(family, s.dY)
+        grid = self.GRID
+        lo, hi = treaties.feasible_retention_range(
+            search.curve(s.premium, s.dY), np.maximum(grid, 0.0)
+        )
+        one = int(np.count_nonzero(lo >= hi))
+        # the budget grid reaches x <= 0, where only the zero-premium end fits
+        assert 0 < one < grid.size
+        v = self._continuation()
+        stats = {}
+        fast, row = bellman_step(v, s, grid, search, stats)
+        assert stats["argmin_evaluations"] == (grid.size - one) * 3 * 65 + one
+        monkeypatch.setattr(dp, "_one_point", lambda lo, hi: np.zeros(lo.shape, dtype=bool))
+        stats = {}
+        zoomed, zoomed_row = bellman_step(v, s, grid, search, stats)
+        assert stats["argmin_evaluations"] == grid.size * 3 * 65
+        assert np.array_equal(_bits(fast.values), _bits(zoomed.values))
+        assert [f.params for f in row] == [f.params for f in zoomed_row]
+
+    def test_solve_and_policy_evaluation_unchanged_with_every_reduction_off(self, monkeypatch):
+        s = StageData(uniform01(31), EQUAL_INCOMES["3-atom-uniform"](), RISKS["ph"],
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        values, policy = solve_finite(cfg)
+        evaluated = evaluate_policy(policy, cfg)
+        monkeypatch.setattr(dp, "_equal_probs", lambda probs: False)
+        monkeypatch.setattr(dp, "_is_zero", lambda v: False)
+        monkeypatch.setattr(dp, "_one_point", lambda lo, hi: np.zeros(lo.shape, dtype=bool))
+        values_off, policy_off = solve_finite(cfg)
+        for v, v_off in zip(values, values_off):
+            assert np.array_equal(_bits(v.values), _bits(v_off.values))
+        for row, row_off in zip(policy.rows, policy_off.rows):
+            assert [f.params for f in row] == [f.params for f in row_off]
+        assert np.array_equal(_bits(evaluated.values), _bits(evaluate_policy(policy, cfg).values))
+
+
 class TestPolicyValuesSolve:
     """The solve-infinite jump's affine solve is the fixed point of apply_L."""
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -43,7 +42,7 @@ from .dp import (
     solve_finite,
     solve_infinite,
 )
-from .errors import NumericError, ParseError, ValidationError
+from .errors import NumericError, ParseError, ValidationError, _integer, _real
 from .oracles import oracle_es_uniform, oracle_var_layer
 from .premiums import PremiumSpec
 from .risk import RiskSpec, distortion_preset, is_coherent
@@ -111,23 +110,6 @@ def _only(obj, path, keys):
             f"field {_field(path, unread[0])}: read by nothing;"
             f" {path or 'the config'} takes {', '.join(keys)}"
         )
-
-
-def _integer(value) -> int:
-    """A config integer; a boolean or a number with a fraction is refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """A finite config number; a boolean, NaN or an infinity is refused."""
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValidationError(f"expected a finite number, got {value!r}")
-    return x
 
 
 def _load_json(path):
@@ -219,7 +201,7 @@ def _parse_stage(obj, idx) -> StageData:
             dZ=dZ,
             risk=risk,
             premium=prem,
-            beta=_real(_need(obj, "beta", path)),
+            beta=_need(obj, "beta", path),
             budget_constrained=constrained,
         )
 
@@ -229,7 +211,7 @@ def _parse_grid(obj) -> GridSpec:
     with _at("grid.count"):
         count = _integer(_need(obj, "count", "grid"))
     with _at("grid"):
-        return GridSpec(_real(_need(obj, "lo", "grid")), _real(_need(obj, "hi", "grid")), count)
+        return GridSpec(_need(obj, "lo", "grid"), _need(obj, "hi", "grid"), count)
 
 
 def _parse_search(obj) -> SearchSpec:
@@ -501,6 +483,9 @@ def _run_simulate(doc, config, out_dir, seed, policy):
         x0 = _real(_need(block, "x0", "simulate"))
     with _at("simulate.paths"):
         n_paths = _integer(_need(block, "paths", "simulate"))
+        # refused before the solve, which would write values.csv and policy.csv
+        if n_paths < 1:
+            raise ValidationError("path count must be at least 1")
     if policy is None:
         values, table, outputs, stats = _solve_and_write(config, out_dir)
     else:

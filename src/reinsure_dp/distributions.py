@@ -21,6 +21,7 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .errors import (
     OutOfRange,
     UnsupportedFamily,
     ValidationError,
+    _integer,
+    _real,
 )
 
 MASS_TOL = 1e-12
@@ -109,13 +112,14 @@ class FamilySpec:
         if self.truncation is not None:
             if self.family == "point-mass":
                 raise ValidationError("a point mass takes no truncation bound")
-            t = float(self.truncation)
-            if not np.isfinite(t) or t <= 0.0:
-                raise ValidationError("truncation bound must be finite and positive")
+            t = _real(self.truncation)
+            if t <= 0.0:
+                raise ValidationError("truncation bound must be positive")
             object.__setattr__(self, "truncation", t)
-        if self.family != "point-mass" and int(self.atoms) < 2:
+        atoms = _integer(self.atoms)
+        if self.family != "point-mass" and atoms < 2:
             raise ValidationError("atom count must be >= 2 for non-point-mass families")
-        object.__setattr__(self, "atoms", int(self.atoms))
+        object.__setattr__(self, "atoms", atoms)
 
 
 def _canonical(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
@@ -195,12 +199,11 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
             raise ValidationError("lognormal sigma must be positive")
         if spec.truncation is None:
             raise ValidationError("lognormal family requires a truncation bound")
-        # scipy.special loads on first use, here and for the entropic risk
-        # kind: loading it takes about 0.3 s and 25 MB of resident memory,
-        # which runs that need neither do not pay
-        from scipy.special import ndtri
-
-        values = np.exp(mu + sigma * ndtri(u))
+        # the standard normal quantile by Wichura's AS 241 (Applied
+        # Statistics 37(3), 1988), to about 1e-16 relative
+        inv_cdf = NormalDist().inv_cdf
+        z = np.array([inv_cdf(p) for p in u.tolist()])
+        values = np.exp(mu + sigma * z)
     elif fam == "empirical":
         data = np.sort(np.asarray(spec.params, dtype=np.float64))
         if data.size == 0:

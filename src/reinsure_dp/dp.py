@@ -43,9 +43,11 @@ from .errors import (
     MonotonicityViolation,
     UnsupportedFamily,
     ValidationError,
+    _integer,
+    _real,
 )
 from .premiums import PremiumSpec, premium, treaty_premium
-from .risk import RiskSpec, atom_weights, evaluate, is_coherent
+from .risk import RiskSpec, _logsumexp, atom_weights, evaluate, is_coherent
 from .treaties import (
     FAMILIES,
     Treaty,
@@ -121,8 +123,10 @@ class StageData:
     budget_constrained: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
+        beta = _real(self.beta)
+        if not (0.0 < beta <= 1.0):
             raise ValidationError("discount factor must lie in (0, 1]")
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -132,11 +136,14 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+        lo, hi, count = _real(self.lo), _real(self.hi), _integer(self.count)
+        if not lo < hi:
             raise ValidationError("grid bounds must be finite with lo < hi")
-        if int(self.count) < 16:
+        if count < 16:
             raise ValidationError("grid needs at least 16 points")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "count", count)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -172,20 +179,22 @@ class SearchSpec:
                   if k not in reads and getattr(self, k) is not None]
         if unread:
             raise ValidationError(f"{self.family} search reads no {', '.join(unread)}")
-        if int(self.resolution) < 8:
+        resolution = _integer(self.resolution)
+        if resolution < 8:
             raise ValidationError("search resolution must be at least 8")
-        object.__setattr__(self, "resolution", int(self.resolution))
+        object.__setattr__(self, "resolution", resolution)
         if self.family == "layer":
-            if self.layer_upper is None or not (float(self.layer_upper) > 0.0):
+            upper = None if self.layer_upper is None else _real(self.layer_upper)
+            if upper is None or not upper > 0.0:
                 raise ValidationError("layer search needs a positive layer_upper")
-            object.__setattr__(self, "layer_upper", float(self.layer_upper))
+            object.__setattr__(self, "layer_upper", upper)
         if self.family == "piecewise-linear":
             if not self.knots:
                 raise ValidationError("piecewise-linear search needs knots")
             ones = np.ones(len(self.knots))
             knots = FAMILIES[self.family].check({"knots": self.knots, "slopes": ones})["knots"]
             object.__setattr__(self, "knots", tuple(knots))
-            sweeps = 3 if self.sweeps is None else int(self.sweeps)
+            sweeps = 3 if self.sweeps is None else _integer(self.sweeps)
             if sweeps < 1:
                 raise ValidationError("sweeps must be >= 1")
             object.__setattr__(self, "sweeps", sweeps)
@@ -252,15 +261,16 @@ class ModelConfig:
             if stages[0].beta >= 1.0:
                 raise ValidationError("infinite horizon needs strict discounting (beta < 1)")
         else:
-            n = int(self.horizon)
+            n = _integer(self.horizon)
             if n < 1:
                 raise ValidationError("horizon must be >= 1")
             object.__setattr__(self, "horizon", n)
             if len(stages) not in (1, n):
                 raise ValidationError("provide one shared stage or exactly one per stage")
-        if not (float(self.tol) > 0.0):
+        tol = _real(self.tol)
+        if not tol > 0.0:
             raise ValidationError("tolerance must be positive")
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "tol", tol)
 
     @property
     def is_infinite(self) -> bool:
@@ -455,8 +465,6 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
     shape = np.shape(prem)
     xp = np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel()
     out = np.empty(xp.size)
-    if s.risk.kind == "entropic":
-        from scipy.special import logsumexp
     # a zero continuation adds the +0.0 its interpolation would, so a row
     # summing to -0.0 keeps its sign
     zero = _is_zero(v)
@@ -465,7 +473,7 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
             xt = xp[sl, None] + t
             g = s.risk.gamma
             cont = 0.0 if zero else v(xt)
-            out[sl] = logsumexp(g * (-xt + s.beta * cont), b=w, axis=-1) / g
+            out[sl] = _logsumexp(g * (-xt + s.beta * cont), w) / g
             continue
         cont = 0.0 if zero else np.sum(v(xp[sl, None] + t) * w, axis=-1)
         out[sl] = -xp[sl] * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont

@@ -4,7 +4,12 @@ Two branches matter to callers: :class:`ValidationError` covers bad inputs
 (configs, parameters, malformed distributions) and maps to CLI exit code 1;
 :class:`NumericError` covers failures of the numeric machinery itself
 (resolution too coarse, iteration budgets exhausted) and maps to exit code 2.
+
+The rules for a config integer and a config real live here too, where the
+model types and the config parser can share them.
 """
+
+import math
 
 
 class ReinsureError(Exception):
@@ -85,3 +90,20 @@ class EnvelopeViolation(NumericError):
 
 class MaxIterations(NumericError):
     """Fixed-point iteration exhausted its budget before meeting tolerance."""
+
+
+def _integer(value) -> int:
+    """A config integer; a boolean or a number with a fraction is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A finite config number; a boolean, NaN or an infinity is refused."""
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValidationError(f"expected a finite number, got {value!r}")
+    return x

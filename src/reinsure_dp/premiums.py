@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution, _apply_map, push_forward
-from .errors import NegativeSupport, OutOfRange, ValidationError
+from .errors import NegativeSupport, OutOfRange, ValidationError, _real
 from .risk import _check_distortion, distortion_preset
 
 _NEG_TOL = 1e-12
@@ -40,6 +40,9 @@ class PremiumSpec:
     def __post_init__(self):
         if self.kind not in ("expected", "ph", "wang"):
             raise ValidationError(f"unknown premium kind {self.kind!r}")
+        for key in ("theta", "gamma"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _real(getattr(self, key)))
         if self.theta < 0.0:
             raise ValidationError("premium loading theta must be >= 0")
         if self.kind == "ph":

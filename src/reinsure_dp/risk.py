@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution, _apply_map, quantile
-from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError
+from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError, _real
 
 _PROBE = np.linspace(0.0, 1.0, 1001)
 _QUAD_NODES = 64  # Gauss-Legendre nodes per cell for spectra without antiderivative
@@ -99,6 +99,9 @@ class RiskSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown risk kind {self.kind!r}")
+        for key in ("alpha", "gamma"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _real(getattr(self, key)))
         if self.kind == "value-at-risk":
             if self.alpha is None or not (0.0 < self.alpha < 1.0):
                 raise ValidationError("value-at-risk needs alpha in (0, 1)")
@@ -296,13 +299,27 @@ def spectral_rm(d: DiscreteDistribution, s: Spectrum) -> float:
     return float(np.dot(atom_weights(spec, d.probs), d.values))
 
 
+def _logsumexp(a, b):
+    """log sum(b * exp(a)) over the last axis, for positive b.
+
+    The maximum is shifted out and its terms summed apart (Blanchard, Higham
+    & Higham, IMA J. Numer. Anal. 41(4), 2021), in the operations SciPy
+    1.17's logsumexp runs, so the results are its bits; a row whose entries
+    all overflowed to -inf gives -inf, as there.
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    top = a == a_max
+    m = np.sum(b * top, axis=-1, keepdims=True)
+    s = np.sum(b * np.exp(np.where(top, -np.inf, a - a_max)), axis=-1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[..., 0]
+
+
 def entropic(d: DiscreteDistribution, gamma: float) -> float:
     """Entropic risk measure (1/gamma) log E[exp(gamma X)], overflow safe."""
     if gamma <= 0.0:
         raise OutOfRange("entropic risk aversion must be positive")
-    from scipy.special import logsumexp
-
-    return float(logsumexp(gamma * d.values, b=d.probs)) / gamma
+    return float(_logsumexp(gamma * d.values, d.probs)) / gamma
 
 
 def evaluate(spec: RiskSpec, d: DiscreteDistribution) -> float:

@@ -40,7 +40,7 @@ from .dp import (  # noqa: F401
     _policy_values,
     evaluate_policy,
 )
-from .errors import NotVaRConfig, ValidationError
+from .errors import NotVaRConfig, ValidationError, _integer, _real
 
 __all__ = ["SimResult", "ruin_bound_check", "simulate_paths"]
 
@@ -100,15 +100,13 @@ def simulate_paths(
         raise ValidationError("simulation needs a finite-horizon config")
     n_periods = config.horizon
     grid = config.grid.points()
-    n_paths = int(n_paths)
+    n_paths = _integer(n_paths)
     if n_paths < 1:
         raise ValidationError("path count must be at least 1")
-    seed = int(seed)
+    seed = _integer(seed)
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    x0 = float(x0)
-    if not math.isfinite(x0):
-        raise ValidationError("start capital must be finite")
+    x0 = _real(x0)
     if values is not None and len(values) != n_periods + 1:
         raise ValidationError(
             f"expected {n_periods + 1} value functions, got {len(values)}"

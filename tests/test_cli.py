@@ -381,6 +381,7 @@ BOOLEAN_NUMBERS = {
     ),
     "tol": (("tol",), True, "tol"),
     "simulate.x0": (("simulate", "x0"), True, r"simulate\.x0"),
+    "claims.truncation": (("stages", 0, "claims", "truncation"), True, r"stages\[0\]\.claims"),
 }
 
 
@@ -776,6 +777,32 @@ class TestSimulate:
         assert run("simulate", cfg, str(tmp_path / "o"), seed=seed) == 1
         assert not (tmp_path / "o" / "manifest.json").exists()
         assert re.search(r"error: field seed: expected an integer", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("paths", [0, -5])
+    @pytest.mark.parametrize("with_policy", [False, True], ids=["solve", "policy"])
+    @pytest.mark.parametrize("entry", ["run", "main"])
+    def test_nonpositive_paths_refused_before_anything_is_written(
+        self, tmp_path, capsys, paths, with_policy, entry
+    ):
+        doc = self.simulate_doc()
+        doc["simulate"]["paths"] = paths
+        cfg, out = dump(tmp_path, doc), tmp_path / "o"
+        policy = None
+        if with_policy:
+            solve = {k: v for k, v in doc.items() if k != "simulate"}
+            assert run("solve-finite", dump(tmp_path, solve, "solve.json"), str(tmp_path / "s")) == 0
+            policy = str(tmp_path / "s" / "policy.csv")
+        if entry == "run":
+            code = run("simulate", cfg, str(out), policy=policy)
+        else:
+            argv = ["simulate", "--config", cfg, "--out", str(out)]
+            code = main(argv + (["--policy", policy] if policy else []))
+        assert code == 1
+        assert re.search(
+            r"error: field simulate\.paths: path count must be at least 1", capsys.readouterr().err
+        )
+        for name in ("values.csv", "policy.csv", "sim.json", "manifest.json"):
+            assert not (out / name).exists()
 
     def test_simulate_block_required(self, tmp_path, capsys):
         cfg = dump(tmp_path, finite_doc())

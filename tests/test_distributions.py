@@ -113,6 +113,17 @@ class TestDiscretize:
         # median of LN(0, 0.5) is 1
         assert abs(quantile(d, 0.5) - 1.0) < 2e-3
 
+    @pytest.mark.parametrize(
+        "mu, sigma, atoms", [(0.0, 0.5, 2001), (1.0, 1.5, 501), (-2.0, 2.0, 10001)]
+    )
+    def test_lognormal_atoms_match_the_ndtri_quantile(self, mu, sigma, atoms):
+        scipy_special = pytest.importorskip("scipy.special")
+        d = discretize(FamilySpec("lognormal", (mu, sigma), truncation=1e9, atoms=atoms))
+        u = (np.arange(atoms) + 0.5) / atoms
+        ref = np.exp(mu + sigma * scipy_special.ndtri(u))
+        assert d.values.size == atoms
+        assert np.max(np.abs(d.values - ref) / ref) <= 1e-14
+
     def test_empirical(self):
         d = discretize(FamilySpec("empirical", (3.0, 1.0, 2.0, 2.0), atoms=4))
         assert np.array_equal(d.values, [1.0, 2.0, 3.0])

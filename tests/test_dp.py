@@ -190,6 +190,44 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             es_stage(beta=1.5)
 
+    # what the config parser refuses, the model types refuse to a library
+    # caller too, by the same integer and real rules
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ModelConfig(2.5, (es_stage(m=11),), GridSpec(-1.0, 1.0, 17),
+                             SearchSpec("stop-loss")), "expected an integer, got 2.5"),
+        (lambda: GridSpec(-1.0, 1.0, 16.9), "expected an integer, got 16.9"),
+        (lambda: SearchSpec("stop-loss", resolution=64.5), "expected an integer, got 64.5"),
+        (lambda: SearchSpec("piecewise-linear", knots=(0.2,), sweeps=2.5),
+         "expected an integer, got 2.5"),
+        (lambda: FamilySpec("uniform", (0.0, 1.0), atoms=10.5), "expected an integer, got 10.5"),
+        (lambda: FamilySpec("exponential", (1.0,), truncation=True, atoms=4),
+         "expected a number, got True"),
+        (lambda: es_stage(m=11, beta=True), "expected a number, got True"),
+        (lambda: PremiumSpec("expected", theta=math.nan), "expected a finite number, got nan"),
+        (lambda: RiskSpec("entropic", gamma=math.nan), "expected a finite number, got nan"),
+        (lambda: RiskSpec("expected-shortfall", alpha=False), "expected a number, got False"),
+        (lambda: PremiumSpec("ph", theta=0.1, gamma=True), "expected a number, got True"),
+        (lambda: PremiumSpec("expected", theta=math.inf), "expected a finite number, got inf"),
+        (lambda: SearchSpec("layer", layer_upper=math.inf), "expected a finite number, got inf"),
+        (lambda: ModelConfig(2, (es_stage(m=11),), GridSpec(-1.0, 1.0, 17),
+                             SearchSpec("stop-loss"), tol=math.inf),
+         "expected a finite number, got inf"),
+    ], ids=[
+        "horizon-fraction", "grid-count-fraction", "resolution-fraction", "sweeps-fraction",
+        "atoms-fraction", "truncation-bool", "beta-bool", "theta-nan", "entropic-gamma-nan", "es-alpha-bool", "ph-gamma-bool", "theta-inf",
+        "layer-upper-inf", "tol-inf",
+    ])
+    def test_model_types_refuse_what_the_config_parser_refuses(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make()
+
+    def test_integral_numbers_still_construct(self):
+        config = ModelConfig(2.0, (es_stage(m=11),), GridSpec(-1, 1, 17.0),
+                             SearchSpec("stop-loss", resolution=16.0), tol=1)
+        assert (config.horizon, config.grid.count, config.search.resolution) == (2, 17, 16)
+        assert (config.grid.lo, config.tol) == (-1.0, 1.0)
+        assert type(config.grid.lo) is float and type(config.tol) is float
+
 
 class TestBoundingFunctions:
     def test_terminal_stage_coefficients(self):

@@ -1,9 +1,10 @@
-"""scipy.special loads only where it is used.
+"""The package never loads scipy.
 
-The package imports it inside the entropic risk kind and the lognormal
-discretization alone, so an import, the CLI's help and a solve with any
-other risk kind and claim law never load it. Each check runs in a fresh
-interpreter, whose sys.modules this test process cannot have touched.
+numpy is its one runtime dependency: the entropic log-sum-exp and the
+lognormal quantile are computed with numpy and the standard library. Each
+check runs in a fresh interpreter that starts with sys.modules["scipy"] set
+to None, so any import of scipy there raises ImportError, and compares its
+result with the same code run in this process.
 """
 
 import json
@@ -14,10 +15,21 @@ import sys
 import pytest
 
 import reinsure_dp
+from reinsure_dp import cli
 
 SRC = os.path.dirname(os.path.dirname(reinsure_dp.__file__))
 MODULES = ("distributions", "risk", "treaties", "premiums", "dp", "oracles", "sim", "cli")
 
+IMPORTS = "".join(f"import reinsure_dp.{m}\n" for m in MODULES) + "result = None\n"
+# python -m reinsure_dp --help
+HELP = """
+import runpy
+sys.argv = ['reinsure_dp', '--help']
+try:
+    runpy.run_module('reinsure_dp', run_name='__main__', alter_sys=True)
+except SystemExit as exc:
+    result = exc.code
+"""
 ENTROPIC_SOLVE = """
 from reinsure_dp.distributions import FamilySpec, discretize
 from reinsure_dp.dp import GridSpec, ModelConfig, SearchSpec, StageData, solve_finite
@@ -43,13 +55,26 @@ from reinsure_dp.distributions import FamilySpec, discretize
 d = discretize(FamilySpec("lognormal", (0.0, 0.5), truncation=4.0, atoms=101))
 result = [d.values.tolist(), d.probs.tolist()]
 """
+ES_DOC = {
+    "horizon": 2,
+    "grid": {"lo": -0.5, "hi": 1.5, "count": 17},
+    "search": {"family": "stop-loss"},
+    "stages": [{
+        "claims": {"family": "uniform", "params": [0.0, 1.0], "atoms": 11},
+        "income": {"family": "point-mass", "params": [0.3]},
+        "risk": {"kind": "expected-shortfall", "alpha": 0.95},
+        "premium": {"kind": "expected", "theta": 0.2},
+        "beta": 1.0,
+    }],
+}
 
 
 def fresh(body, *args):
-    """Run body in a new interpreter; its `result` and whether it loaded scipy.special."""
+    """Run body in a new interpreter that cannot import scipy; its `result`."""
     code = (
-        f"import json, sys\n{body}\n"
-        "print(json.dumps({'loaded': 'scipy.special' in sys.modules, 'result': result}))"
+        "import json, sys\nsys.modules['scipy'] = None\n"
+        f"{body}\n"
+        "print(json.dumps({'scipy': sys.modules['scipy'] is None, 'result': result}))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -58,7 +83,8 @@ def fresh(body, *args):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    return out["loaded"], out["result"]
+    assert out["scipy"]
+    return out["result"]
 
 
 def here(body):
@@ -68,52 +94,26 @@ def here(body):
 
 
 def test_importing_every_module_leaves_it_out():
-    body = "".join(f"import reinsure_dp.{m}\n" for m in MODULES) + "result = None"
-    assert fresh(body) == (False, None)
+    assert fresh(IMPORTS) is None
 
 
 def test_module_help_leaves_it_out():
-    # python -m reinsure_dp --help, with sys.modules read after it exits
-    body = (
-        "import runpy\n"
-        "sys.argv = ['reinsure_dp', '--help']\n"
-        "try:\n"
-        "    runpy.run_module('reinsure_dp', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    result = exc.code\n"
-    )
-    assert fresh(body) == (False, 0)
+    assert fresh(HELP) == 0
 
 
 def test_es_stop_loss_solve_through_run_leaves_it_out(tmp_path):
-    doc = {
-        "horizon": 2,
-        "grid": {"lo": -0.5, "hi": 1.5, "count": 17},
-        "search": {"family": "stop-loss"},
-        "stages": [{
-            "claims": {"family": "uniform", "params": [0.0, 1.0], "atoms": 11},
-            "income": {"family": "point-mass", "params": [0.3]},
-            "risk": {"kind": "expected-shortfall", "alpha": 0.95},
-            "premium": {"kind": "expected", "theta": 0.2},
-            "beta": 1.0,
-        }],
-    }
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    body = (
-        "from reinsure_dp import cli\n"
-        "result = cli.run('solve-finite', sys.argv[1], sys.argv[2])\n"
-    )
-    assert fresh(body, str(cfg), str(out)) == (False, 0)
-    assert (out / "manifest.json").exists()
+    cfg.write_text(json.dumps(ES_DOC))
+    body = "from reinsure_dp import cli\nresult = cli.run('solve-finite', sys.argv[1], sys.argv[2])\n"
+    assert fresh(body, str(cfg), str(tmp_path / "fresh")) == 0
+    assert cli.run("solve-finite", str(cfg), str(tmp_path / "here")) == 0
+    for name in ("values.csv", "policy.csv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 @pytest.mark.parametrize(
     "body", [ENTROPIC_SOLVE, ENTROPIC_EVALUATE, LOGNORMAL],
     ids=["entropic-solve", "entropic-evaluate", "lognormal-discretize"],
 )
-def test_users_load_it_and_match_the_in_process_run(body):
-    loaded, result = fresh(body)
-    assert loaded
-    assert result == here(body)
+def test_users_never_load_it_and_match_the_in_process_run(body):
+    assert fresh(body) == here(body)

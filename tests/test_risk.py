@@ -17,6 +17,7 @@ from reinsure_dp.errors import InvalidDistortion, InvalidSpectrum, OutOfRange, V
 from reinsure_dp.risk import (
     RiskSpec,
     Spectrum,
+    _logsumexp,
     atom_weights,
     distortion_preset,
     distortion_rm,
@@ -234,6 +235,33 @@ class TestEntropic:
         v = entropic(d, 10.0)
         assert np.isfinite(v)
         assert v == pytest.approx(500.0 + math.log(0.5) / 10.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rows", [None, 7], ids=["1-D", "2-D-shared-weights"])
+    @pytest.mark.parametrize("scale", [1.0, 60.0, 700.0])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_logsumexp_is_scipys_bit_for_bit(self, rows, scale, ties):
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(SEED + 9)
+        for trial in range(50):
+            k = int(rng.integers(1, 40))
+            a = rng.uniform(-scale, scale, k if rows is None else (rows, k))
+            if ties:
+                # a few distinct values, so the maximum repeats
+                a = np.round(a / scale * 2.0) * scale / 2.0
+            b = np.full(k, 1.0 / k) if trial % 2 else rng.uniform(0.01, 1.0, k)
+            got = np.asarray(_logsumexp(a, b))
+            want = np.asarray(scipy_special.logsumexp(a, b=b, axis=-1))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_logsumexp_of_overflowed_entries_is_scipys(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        a = np.array([[-np.inf, -np.inf], [-np.inf, 0.5], [np.inf, 0.5], [np.inf, np.inf]])
+        b = np.array([0.25, 0.75])
+        with np.errstate(invalid="ignore"):
+            got = _logsumexp(a, b)
+        want = scipy_special.logsumexp(a, b=b, axis=-1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestEvaluateDispatch:

@@ -279,6 +279,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             simulate_paths(policy, config, 0.0, 0, seed=1)
 
+    @pytest.mark.parametrize("x0, n_paths, seed, message", [
+        (0.0, 2.5, 1, "expected an integer, got 2.5"),
+        (0.0, True, 1, "expected an integer, got True"),
+        (0.0, 10, 1.5, "expected an integer, got 1.5"),
+        (True, 10, 1, "expected a number, got True"),
+        (math.inf, 10, 1, "expected a finite number, got inf"),
+    ])
+    def test_refuses_what_the_simulate_block_refuses(self, x0, n_paths, seed, message):
+        # a library call would otherwise run 2 paths, seed 1 or start capital 1.0
+        config = var_layer_config(1)
+        _, policy = solve_finite(config)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            simulate_paths(policy, config, x0, n_paths, seed=seed)
+
     def test_rejects_row_count_mismatch(self):
         config = var_layer_config(2)
         one = var_layer_config(1)

@@ -135,10 +135,14 @@ def _parse_dist(obj, path) -> DiscreteDistribution:
             return make_discrete(obj["pairs"])
         with _at(f"{path}.atoms"):
             atoms = _integer(obj.get("atoms", 2))
+        truncation = obj.get("truncation")
+        if truncation is not None:
+            with _at(f"{path}.truncation"):
+                truncation = _real(truncation)
         spec = FamilySpec(
             str(_need(obj, "family", path)),
             tuple(_need(obj, "params", path)),
-            truncation=obj.get("truncation"),
+            truncation=truncation,
             atoms=atoms,
         )
         return discretize(spec)

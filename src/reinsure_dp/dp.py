@@ -751,11 +751,17 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     the treaty's premium is premiums[n, j] and its retained part of every
     claim atom claims[n][index[n, j]].
 
+    claims holds one (distinct treaties x claim atoms) table per stage data:
+    when every stage shares one stage data, every entry of claims is the
+    same array, and index points into it. Each distinct treaty is priced
+    and applied once per stage data, its retained claims written straight
+    into its table row.
+
     The policy must live on the config grid (else GridMismatch) and hold one
-    row per stage, one when stationary. Each distinct treaty is priced and
-    applied once per stage data. Raises InvalidTreaty where a custom treaty
-    fails is_admissible on the stage's claim atoms, InfeasiblePolicyRow where
-    a budget-constrained stage's treaty costs more than its state's surplus.
+    row per stage, one when stationary. Raises InvalidTreaty where a custom
+    treaty fails is_admissible on the stage's claim atoms,
+    InfeasiblePolicyRow where a budget-constrained stage's treaty costs more
+    than its state's surplus.
     """
     grid = policy.grid
     if not np.array_equal(grid, config.grid.points()):
@@ -765,29 +771,34 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
         raise ValidationError(f"policy has {len(policy.rows)} rows, the config {stages} stages")
     premiums = np.empty((len(policy.rows), grid.size))
     index = np.empty(premiums.shape, dtype=np.intp)
-    claims = []
-    shared = len(config.stages) == 1
-    cache: dict = {}
+    group = [0 if len(config.stages) == 1 else n for n in range(len(policy.rows))]
+    # the whole index first, so that each table is sized before it is written
+    slots: dict = {}
+    for n, row in enumerate(policy.rows):
+        keys = slots.setdefault(group[n], {})
+        index[n] = [keys.setdefault(_treaty_key(f), len(keys)) for f in row]
+    tables = {g: np.empty((len(keys), len(config.stage(g).dY))) for g, keys in slots.items()}
+    prices = {g: [None] * len(keys) for g, keys in slots.items()}
     for n, row in enumerate(policy.rows):
         s = config.stage(n)
-        local: dict = {}
+        table, price = tables[group[n]], prices[group[n]]
         for j, f in enumerate(row):
-            key = (0 if shared else n, _treaty_key(f))
-            if key not in cache:
-                kept = f.retained(s.dY.values)
-                if FAMILIES[f.family].fields is None and not _admissible_values(s.dY.values, kept):
+            k = index[n, j]
+            if price[k] is None:
+                table[k] = f.retained(s.dY.values)
+                if FAMILIES[f.family].fields is None and not _admissible_values(
+                    s.dY.values, table[k]
+                ):
                     raise InvalidTreaty(
                         f"stage {n}: custom treaty at x = {grid[j]:.6g} fails is_admissible"
                     )
-                cache[key] = treaty_premium(s.premium, s.dY, f), kept
-            index[n, j] = local.setdefault(key, len(local))
-            premiums[n, j] = prem = cache[key][0]
+                price[k] = treaty_premium(s.premium, s.dY, f)
+            premiums[n, j] = prem = price[k]
             if s.budget_constrained and prem > max(float(grid[j]), 0.0) + _BUDGET_SLACK:
                 raise InfeasiblePolicyRow(
                     f"stage {n}: treaty premium {prem:.6g} exceeds surplus at x = {grid[j]:.6g}"
                 )
-        claims.append(np.array([cache[key][1] for key in local]))
-    return premiums, index, claims
+    return premiums, index, [tables[g] for g in group]
 
 
 def _policy_values(policy: PolicyTable, config: ModelConfig, table):

@@ -5,10 +5,12 @@ atom and a premium-income atom by inverse CDF, takes the treaty stored at
 the nearest grid state at or below the current surplus, and applies the
 exact surplus recursion. That treaty's premium and retained claim are read
 from the one policy table (dp._policy_table), which holds every family,
-custom treaties included. The below lookup is deliberate: budgets tighten
-as surplus falls, so borrowing the row of a lower state can only select a
-treaty that was affordable there, never an infeasible one. Ruin means the
-surplus is negative at any decision epoch after the start.
+custom treaties included, in one claims table per stage data. A one-atom
+income is that atom at every level, so it is not looked up. The below
+lookup is deliberate: budgets tighten as surplus falls, so borrowing the
+row of a lower state can only select a treaty that was affordable there,
+never an infeasible one. Ruin means the surplus is negative at any decision
+epoch after the start.
 
 Sampling is batched. Batch b draws from Philox(key=seed).jumped(b), a
 counter-based stream, so the draws for a given seed do not depend on how
@@ -76,9 +78,12 @@ def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
     guess = np.clip(np.floor((x - grid[0]) / step) + 1.0, 0.0, grid.size).astype(np.intp)
     # ext[c] <= x < ext[c + 1] says exactly c states lie at or below x
     hit = (ext[guess] <= x) & (x < ext[guess + 1])
-    lo = np.where(hit, guess, 0)
-    hi = np.where(hit, guess, grid.size)
-    count = _search_bracketed(grid, x, lo, hi, side="right")
+    if hit.all():
+        count = guess
+    else:
+        lo = np.where(hit, guess, 0)
+        hi = np.where(hit, guess, grid.size)
+        count = _search_bracketed(grid, x, lo, hi, side="right")
     return np.clip(count - 1, 0, grid.size - 1)
 
 
@@ -129,7 +134,8 @@ def simulate_paths(
             s = config.stage(n)
             # 1-u lies in (0, 1], the quantile map's exact domain
             k = quantile_index(s.dY, 1.0 - u[:, n, 0])
-            z = quantile(s.dZ, 1.0 - u[:, n, 1])
+            # a one-atom income is that atom at every level
+            z = s.dZ.values[0] if len(s.dZ) == 1 else quantile(s.dZ, 1.0 - u[:, n, 1])
             j = _grid_index(grid, x)
             x = x - claims[n][index[n, j], k] - premiums[n, j] + z
             neg = x < 0.0

@@ -266,7 +266,12 @@ BAD_VALUES = {
     "tol": (("tol",), "x", "tol"),
     "grid": (("grid", "count"), "x", r"grid\.count"),
     "search": (("search", "resolution"), "fine", r"search\.resolution"),
-    "claims": (("stages", 0, "claims", "truncation"), "x", r"stages\[0\]\.claims"),
+    "claims": (("stages", 0, "claims", "truncation"), "x", r"stages\[0\]\.claims\.truncation"),
+    "income": (
+        ("stages", 0, "income"),
+        {"family": "uniform", "params": [0.2, 0.4], "atoms": 3, "truncation": "x"},
+        r"stages\[0\]\.income\.truncation",
+    ),
     "risk": (("stages", 0, "risk", "alpha"), "high", r"stages\[0\]\.risk\.alpha"),
     "premium": (("stages", 0, "premium", "theta"), "x", r"stages\[0\]\.premium\.theta"),
     "stage": (("stages", 0, "beta"), "x", r"stages\[0\]"),
@@ -381,7 +386,14 @@ BOOLEAN_NUMBERS = {
     ),
     "tol": (("tol",), True, "tol"),
     "simulate.x0": (("simulate", "x0"), True, r"simulate\.x0"),
-    "claims.truncation": (("stages", 0, "claims", "truncation"), True, r"stages\[0\]\.claims"),
+    "claims.truncation": (
+        ("stages", 0, "claims", "truncation"), True, r"stages\[0\]\.claims\.truncation"
+    ),
+    "income.truncation": (
+        ("stages", 0, "income"),
+        {"family": "uniform", "params": [0.2, 0.4], "atoms": 3, "truncation": True},
+        r"stages\[0\]\.income\.truncation",
+    ),
 }
 
 

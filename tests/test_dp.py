@@ -1214,10 +1214,20 @@ class TestEvaluatePolicy:
         assert np.array_equal(claims[0], [cfg.stage(0).dY.values])
 
     def test_policy_table_prices_each_treaty_once(self, monkeypatch):
-        cfg = ModelConfig(
-            2, (es_stage(m=151),), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss")
-        )
-        _, policy = solve_finite(cfg)
+        # one table per stage data: a stage data that every stage shares
+        # holds each distinct treaty of every row once, a stage data per
+        # stage each distinct treaty of its own row
+        s = es_stage(m=151)
+        grid, search = GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss")
+        _, solved = solve_finite(ModelConfig(2, (s,), grid, search))
+        # a treaty of each row's own: the solved rows hold the same ones
+        policy = PolicyTable(solved.grid, tuple(
+            row[:-1] + (make_treaty("stop-loss", {"a": a}),)
+            for row, a in zip(solved.rows, (0.123, 0.456))
+        ))
+        per_row = [{f.params["a"] for f in row} for row in policy.rows]
+        every = set.union(*per_row)
+        assert len(every) > max(map(len, per_row))
         priced = []
 
         def counting(spec, dY, f):
@@ -1225,14 +1235,47 @@ class TestEvaluatePolicy:
             return treaty_premium(spec, dY, f)
 
         monkeypatch.setattr(dp, "treaty_premium", counting)
-        premiums, index, claims = dp._policy_table(policy, cfg)
-        assert len(priced) == len({f.params["a"] for row in policy.rows for f in row})
-        s = cfg.stage(0)
+        for stages in ((s,), (s, s)):
+            priced.clear()
+            cfg = ModelConfig(2, stages, grid, search)
+            premiums, index, claims = dp._policy_table(policy, cfg)
+            if len(stages) == 1:
+                assert claims[0] is claims[1]
+                assert len(priced) == len(claims[0]) == len(every)
+            else:
+                assert [len(c) for c in claims] == [len(a) for a in per_row]
+                assert len(priced) == sum(map(len, per_row))
+            for n, row in enumerate(policy.rows):
+                for j, f in enumerate(row):
+                    assert premiums[n, j] == treaty_premium(s.premium, s.dY, f)
+                    assert np.array_equal(claims[n][index[n][j]], f.retained(s.dY.values))
+
+    def test_policy_table_shared_stage_holds_one_table(self):
+        # three stages share one stage data over 2001 atoms: one table of the
+        # distinct treaties, written in place; a table per stage, or a row
+        # per treaty kept besides the table, would double the traced peak
+        dY = uniform01(2001)
+        s = StageData(
+            dY, point(0.3), RiskSpec("value-at-risk", 0.95),
+            PremiumSpec("expected", theta=0.2), 1.0, True,
+        )
+        cfg = ModelConfig(
+            3, (s,), GridSpec(-0.5, 1.5, 257), SearchSpec("layer", layer_upper=var(dY, 0.95))
+        )
+        _, policy = solve_finite(cfg)
+        tracemalloc.start()
+        try:
+            premiums, index, claims = dp._policy_table(policy, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert claims[0] is claims[1] is claims[2]
+        distinct = len({f.params["a"] for row in policy.rows for f in row})
+        assert claims[0].shape == (distinct, 2001)
+        assert peak <= 1.25 * distinct * 2001 * 8 + 256 * 1024
         for n, row in enumerate(policy.rows):
-            assert len(claims[n]) == len({f.params["a"] for f in row})
-            for j, f in enumerate(row):
-                assert premiums[n, j] == treaty_premium(s.premium, s.dY, f)
-                assert np.array_equal(claims[n][index[n][j]], f.retained(s.dY.values))
+            for j in (0, 100, 256):
+                assert np.array_equal(claims[n][index[n, j]], row[j].retained(dY.values))
 
     def test_one_pass_tails_equal_per_start_evaluation(self):
         stages = (

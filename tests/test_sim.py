@@ -192,6 +192,27 @@ class TestGridIndex:
         want = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
         assert np.array_equal(sim._grid_index(grid, x), want)
 
+    @pytest.mark.parametrize("which", ["random", "on-grid", "off-grid", "mid-cell"])
+    def test_each_kind_of_x_matches_searchsorted(self, monkeypatch, which):
+        grid = GridSpec(-0.5, 1.5, 512).points()
+        rng = np.random.default_rng(7)
+        x = {
+            "random": rng.uniform(-0.6, 1.6, 5000),
+            "on-grid": grid,
+            "off-grid": np.concatenate([rng.uniform(-1e3, -0.5, 500), rng.uniform(1.5, 1e3, 500)]),
+            "mid-cell": 0.5 * (grid[1:] + grid[:-1]),
+        }[which]
+        searched = []
+        search = sim._search_bracketed
+        monkeypatch.setattr(
+            sim, "_search_bracketed", lambda *a, **k: searched.append(1) or search(*a, **k)
+        )
+        want = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+        assert np.array_equal(sim._grid_index(grid, x), want)
+        if which in ("off-grid", "mid-cell"):
+            # every guess holds: nothing is searched
+            assert searched == []
+
 
 class TestPolicyLookup:
 
@@ -478,6 +499,36 @@ class TestReplayTable:
             assert bound == pytest.approx(0.15, abs=1e-12)
             held.append(holds)
         assert any(held) and not all(held)
+
+    def test_point_mass_income_is_not_looked_up(self, monkeypatch):
+        # the one atom at every level: the bits of the run that looks it up
+        config = var_layer_config(3)
+        _, policy = solve_finite(config)
+        looked_up = []
+        monkeypatch.setattr(sim, "quantile", lambda d, u: looked_up.append(d) or quantile(d, u))
+        res = simulate_paths(policy, config, 0.3, 25_001, seed=5)
+        assert looked_up == []
+        terminal, counts, _, ruined = reference_simulate(policy, config, 0.3, 25_001, 5)
+        assert np.array_equal(res.period_ruin_counts, counts)
+        assert res.ruin_estimate == ruined / 25_001
+        assert res.terminal_mean == terminal.mean()
+        assert np.array_equal(
+            [q for _, q in res.terminal_quantiles], np.quantile(terminal, sim._QUANTILE_LEVELS)
+        )
+
+    def test_batch_peak_is_its_temporaries_and_one_table(self):
+        # one 10k-path batch over 2001 atoms and three stages that share one
+        # stage data: its per-batch arrays (1.65 MB) and the shared table
+        config = var_layer_config(3, m=2001, grid_count=257)
+        _, policy = solve_finite(config)
+        table = _policy_table(policy, config)[2][0]
+        tracemalloc.start()
+        try:
+            simulate_paths(policy, config, 0.3, 10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.65e6 + table.nbytes
 
     @pytest.mark.parametrize("shared, distinct", [(True, 7), (False, 21)])
     def test_retained_once_per_treaty_and_stage_data(self, monkeypatch, shared, distinct):

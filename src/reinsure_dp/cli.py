@@ -31,7 +31,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .distributions import DiscreteDistribution, FamilySpec, discretize, make_discrete
+from .distributions import (
+    DiscreteDistribution,
+    FamilySpec,
+    _atom_count,
+    _family_params,
+    _truncation_bound,
+    discretize,
+    make_discrete,
+)
 from .dp import (
     GridSpec,
     ModelConfig,
@@ -133,19 +141,16 @@ def _parse_dist(obj, path) -> DiscreteDistribution:
     with _at(path):
         if pairs:
             return make_discrete(obj["pairs"])
+        family = str(_need(obj, "family", path))
+        with _at(f"{path}.params"):
+            params = _family_params(family, _need(obj, "params", path))
         with _at(f"{path}.atoms"):
-            atoms = _integer(obj.get("atoms", 2))
+            atoms = _atom_count(family, obj.get("atoms", 2))
         truncation = obj.get("truncation")
         if truncation is not None:
             with _at(f"{path}.truncation"):
-                truncation = _real(truncation)
-        spec = FamilySpec(
-            str(_need(obj, "family", path)),
-            tuple(_need(obj, "params", path)),
-            truncation=truncation,
-            atoms=atoms,
-        )
-        return discretize(spec)
+                truncation = _truncation_bound(truncation)
+        return discretize(FamilySpec(family, params, truncation=truncation, atoms=atoms))
 
 
 def _parse_kind(obj, path, table, make):

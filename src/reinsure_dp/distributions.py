@@ -108,18 +108,40 @@ class FamilySpec:
     atoms: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", _family_params(self.family, self.params))
         if self.truncation is not None:
             if self.family == "point-mass":
                 raise ValidationError("a point mass takes no truncation bound")
-            t = _real(self.truncation)
-            if t <= 0.0:
-                raise ValidationError("truncation bound must be positive")
-            object.__setattr__(self, "truncation", t)
-        atoms = _integer(self.atoms)
-        if self.family != "point-mass" and atoms < 2:
-            raise ValidationError("atom count must be >= 2 for non-point-mass families")
-        object.__setattr__(self, "atoms", atoms)
+            object.__setattr__(self, "truncation", _truncation_bound(self.truncation))
+        object.__setattr__(self, "atoms", _atom_count(self.family, self.atoms))
+
+
+# The rules for a family's parameters, truncation bound and atom count, shared
+# by FamilySpec and the config parser, which reports each at its own field.
+# An empirical sample takes any number of parameters.
+_PARAM_COUNTS = {"uniform": 2, "exponential": 1, "lognormal": 2, "point-mass": 1}
+
+
+def _family_params(family: str, params) -> tuple[float, ...]:
+    params = tuple(_real(p) for p in params)
+    n = _PARAM_COUNTS.get(family)
+    if n is not None and len(params) != n:
+        raise ValidationError(f"{family} takes {n} parameter{'s' * (n > 1)}, got {len(params)}")
+    return params
+
+
+def _truncation_bound(value) -> float:
+    t = _real(value)
+    if t <= 0.0:
+        raise ValidationError("truncation bound must be positive")
+    return t
+
+
+def _atom_count(family: str, value) -> int:
+    atoms = _integer(value)
+    if family != "point-mass" and atoms < 2:
+        raise ValidationError("atom count must be >= 2 for non-point-mass families")
+    return atoms
 
 
 def _canonical(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:

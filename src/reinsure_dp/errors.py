@@ -45,7 +45,8 @@ class InvalidDistortion(ValidationError):
 
 
 class InvalidSpectrum(ValidationError):
-    """Spectrum handle fails nonnegativity, monotonicity, or unit mass."""
+    """Spectrum has no callable antiderivative, or fails nonnegativity,
+    monotonicity, or unit mass."""
 
 
 class NegativeSupport(ValidationError):

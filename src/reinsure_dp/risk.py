@@ -1,10 +1,11 @@
 """Monetary risk measures on finite-support distributions.
 
 Supported kinds: expectation, value-at-risk, expected-shortfall, distortion
-(given a distortion function g), spectral (given a spectrum density), and
-entropic. All except the entropic one are "weight representable": on a sorted
-support they reduce to a fixed probability-weight vector dotted with the atom
-values, where the weights come from increments of the dual distortion
+(given a distortion function g), spectral (given a spectrum density and its
+antiderivative Phi; the distortion kind with g(u) = 1 - Phi(1 - u), Dhaene et
+al. 2006), and entropic. All except the entropic one are "weight representable": on a
+sorted support they reduce to a fixed probability-weight vector dotted with
+the atom values, where the weights come from increments of the dual distortion
 ``g_dual(u) = 1 - g(1 - u)`` across the cumulative-probability cells. That
 shared construction (:func:`atom_weights`) is exact on finite support and is
 reused by the dynamic-programming layer.
@@ -24,8 +25,6 @@ from .distributions import DiscreteDistribution, _apply_map, quantile
 from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError, _real
 
 _PROBE = np.linspace(0.0, 1.0, 1001)
-_QUAD_NODES = 64  # Gauss-Legendre nodes per cell for spectra without antiderivative
-_QUAD_POINTS = 1 << 20  # nodes per density call in one quadrature block
 _KINDS = (
     "expectation",
     "value-at-risk",
@@ -48,40 +47,30 @@ def _check_distortion(g: Callable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Spectral density on [0, 1].
+    """Spectral density on [0, 1] with its antiderivative.
 
     Attributes:
         density: the spectrum phi, increasing, nonnegative, unit mass.
-        antiderivative: optional exact antiderivative with Phi(0)=0; supply it
-            for discontinuous densities, since the quadrature fallback cannot
-            certify unit mass across a jump to the required 1e-6.
+        antiderivative: Phi, an antiderivative of phi; the atom weights are
+            its increments across the cumulative-probability cells, so they
+            are exact even where phi jumps.
         name: optional label for serialization.
     """
 
     density: Callable
-    antiderivative: Callable | None = None
+    antiderivative: Callable
     name: str = ""
 
 
-def _spectrum_mass(s: Spectrum) -> float:
-    if s.antiderivative is not None:
-        return float(s.antiderivative(1.0) - s.antiderivative(0.0))
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    panels = np.linspace(0.0, 1.0, 257)
-    lo, hi = panels[:-1], panels[1:]
-    half = 0.5 * (hi - lo)
-    pts = lo[:, None] + half[:, None] * (nodes[None, :] + 1.0)
-    vals = _apply_map(s.density, pts)
-    return float(np.sum(half[:, None] * weights[None, :] * vals))
-
-
 def _check_spectrum(s: Spectrum) -> None:
+    if not callable(s.antiderivative):
+        raise InvalidSpectrum(f"spectrum antiderivative {s.antiderivative!r} is not callable")
     vals = _apply_map(s.density, _PROBE)
     if np.any(vals < -1e-12):
         raise InvalidSpectrum("spectrum density must be nonnegative")
     if np.any(np.diff(vals) < -1e-9):
         raise InvalidSpectrum("spectrum density must be increasing")
-    mass = _spectrum_mass(s)
+    mass = float(s.antiderivative(1.0) - s.antiderivative(0.0))
     if abs(mass - 1.0) > 1e-6:
         raise InvalidSpectrum(f"spectrum mass is {mass!r}, not 1 within 1e-6")
 
@@ -140,24 +129,26 @@ def distortion_preset(name: str) -> Distortion:
     """Named presets: "identity", "ph:<gamma>", "es:<alpha>", "var:<alpha>"."""
     if name == "identity":
         return Distortion(lambda u: np.asarray(u, dtype=np.float64), name)
-    if name.startswith("ph:"):
-        gamma = float(name[3:])
-        if not (0.0 < gamma <= 1.0):
+    kind, _, level = name.partition(":")
+    try:
+        level = float(level)
+    except ValueError:
+        kind = ""  # a malformed level names no preset
+    if kind == "ph":
+        if not (0.0 < level <= 1.0):
             raise ValidationError("ph exponent must lie in (0, 1]")
-        return Distortion(lambda u: np.asarray(u, dtype=np.float64) ** gamma, name)
-    if name.startswith("es:"):
-        alpha = float(name[3:])
-        if not (0.0 <= alpha < 1.0):
+        return Distortion(lambda u: np.asarray(u, dtype=np.float64) ** level, name)
+    if kind == "es":
+        if not (0.0 <= level < 1.0):
             raise ValidationError("es level must lie in [0, 1)")
         return Distortion(
-            lambda u: np.minimum(np.asarray(u, dtype=np.float64) / (1.0 - alpha), 1.0), name
+            lambda u: np.minimum(np.asarray(u, dtype=np.float64) / (1.0 - level), 1.0), name
         )
-    if name.startswith("var:"):
-        alpha = float(name[4:])
-        if not (0.0 < alpha < 1.0):
+    if kind == "var":
+        if not (0.0 < level < 1.0):
             raise ValidationError("var level must lie in (0, 1)")
         return Distortion(
-            lambda u: (np.asarray(u, dtype=np.float64) > 1.0 - alpha).astype(np.float64), name
+            lambda u: (np.asarray(u, dtype=np.float64) > 1.0 - level).astype(np.float64), name
         )
     raise ValidationError(f"unknown distortion preset {name!r}")
 
@@ -202,26 +193,6 @@ def _cell_bounds(probs: np.ndarray) -> np.ndarray:
     return np.clip(F, 0.0, 1.0)
 
 
-def _quadrature_weights(density: Callable, F: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integral of the density over each cell of F.
-
-    Leading rows go through in blocks of at most _QUAD_POINTS nodes, so the
-    node array stays bounded however many rows a batch carries.
-    """
-    nodes, wts = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    k = F.shape[-1] - 1
-    lo = F[..., :-1].reshape(-1, k)
-    half = 0.5 * (F[..., 1:].reshape(-1, k) - lo)
-    out = np.empty(half.shape)
-    step = max(1, _QUAD_POINTS // (k * _QUAD_NODES))
-    for r in range(0, half.shape[0], step):
-        lo_b, half_b = lo[r : r + step, :, None], half[r : r + step, :, None]
-        pts = lo_b + half_b * (nodes + 1.0)
-        vals = _apply_map(density, pts)
-        out[r : r + step] = np.sum(half_b * wts * vals, axis=-1)
-    return out.reshape(F.shape[:-1] + (k,))
-
-
 def atom_weights(spec: RiskSpec, probs: np.ndarray) -> np.ndarray | None:
     """Probability weights w such that rho(X) = sum_i w_i v_(i) on the sorted
     support with cell probabilities ``probs``.
@@ -252,11 +223,7 @@ def atom_weights(spec: RiskSpec, probs: np.ndarray) -> np.ndarray | None:
         dual = 1.0 - _apply_map(spec.distortion, 1.0 - F)
         return np.diff(dual)
     if kind == "spectral":
-        s = spec.spectrum
-        if s.antiderivative is not None:
-            anti = _apply_map(s.antiderivative, F)
-            return np.diff(anti)
-        return _quadrature_weights(s.density, F)
+        return np.diff(_apply_map(spec.spectrum.antiderivative, F))
     raise ValidationError(f"unknown risk kind {kind!r}")
 
 
@@ -286,17 +253,12 @@ def es(d: DiscreteDistribution, alpha: float) -> float:
 
 def distortion_rm(d: DiscreteDistribution, g: Callable) -> float:
     """Distortion risk measure via the dual distortion on the quantile cells."""
-    _check_distortion(g)
-    F = _cell_bounds(d.probs)
-    dual = 1.0 - _apply_map(g, 1.0 - F)
-    return float(np.dot(np.diff(dual), d.values))
+    return evaluate(RiskSpec("distortion", distortion=g), d)
 
 
 def spectral_rm(d: DiscreteDistribution, s: Spectrum) -> float:
     """Spectral risk measure: integral of the quantile against the density."""
-    _check_spectrum(s)
-    spec = RiskSpec("spectral", spectrum=s)
-    return float(np.dot(atom_weights(spec, d.probs), d.values))
+    return evaluate(RiskSpec("spectral", spectrum=s), d)
 
 
 def _logsumexp(a, b):
@@ -331,9 +293,7 @@ def evaluate(spec: RiskSpec, d: DiscreteDistribution) -> float:
         return var(d, spec.alpha)
     if kind == "expected-shortfall":
         return es(d, spec.alpha)
-    if kind == "distortion":
-        return float(np.dot(atom_weights(spec, d.probs), d.values))
-    if kind == "spectral":
+    if kind in ("distortion", "spectral"):
         return float(np.dot(atom_weights(spec, d.probs), d.values))
     if kind == "entropic":
         return entropic(d, spec.gamma)

@@ -260,7 +260,8 @@ def _set(doc, path, value):
     doc[last] = value
 
 
-# a non-numeric value in each config section, and the field path it is reported at
+# a non-numeric or out-of-range value in each config section, and the field
+# path it is reported at
 BAD_VALUES = {
     "horizon": (("horizon",), "x", "horizon"),
     "tol": (("tol",), "x", "tol"),
@@ -280,6 +281,26 @@ BAD_VALUES = {
     "premium-nan": (("stages", 0, "premium", "theta"), math.nan, r"stages\[0\]\.premium\.theta"),
     "stage-nan": (("stages", 0, "beta"), math.nan, r"stages\[0\]"),
     "simulate.paths": (("simulate", "paths"), "x", r"simulate\.paths"),
+    "claims.truncation-range": (
+        ("stages", 0, "claims"),
+        {"family": "exponential", "params": [2.0], "atoms": 11, "truncation": -1},
+        r"stages\[0\]\.claims\.truncation",
+    ),
+    "claims.atoms-range": (("stages", 0, "claims", "atoms"), 0, r"stages\[0\]\.claims\.atoms"),
+    "income.atoms-range": (
+        ("stages", 0, "income"),
+        {"family": "uniform", "params": [0.2, 0.4], "atoms": 0},
+        r"stages\[0\]\.income\.atoms",
+    ),
+    # a parameter count the family does not take
+    "claims.params": (
+        ("stages", 0, "claims", "params"), [0.0, 1.0, 2.0], r"stages\[0\]\.claims\.params"
+    ),
+    "income.params": (
+        ("stages", 0, "income"),
+        {"family": "lognormal", "params": [0.0], "atoms": 3, "truncation": 2.0},
+        r"stages\[0\]\.income\.params",
+    ),
 }
 
 
@@ -292,6 +313,15 @@ def test_non_numeric_value_exits_1_at_its_field(tmp_path, capsys, section):
     assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
     assert not (tmp_path / "o" / "manifest.json").exists()
     assert re.search(f"error: field {field}: ", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("preset", ["ph:abc", "es:", "var:x"])
+def test_malformed_preset_level_exits_1_as_an_unknown_preset(tmp_path, capsys, preset):
+    doc = finite_doc(m=11, horizon=1, count=17)
+    doc["stages"][0]["risk"] = {"kind": "distortion", "preset": preset}
+    assert run("solve-finite", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert f"error: field stages[0].risk.preset: unknown distortion preset {preset!r}" in err
 
 
 # a number or boolean each integer field would otherwise truncate or coerce
@@ -393,6 +423,9 @@ BOOLEAN_NUMBERS = {
         ("stages", 0, "income"),
         {"family": "uniform", "params": [0.2, 0.4], "atoms": 3, "truncation": True},
         r"stages\[0\]\.income\.truncation",
+    ),
+    "claims.params": (
+        ("stages", 0, "claims", "params"), [False, True], r"stages\[0\]\.claims\.params"
     ),
 }
 

@@ -137,6 +137,19 @@ class TestDiscretize:
         with pytest.raises(ValidationError):
             discretize(FamilySpec("uniform", (0.0, 1.0), atoms=1))
 
+    @pytest.mark.parametrize(
+        "family, params, count",
+        [
+            ("uniform", (0.0, 1.0, 2.0), "2 parameters"),
+            ("lognormal", (0.0,), "2 parameters"),
+            ("exponential", (), "1 parameter,"),
+            ("point-mass", (0.1, 0.2), "1 parameter,"),
+        ],
+    )
+    def test_wrong_parameter_count_names_the_familys(self, family, params, count):
+        with pytest.raises(ValidationError, match=f"{family} takes {count}"):
+            FamilySpec(family, params)
+
     def test_uniform_mean_exact(self):
         for m in (2, 17, 2001):
             d = uniform_grid(m)

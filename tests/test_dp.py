@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reinsure_dp import dp, risk as risk_mod, treaties
+from reinsure_dp import dp, treaties
 from reinsure_dp.distributions import (
     FamilySpec,
     discretize,
@@ -477,8 +477,10 @@ RISKS = {
     "es": RiskSpec("expected-shortfall", alpha=0.85),
     "ph": RiskSpec("distortion", distortion=distortion_preset("ph:0.7")),
     "spectral-anti": RiskSpec("spectral", spectrum=es_spectrum(0.8)),
-    # linear density 2u, integrated by quadrature
-    "spectral-quad": RiskSpec("spectral", spectrum=Spectrum(lambda u: 2.0 * np.asarray(u))),
+    # full-support linear density 2u with its quadratic antiderivative u**2
+    "spectral-quad": RiskSpec(
+        "spectral", spectrum=Spectrum(lambda u: 2.0 * np.asarray(u), lambda u: np.asarray(u) ** 2)
+    ),
     "entropic": RiskSpec("entropic", gamma=1.5),
 }
 INCOMES = {
@@ -827,14 +829,6 @@ class TestBatchedAtomWeights:
         for r in range(2):
             assert np.array_equal(got[r], atom_weights(spec, probs[r]))
 
-    def test_quadrature_blocks_bitwise(self, monkeypatch):
-        spec = RISKS["spectral-quad"]
-        probs = np.random.default_rng(SEED).dirichlet(np.ones(11), size=(5, 3))
-        whole = atom_weights(spec, probs)
-        # two rows of 11 cells x 64 nodes per block
-        monkeypatch.setattr(risk_mod, "_QUAD_POINTS", 2 * 11 * 64)
-        assert np.array_equal(atom_weights(spec, probs), whole)
-
 
 class TestBellmanStep:
     def test_unconstrained_terminal_is_affine(self):
@@ -1133,6 +1127,23 @@ class TestSolveFinite:
             assert np.array_equal(x.values, y.values)
         for ra, rb in zip(pa.rows, pb.rows):
             assert [f.params for f in ra] == [f.params for f in rb]
+
+    @pytest.mark.parametrize(
+        "spectrum", [RISKS["spectral-quad"].spectrum, es_spectrum(0.9)], ids=["linear", "es-0.9"]
+    )
+    def test_spectral_solve_is_its_distortion_solve(self, spectrum):
+        # g(u) = 1 - Phi(1 - u) (Dhaene et al., Stochastic Models 22(4), 2006)
+        phi = spectrum.antiderivative
+        risks = (
+            RiskSpec("spectral", spectrum=spectrum),
+            RiskSpec("distortion", distortion=lambda u: 1.0 - phi(1.0 - np.asarray(u))),
+        )
+        stage0 = []
+        for risk in risks:
+            s = StageData(uniform01(101), point(0.3), risk, PremiumSpec("expected", theta=0.2), 0.9)
+            cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
+            stage0.append(solve_finite(cfg)[0][0].values)
+        np.testing.assert_allclose(stage0[0], stage0[1], rtol=0, atol=1e-9)
 
 
 class TestEvaluatePolicy:

@@ -17,6 +17,7 @@ from reinsure_dp.errors import InvalidDistortion, InvalidSpectrum, OutOfRange, V
 from reinsure_dp.risk import (
     RiskSpec,
     Spectrum,
+    _cell_bounds,
     _logsumexp,
     atom_weights,
     distortion_preset,
@@ -33,6 +34,13 @@ from reinsure_dp.risk import (
 
 TOL_EXACT = 1e-9
 SEED = 31415
+
+
+# a full-support spectrum and one that jumps, each with its antiderivative
+SPECTRA = {
+    "linear": Spectrum(lambda u: 2.0 * np.asarray(u), lambda u: np.asarray(u) ** 2),
+    "es-0.9": es_spectrum(0.9),
+}
 
 
 def uniform_grid(m=2001):
@@ -172,6 +180,11 @@ class TestDistortion:
         with pytest.raises(InvalidDistortion):
             distortion_rm(d, lambda u: 1.0 - u)  # decreasing
 
+    @pytest.mark.parametrize("name", ["ph:abc", "es:", "var:x", "ph", "es:0.5:0.6"])
+    def test_malformed_preset_level_is_unknown(self, name):
+        with pytest.raises(ValidationError, match="unknown distortion preset"):
+            distortion_preset(name)
+
 
 class TestSpectral:
     def test_flat_spectrum_gives_mean(self):
@@ -191,15 +204,41 @@ class TestSpectral:
         s = Spectrum(lambda u: 2.0 * u, antiderivative=lambda u: u**2)
         assert spectral_rm(d, s) == pytest.approx(0.75, abs=1e-12)
 
-    def test_quadrature_path_matches_antiderivative(self):
-        rng = np.random.default_rng(SEED + 6)
-        with_ad = Spectrum(lambda u: 2.0 * u, antiderivative=lambda u: u**2)
-        without = Spectrum(lambda u: 2.0 * u)
-        for _ in range(10):
+    def test_antiderivative_is_required(self):
+        with pytest.raises(TypeError):
+            Spectrum(lambda u: 2.0 * u)
+        d = make_discrete([(0.0, 1.0)])
+        for antiderivative in (None, 2.0):
+            s = Spectrum(lambda u: 2.0 * u, antiderivative)
+            with pytest.raises(InvalidSpectrum, match="antiderivative"):
+                RiskSpec("spectral", spectrum=s)
+            with pytest.raises(InvalidSpectrum, match="antiderivative"):
+                spectral_rm(d, s)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_spectral_is_the_distortion_of_its_antiderivative(self, name):
+        # g(u) = 1 - Phi(1 - u) (Dhaene et al., Stochastic Models 22(4), 2006)
+        phi = SPECTRA[name].antiderivative
+        spectral = RiskSpec("spectral", spectrum=SPECTRA[name])
+        distortion = RiskSpec("distortion", distortion=lambda u: 1.0 - phi(1.0 - np.asarray(u)))
+        rng = np.random.default_rng(SEED + 10)
+        for _ in range(40):
             d = random_dist(rng)
-            assert spectral_rm(d, without) == pytest.approx(
-                spectral_rm(d, with_ad), abs=1e-10
-            )
+            assert evaluate(spectral, d) == pytest.approx(evaluate(distortion, d), abs=1e-12)
+
+    def test_weights_are_the_cell_increments_bitwise(self):
+        # the exact cell formulas: increments of the dual distortion 1 - g(1 - F)
+        # and of the antiderivative Phi(F) across the cumulative cells F
+        rng = np.random.default_rng(SEED + 11)
+        g = distortion_preset("ph:0.5")
+        for _ in range(20):
+            d = random_dist(rng)
+            F = _cell_bounds(d.probs)
+            assert distortion_rm(d, g) == float(np.dot(np.diff(1.0 - g(1.0 - F)), d.values))
+            for s in SPECTRA.values():
+                w = np.diff(s.antiderivative(F))
+                assert np.array_equal(atom_weights(RiskSpec("spectral", spectrum=s), d.probs), w)
+                assert spectral_rm(d, s) == float(np.dot(w, d.values))
 
     def test_invalid_spectra(self):
         d = make_discrete([(0.0, 1.0)])

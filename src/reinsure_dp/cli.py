@@ -31,15 +31,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .distributions import (
-    DiscreteDistribution,
-    FamilySpec,
-    _atom_count,
-    _family_params,
-    _truncation_bound,
-    discretize,
-    make_discrete,
-)
+from .distributions import DiscreteDistribution, FamilySpec, discretize, make_discrete
 from .dp import (
     GridSpec,
     ModelConfig,
@@ -53,7 +45,7 @@ from .dp import (
 from .errors import NumericError, ParseError, ValidationError, _integer, _real
 from .oracles import oracle_es_uniform, oracle_var_layer
 from .premiums import PremiumSpec
-from .risk import RiskSpec, distortion_preset, is_coherent
+from .risk import RiskSpec, distortion_preset
 from .sim import simulate_paths
 from .treaties import FAMILIES, make_treaty
 
@@ -97,13 +89,14 @@ def _need(doc, key, prefix=""):
 
 @contextmanager
 def _at(path: str):
-    """Report a bad config value at its field path; an inner path wins."""
+    """Report a bad value read from the config section at path at its own
+    field: path, then the field the error names, if any. Sections do not
+    nest, so a path is prefixed once."""
     try:
         yield
     except ValidationError as exc:
-        if str(exc).startswith("field "):
-            raise
-        raise type(exc)(f"field {path}: {exc}") from exc
+        field = _field(path, exc.field) if exc.field else path
+        raise type(exc)(f"field {field}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {path}: {exc}") from exc
 
@@ -126,7 +119,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to read
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -138,19 +131,15 @@ def _parse_dist(obj, path) -> DiscreteDistribution:
     if not pairs and isinstance(obj, dict) and obj.get("family") == "point-mass":
         keys = keys[:2]
     _only(obj, path, keys)
-    with _at(path):
-        if pairs:
+    if pairs:
+        with _at(path):
             return make_discrete(obj["pairs"])
-        family = str(_need(obj, "family", path))
-        with _at(f"{path}.params"):
-            params = _family_params(family, _need(obj, "params", path))
-        with _at(f"{path}.atoms"):
-            atoms = _atom_count(family, obj.get("atoms", 2))
-        truncation = obj.get("truncation")
-        if truncation is not None:
-            with _at(f"{path}.truncation"):
-                truncation = _truncation_bound(truncation)
-        return discretize(FamilySpec(family, params, truncation=truncation, atoms=atoms))
+    family = str(_need(obj, "family", path))
+    params = _need(obj, "params", path)
+    with _at(path):
+        return discretize(
+            FamilySpec(family, params, truncation=obj.get("truncation"), atoms=obj.get("atoms", 2))
+        )
 
 
 def _parse_kind(obj, path, table, make):
@@ -164,14 +153,10 @@ def _parse_kind(obj, path, table, make):
     unread = sorted(set(obj) - {"kind", *fields})
     if unread:
         raise ValidationError(f"field {path}: {kind} reads no {', '.join(unread)}")
-    kwargs = {}
-    for key in fields:
-        if obj.get(key) is not None:
-            with _at(f"{path}.{key}"):
-                if key == "preset":
-                    kwargs["distortion"] = distortion_preset(str(obj[key]))
-                else:
-                    kwargs[key] = _real(obj[key])
+    kwargs = {key: obj[key] for key in fields if obj.get(key) is not None}
+    if "preset" in kwargs:
+        with _at(f"{path}.preset"):
+            kwargs["distortion"] = distortion_preset(str(kwargs.pop("preset")))
     with _at(path):
         return make(kind, **kwargs)
 
@@ -199,37 +184,26 @@ def _parse_stage(obj, idx) -> StageData:
     prem = _parse_kind(
         _need(obj, "premium", path), f"{path}.premium", _PREMIUM_FIELDS, PremiumSpec
     )
+    beta = _need(obj, "beta", path)
     constrained = obj.get("budget_constrained", True)
     if not isinstance(constrained, bool):
         raise ValidationError(
             f"field {path}.budget_constrained: expected true or false, got {constrained!r}"
         )
     with _at(path):
-        return StageData(
-            dY=dY,
-            dZ=dZ,
-            risk=risk,
-            premium=prem,
-            beta=_need(obj, "beta", path),
-            budget_constrained=constrained,
-        )
+        return StageData(dY, dZ, risk, prem, beta, constrained)
 
 
 def _parse_grid(obj) -> GridSpec:
     _only(obj, "grid", ("lo", "hi", "count"))
-    with _at("grid.count"):
-        count = _integer(_need(obj, "count", "grid"))
+    bounds = [_need(obj, key, "grid") for key in ("lo", "hi", "count")]
     with _at("grid"):
-        return GridSpec(_need(obj, "lo", "grid"), _need(obj, "hi", "grid"), count)
+        return GridSpec(*bounds)
 
 
 def _parse_search(obj) -> SearchSpec:
     family = str(_need(obj, "family", "search"))
     settings = {k: v for k, v in obj.items() if k != "family" and v is not None}
-    for key, read in (("resolution", _integer), ("sweeps", _integer), ("layer_upper", _real)):
-        if key in settings:
-            with _at(f"search.{key}"):
-                settings[key] = read(settings[key])
     with _at("search"):
         return SearchSpec(family, **settings)
 
@@ -241,26 +215,16 @@ def _config_from_doc(doc, keys) -> ModelConfig:
     _only(doc, "", ("horizon", "grid", "search", "stages", "tol", *keys, *_DOC_KEYS))
     if "horizon" not in doc:
         raise ParseError("field horizon: required (integer, or null for infinite)")
-    horizon = doc["horizon"]
-    if horizon is not None:
-        with _at("horizon"):
-            horizon = _integer(horizon)
     grid = _parse_grid(_need(doc, "grid"))
     search = _parse_search(_need(doc, "search"))
     stages_doc = _need(doc, "stages")
     if not isinstance(stages_doc, list) or not stages_doc:
         raise ParseError("field stages: expected a nonempty array")
     stages = tuple(_parse_stage(s, i) for i, s in enumerate(stages_doc))
-    with _at("tol"):
-        tol = _real(doc.get("tol", 1e-4))
-        if horizon is not None and doc.get("tol") is not None:
-            raise ValidationError('read only with "horizon": null')
-    config = ModelConfig(horizon, stages, grid, search, tol)
-    if config.is_infinite and not is_coherent(stages[0].risk):
-        raise ValidationError(
-            "field stages[0].risk: infinite horizon: coherence required, but"
-            f" {stages[0].risk.kind!r} is not coherent"
-        )
+    with _at(""):
+        config = ModelConfig(doc["horizon"], stages, grid, search, doc.get("tol", 1e-4))
+    if not config.is_infinite and doc.get("tol") is not None:
+        raise ValidationError('field tol: read only with "horizon": null')
     return config
 
 
@@ -488,13 +452,12 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
 def _run_simulate(doc, config, out_dir, seed, policy):
     block = _need(doc, "simulate")
     _only(block, "simulate", ("x0", "paths"))
-    with _at("simulate.x0"):
-        x0 = _real(_need(block, "x0", "simulate"))
-    with _at("simulate.paths"):
-        n_paths = _integer(_need(block, "paths", "simulate"))
-        # refused before the solve, which would write values.csv and policy.csv
+    x0, n_paths = _need(block, "x0", "simulate"), _need(block, "paths", "simulate")
+    # refused before the solve, which would write values.csv and policy.csv
+    with _at("simulate"):
+        x0, n_paths = _real(x0, "x0"), _integer(n_paths, "paths")
         if n_paths < 1:
-            raise ValidationError("path count must be at least 1")
+            raise ValidationError("path count must be at least 1", "paths")
     if policy is None:
         values, table, outputs, stats = _solve_and_write(config, out_dir)
     else:
@@ -574,8 +537,8 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
                 f"field horizon: {subcommand} reads {want}, got {json.dumps(config.horizon)}"
             )
         if tol is not None:
-            with _at("tol"):
-                config = replace(config, tol=_real(tol))
+            with _at(""):
+                config = replace(config, tol=tol)
         os.makedirs(out_dir, exist_ok=True)
         outputs, stats, certs = sub.body(doc, config, out_dir, seed, policy)
         manifest = {

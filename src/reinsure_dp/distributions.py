@@ -86,6 +86,10 @@ class DiscreteDistribution:
         return int(self.values.size)
 
 
+# parameters each family takes; an empirical sample takes any number
+_PARAM_COUNTS = {"uniform": 2, "exponential": 1, "lognormal": 2, "point-mass": 1}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Recipe for discretizing a named family.
@@ -108,40 +112,27 @@ class FamilySpec:
     atoms: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "params", _family_params(self.family, self.params))
+        try:
+            params = tuple(_real(p, "params") for p in self.params)
+        except TypeError:  # params is not iterable
+            raise ValidationError(f"expected a list, got {self.params!r}", "params") from None
+        n = _PARAM_COUNTS.get(self.family)
+        if n is not None and len(params) != n:
+            raise ValidationError(
+                f"{self.family} takes {n} parameter{'s' * (n > 1)}, got {len(params)}", "params"
+            )
+        object.__setattr__(self, "params", params)
         if self.truncation is not None:
             if self.family == "point-mass":
-                raise ValidationError("a point mass takes no truncation bound")
-            object.__setattr__(self, "truncation", _truncation_bound(self.truncation))
-        object.__setattr__(self, "atoms", _atom_count(self.family, self.atoms))
-
-
-# The rules for a family's parameters, truncation bound and atom count, shared
-# by FamilySpec and the config parser, which reports each at its own field.
-# An empirical sample takes any number of parameters.
-_PARAM_COUNTS = {"uniform": 2, "exponential": 1, "lognormal": 2, "point-mass": 1}
-
-
-def _family_params(family: str, params) -> tuple[float, ...]:
-    params = tuple(_real(p) for p in params)
-    n = _PARAM_COUNTS.get(family)
-    if n is not None and len(params) != n:
-        raise ValidationError(f"{family} takes {n} parameter{'s' * (n > 1)}, got {len(params)}")
-    return params
-
-
-def _truncation_bound(value) -> float:
-    t = _real(value)
-    if t <= 0.0:
-        raise ValidationError("truncation bound must be positive")
-    return t
-
-
-def _atom_count(family: str, value) -> int:
-    atoms = _integer(value)
-    if family != "point-mass" and atoms < 2:
-        raise ValidationError("atom count must be >= 2 for non-point-mass families")
-    return atoms
+                raise ValidationError("a point mass takes no truncation bound", "truncation")
+            t = _real(self.truncation, "truncation")
+            if t <= 0.0:
+                raise ValidationError("truncation bound must be positive", "truncation")
+            object.__setattr__(self, "truncation", t)
+        atoms = _integer(self.atoms, "atoms")
+        if self.family != "point-mass" and atoms < 2:
+            raise ValidationError("atom count must be >= 2 for non-point-mass families", "atoms")
+        object.__setattr__(self, "atoms", atoms)
 
 
 def _canonical(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
@@ -206,21 +197,21 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     if fam == "uniform":
         a, b = spec.params
         if b <= a:
-            raise ValidationError("uniform family needs a < b")
+            raise ValidationError("uniform family needs a < b", "params")
         values = a + (b - a) * u
     elif fam == "exponential":
         (rate,) = spec.params
         if rate <= 0.0:
-            raise ValidationError("exponential rate must be positive")
+            raise ValidationError("exponential rate must be positive", "params")
         if spec.truncation is None:
-            raise ValidationError("exponential family requires a truncation bound")
+            raise ValidationError("exponential family requires a truncation bound", "truncation")
         values = -np.log1p(-u) / rate
     elif fam == "lognormal":
         mu, sigma = spec.params
         if sigma <= 0.0:
-            raise ValidationError("lognormal sigma must be positive")
+            raise ValidationError("lognormal sigma must be positive", "params")
         if spec.truncation is None:
-            raise ValidationError("lognormal family requires a truncation bound")
+            raise ValidationError("lognormal family requires a truncation bound", "truncation")
         # the standard normal quantile by Wichura's AS 241 (Applied
         # Statistics 37(3), 1988), to about 1e-16 relative
         inv_cdf = NormalDist().inv_cdf
@@ -229,12 +220,12 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     elif fam == "empirical":
         data = np.sort(np.asarray(spec.params, dtype=np.float64))
         if data.size == 0:
-            raise ValidationError("empirical family needs at least one sample value")
+            raise ValidationError("empirical family needs at least one sample value", "params")
         n = data.size
         idx = np.minimum(np.ceil(u * n).astype(int) - 1, n - 1)
         values = data[np.maximum(idx, 0)]
     else:
-        raise UnsupportedFamily(f"unknown family {fam!r}")
+        raise UnsupportedFamily(f"unknown family {fam!r}", "family")
 
     if spec.truncation is not None:
         values = np.minimum(values, spec.truncation)

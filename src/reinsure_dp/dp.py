@@ -123,9 +123,9 @@ class StageData:
     budget_constrained: bool = True
 
     def __post_init__(self):
-        beta = _real(self.beta)
+        beta = _real(self.beta, "beta")
         if not (0.0 < beta <= 1.0):
-            raise ValidationError("discount factor must lie in (0, 1]")
+            raise ValidationError("discount factor must lie in (0, 1]", "beta")
         object.__setattr__(self, "beta", beta)
 
 
@@ -136,11 +136,11 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
-        lo, hi, count = _real(self.lo), _real(self.hi), _integer(self.count)
+        lo, hi, count = _real(self.lo, "lo"), _real(self.hi, "hi"), _integer(self.count, "count")
         if not lo < hi:
-            raise ValidationError("grid bounds must be finite with lo < hi")
+            raise ValidationError("grid bounds must be finite with lo < hi", "hi")
         if count < 16:
-            raise ValidationError("grid needs at least 16 points")
+            raise ValidationError("grid needs at least 16 points", "count")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "count", count)
@@ -174,29 +174,29 @@ class SearchSpec:
     def __post_init__(self):
         reads = FAMILIES[self.family].search if self.family in FAMILIES else None
         if reads is None:
-            raise UnsupportedFamily(f"cannot search over family {self.family!r}")
+            raise UnsupportedFamily(f"cannot search over family {self.family!r}", "family")
         unread = [k for k in ("layer_upper", "knots", "sweeps")
                   if k not in reads and getattr(self, k) is not None]
         if unread:
             raise ValidationError(f"{self.family} search reads no {', '.join(unread)}")
-        resolution = _integer(self.resolution)
+        resolution = _integer(self.resolution, "resolution")
         if resolution < 8:
-            raise ValidationError("search resolution must be at least 8")
+            raise ValidationError("search resolution must be at least 8", "resolution")
         object.__setattr__(self, "resolution", resolution)
         if self.family == "layer":
-            upper = None if self.layer_upper is None else _real(self.layer_upper)
+            upper = None if self.layer_upper is None else _real(self.layer_upper, "layer_upper")
             if upper is None or not upper > 0.0:
-                raise ValidationError("layer search needs a positive layer_upper")
+                raise ValidationError("layer search needs a positive layer_upper", "layer_upper")
             object.__setattr__(self, "layer_upper", upper)
         if self.family == "piecewise-linear":
             if not self.knots:
-                raise ValidationError("piecewise-linear search needs knots")
+                raise ValidationError("piecewise-linear search needs knots", "knots")
             ones = np.ones(len(self.knots))
             knots = FAMILIES[self.family].check({"knots": self.knots, "slopes": ones})["knots"]
             object.__setattr__(self, "knots", tuple(knots))
-            sweeps = 3 if self.sweeps is None else _integer(self.sweeps)
+            sweeps = 3 if self.sweeps is None else _integer(self.sweeps, "sweeps")
             if sweeps < 1:
-                raise ValidationError("sweeps must be >= 1")
+                raise ValidationError("sweeps must be >= 1", "sweeps")
             object.__setattr__(self, "sweeps", sweeps)
 
     def config(self) -> dict:
@@ -240,8 +240,8 @@ class ModelConfig:
     """Full solve description: horizon, stages, state grid, search, tolerance.
 
     horizon None means stationary infinite-horizon; stages then holds exactly
-    one StageData. A finite horizon accepts either one shared stage or one
-    StageData per stage.
+    one StageData, with beta < 1 and a coherent risk measure. A finite
+    horizon accepts either one shared stage or one StageData per stage.
     """
 
     horizon: int | None
@@ -254,22 +254,31 @@ class ModelConfig:
         stages = tuple(self.stages)
         object.__setattr__(self, "stages", stages)
         if not stages:
-            raise ValidationError("at least one stage is required")
+            raise ValidationError("at least one stage is required", "stages")
         if self.horizon is None:
             if len(stages) != 1:
-                raise ValidationError("infinite horizon takes a single stationary stage")
+                raise ValidationError("infinite horizon takes a single stationary stage", "stages")
             if stages[0].beta >= 1.0:
-                raise ValidationError("infinite horizon needs strict discounting (beta < 1)")
+                raise ValidationError(
+                    "infinite horizon needs strict discounting (beta < 1)", "stages[0].beta"
+                )
+            if not is_coherent(stages[0].risk):
+                raise ValidationError(
+                    "infinite horizon: coherence required, but risk kind"
+                    f" {stages[0].risk.kind!r} is not coherent", "stages[0].risk"
+                )
         else:
-            n = _integer(self.horizon)
+            n = _integer(self.horizon, "horizon")
             if n < 1:
-                raise ValidationError("horizon must be >= 1")
+                raise ValidationError("horizon must be >= 1", "horizon")
             object.__setattr__(self, "horizon", n)
             if len(stages) not in (1, n):
-                raise ValidationError("provide one shared stage or exactly one per stage")
-        tol = _real(self.tol)
+                raise ValidationError(
+                    "provide one shared stage or exactly one per stage", "stages"
+                )
+        tol = _real(self.tol, "tol")
         if not tol > 0.0:
-            raise ValidationError("tolerance must be positive")
+            raise ValidationError("tolerance must be positive", "tol")
         object.__setattr__(self, "tol", tol)
 
     @property
@@ -680,10 +689,6 @@ def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
     if not config.is_infinite:
         raise ValidationError("solve_infinite needs a stationary (infinite-horizon) config")
     s = config.stage(0)
-    if not is_coherent(s.risk):
-        raise ValidationError(
-            f"infinite horizon: coherence required, but risk kind {s.risk.kind!r} is not coherent"
-        )
     q = 1.0 - (1.0 - s.beta) ** 2
     thresh = config.tol * (1.0 - q) / q
     grid = config.grid.points()

@@ -5,8 +5,8 @@ Two branches matter to callers: :class:`ValidationError` covers bad inputs
 :class:`NumericError` covers failures of the numeric machinery itself
 (resolution too coarse, iteration budgets exhausted) and maps to exit code 2.
 
-The rules for a config integer and a config real live here too, where the
-model types and the config parser can share them.
+The rules for a config integer and a config real live here too, where every
+model type reads them.
 """
 
 import math
@@ -17,7 +17,16 @@ class ReinsureError(Exception):
 
 
 class ValidationError(ReinsureError):
-    """Invalid input: configuration, parameters, or data."""
+    """Invalid input: configuration, parameters, or data.
+
+    field, when set, names the refused value within the object that refused
+    it (``alpha``, ``count``, ``stages[0].beta``); the config parser prefixes
+    the section's path to report it at its config field.
+    """
+
+    def __init__(self, message="", field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ParseError(ValidationError):
@@ -93,18 +102,26 @@ class MaxIterations(NumericError):
     """Fixed-point iteration exhausted its budget before meeting tolerance."""
 
 
-def _integer(value) -> int:
-    """A config integer; a boolean or a number with a fraction is refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"expected an integer, got {value!r}")
+def _integer(value, field=None) -> int:
+    """A config integer; a string, a boolean or a number with a fraction is
+    refused, naming field."""
+    if isinstance(value, bool) or not _real(value, field).is_integer():
+        raise ValidationError(f"expected an integer, got {value!r}", field)
     return int(value)
 
 
-def _real(value) -> float:
-    """A finite config number; a boolean, NaN or an infinity is refused."""
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}")
-    x = float(value)
+def _real(value, field=None) -> float:
+    """A finite config number; a string, a boolean, NaN or an infinity is
+    refused, naming field."""
+    try:
+        # float() would read a boolean as 0 or 1 and parse a string
+        if isinstance(value, (bool, str, bytes)):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected a number, got {value!r}", field) from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
-        raise ValidationError(f"expected a finite number, got {value!r}")
+        raise ValidationError(f"expected a finite number, got {value!r}", field)
     return x

@@ -39,15 +39,15 @@ class PremiumSpec:
 
     def __post_init__(self):
         if self.kind not in ("expected", "ph", "wang"):
-            raise ValidationError(f"unknown premium kind {self.kind!r}")
+            raise ValidationError(f"unknown premium kind {self.kind!r}", "kind")
         for key in ("theta", "gamma"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, _real(getattr(self, key)))
+                object.__setattr__(self, key, _real(getattr(self, key), key))
         if self.theta < 0.0:
-            raise ValidationError("premium loading theta must be >= 0")
+            raise ValidationError("premium loading theta must be >= 0", "theta")
         if self.kind == "ph":
             if self.gamma is None or not (0.0 < self.gamma <= 1.0):
-                raise ValidationError("ph premium needs gamma in (0, 1]")
+                raise ValidationError("ph premium needs gamma in (0, 1]", "gamma")
         if self.kind == "wang":
             if self.distortion is None:
                 raise ValidationError("wang premium needs a distortion handle")

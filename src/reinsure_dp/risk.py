@@ -87,19 +87,19 @@ class RiskSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValidationError(f"unknown risk kind {self.kind!r}")
+            raise ValidationError(f"unknown risk kind {self.kind!r}", "kind")
         for key in ("alpha", "gamma"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, _real(getattr(self, key)))
+                object.__setattr__(self, key, _real(getattr(self, key), key))
         if self.kind == "value-at-risk":
             if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValidationError("value-at-risk needs alpha in (0, 1)")
+                raise ValidationError("value-at-risk needs alpha in (0, 1)", "alpha")
         elif self.kind == "expected-shortfall":
             if self.alpha is None or not (0.0 <= self.alpha < 1.0):
-                raise ValidationError("expected-shortfall needs alpha in [0, 1)")
+                raise ValidationError("expected-shortfall needs alpha in [0, 1)", "alpha")
         elif self.kind == "entropic":
             if self.gamma is None or self.gamma <= 0.0:
-                raise ValidationError("entropic needs gamma > 0")
+                raise ValidationError("entropic needs gamma > 0", "gamma")
         elif self.kind == "distortion":
             if self.distortion is None:
                 raise ValidationError("distortion kind needs a distortion handle")

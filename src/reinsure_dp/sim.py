@@ -197,7 +197,7 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
         if tails[n](x) > 0.0:
             holds = False
         s = config.stage(n)
-        j = int(np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1))
+        j = int(_grid_index(grid, np.array([x]))[0])
         # the retained top claim, the last of the ascending claim atoms
         x = x - claims[n][index[n, j], -1] - premiums[n, j] + float(s.dZ.values[0])
     return bound, holds

@@ -140,6 +140,18 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(str(path))
 
+    def test_integer_literal_too_long_to_read(self, tmp_path, capsys):
+        # json refuses an integer of more than sys.get_int_max_str_digits()
+        # digits with a ValueError that is not a JSONDecodeError
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        path = tmp_path / "long.json"
+        text = json.dumps(finite_doc()).replace('"horizon": 2', '"horizon": 1' + "0" * limit)
+        path.write_text(text)
+        assert run("solve-finite", str(path), str(tmp_path / "o")) == 1
+        assert f"error: {path} is not valid JSON: " in capsys.readouterr().err
+
     def test_error_names_field_path(self, tmp_path):
         doc = finite_doc()
         del doc["grid"]
@@ -275,12 +287,15 @@ BAD_VALUES = {
     ),
     "risk": (("stages", 0, "risk", "alpha"), "high", r"stages\[0\]\.risk\.alpha"),
     "premium": (("stages", 0, "premium", "theta"), "x", r"stages\[0\]\.premium\.theta"),
-    "stage": (("stages", 0, "beta"), "x", r"stages\[0\]"),
+    "stage": (("stages", 0, "beta"), "x", r"stages\[0\]\.beta"),
     "simulate.x0": (("simulate", "x0"), "x", r"simulate\.x0"),
     # json writes NaN as the non-JSON token NaN, and json.load reads it back
     "premium-nan": (("stages", 0, "premium", "theta"), math.nan, r"stages\[0\]\.premium\.theta"),
-    "stage-nan": (("stages", 0, "beta"), math.nan, r"stages\[0\]"),
+    "stage-nan": (("stages", 0, "beta"), math.nan, r"stages\[0\]\.beta"),
     "simulate.paths": (("simulate", "paths"), "x", r"simulate\.paths"),
+    # an integer beyond the float range: no finite number
+    "horizon-huge": (("horizon",), 10**400, "horizon"),
+    "grid-huge": (("grid", "count"), 10**400, r"grid\.count"),
     "claims.truncation-range": (
         ("stages", 0, "claims"),
         {"family": "exponential", "params": [2.0], "atoms": 11, "truncation": -1},
@@ -313,6 +328,62 @@ def test_non_numeric_value_exits_1_at_its_field(tmp_path, capsys, section):
     assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
     assert not (tmp_path / "o" / "manifest.json").exists()
     assert re.search(f"error: field {field}: ", capsys.readouterr().err)
+
+
+# an out-of-range value, and the exact field it is reported at: the model
+# type that holds the value names it, and the parser prefixes the section
+RANGE_REFUSALS = {
+    "alpha": (("stages", 0, "risk", "alpha"), 1.5, "stages[0].risk.alpha"),
+    "theta": (("stages", 0, "premium", "theta"), -1, "stages[0].premium.theta"),
+    "beta": (("stages", 0, "beta"), 1.5, "stages[0].beta"),
+    "count": (("grid", "count"), 8, "grid.count"),
+    "hi-below-lo": (("grid", "hi"), -1.0, "grid.hi"),
+    "resolution": (("search", "resolution"), 4, "search.resolution"),
+    "horizon": (("horizon",), 0, "horizon"),
+    "uniform-b-below-a": (
+        ("stages", 0, "claims", "params"), [1.0, 0.0], "stages[0].claims.params"
+    ),
+    "stationary-value-at-risk": (
+        ("stages", 0, "risk"), {"kind": "value-at-risk", "alpha": 0.95}, "stages[0].risk"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_REFUSALS))
+def test_range_refusal_exits_1_at_its_exact_field(tmp_path, capsys, case):
+    path, value, field = RANGE_REFUSALS[case]
+    stationary = case.startswith("stationary")
+    doc = infinite_doc() if stationary else finite_doc(m=11, horizon=1, count=17)
+    _set(doc, path, value)
+    sub = "solve-infinite" if stationary else "solve-finite"
+    assert run(sub, dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field {field}: ") and err.count("field ") == 1
+
+
+# a quoted number in each kind of number field: each solved with exit 0,
+# read as the number, before strings were refused
+QUOTED_NUMBERS = {
+    "horizon": (("horizon",), "1", "horizon"),
+    "grid.count": (("grid", "count"), "17", "grid.count"),
+    "search.resolution": (("search", "resolution"), "16", "search.resolution"),
+    "claims.params": (("stages", 0, "claims", "params"), ["0", 1.0], "stages[0].claims.params"),
+    "risk.alpha": (("stages", 0, "risk", "alpha"), "0.95", "stages[0].risk.alpha"),
+    "premium.theta": (("stages", 0, "premium", "theta"), "0.2", "stages[0].premium.theta"),
+    "beta": (("stages", 0, "beta"), "1.0", "stages[0].beta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTED_NUMBERS))
+def test_quoted_number_exits_1_at_its_field(tmp_path, capsys, case):
+    path, value, field = QUOTED_NUMBERS[case]
+    doc = finite_doc(m=11, horizon=1, count=17)
+    _set(doc, path, value)
+    assert run("solve-finite", dump(tmp_path, doc), str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    quoted = value[0] if isinstance(value, list) else value
+    assert capsys.readouterr().err == f"error: field {field}: expected a number, got {quoted!r}\n"
 
 
 @pytest.mark.parametrize("preset", ["ph:abc", "es:", "var:x"])
@@ -403,14 +474,14 @@ def test_unread_key_exits_1_at_its_field(tmp_path, capsys, case):
 
 # a boolean each number field would otherwise read as 0.0 or 1.0
 BOOLEAN_NUMBERS = {
-    "beta": (("stages", 0, "beta"), True, r"stages\[0\]"),
+    "beta": (("stages", 0, "beta"), True, r"stages\[0\]\.beta"),
     "risk.alpha": (("stages", 0, "risk", "alpha"), True, r"stages\[0\]\.risk\.alpha"),
     "risk.gamma": (
         ("stages", 0, "risk"), {"kind": "entropic", "gamma": True}, r"stages\[0\]\.risk\.gamma"
     ),
     "premium.theta": (("stages", 0, "premium", "theta"), False, r"stages\[0\]\.premium\.theta"),
-    "grid.lo": (("grid", "lo"), False, "grid"),
-    "grid.hi": (("grid", "hi"), True, "grid"),
+    "grid.lo": (("grid", "lo"), False, r"grid\.lo"),
+    "grid.hi": (("grid", "hi"), True, r"grid\.hi"),
     "search.layer_upper": (
         ("search",), {"family": "layer", "layer_upper": True}, r"search\.layer_upper"
     ),

@@ -10,6 +10,7 @@ solver against independently computed closed forms.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -220,6 +221,42 @@ class TestConfigValidation:
     def test_model_types_refuse_what_the_config_parser_refuses(self, make, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             make()
+
+    # each refusal names the field it refuses, and its message is the one a
+    # library caller reads; the config parser reports it at that field's path
+    @pytest.mark.parametrize("make, field, message", [
+        (lambda: GridSpec(-1.0, 1.0, "17"), "count", "expected a number, got '17'"),
+        (lambda: GridSpec("x", 1.0, 17), "lo", "expected a number, got 'x'"),
+        (lambda: GridSpec(1.0, 0.0, 17), "hi", "grid bounds must be finite with lo < hi"),
+        (lambda: GridSpec(-1.0, 1.0, 8), "count", "grid needs at least 16 points"),
+        (lambda: SearchSpec("stop-loss", resolution=4), "resolution",
+         "search resolution must be at least 8"),
+        (lambda: es_stage(m=11, beta=1.5), "beta", "discount factor must lie in (0, 1]"),
+        (lambda: RiskSpec("expected-shortfall", alpha=1.5), "alpha",
+         "expected-shortfall needs alpha in [0, 1)"),
+        (lambda: RiskSpec("value-at-risk", alpha="0.95"), "alpha",
+         "expected a number, got '0.95'"),
+        (lambda: PremiumSpec("expected", theta=-1), "theta", "premium loading theta must be >= 0"),
+        (lambda: FamilySpec("uniform", ("0", 1.0)), "params", "expected a number, got '0'"),
+        (lambda: FamilySpec("uniform", 5), "params", "expected a list, got 5"),
+        (lambda: FamilySpec("uniform", (0.0, 1.0), atoms=0), "atoms",
+         "atom count must be >= 2 for non-point-mass families"),
+        (lambda: discretize(FamilySpec("uniform", (1.0, 0.0))), "params",
+         "uniform family needs a < b"),
+        (lambda: ModelConfig(0, (es_stage(m=11),), GridSpec(-1.0, 1.0, 17),
+                             SearchSpec("stop-loss")), "horizon", "horizon must be >= 1"),
+        (lambda: ModelConfig(None, (es_stage(m=11, beta=1.0),), GridSpec(-1.0, 1.0, 17),
+                             SearchSpec("stop-loss")), "stages[0].beta",
+         "infinite horizon needs strict discounting (beta < 1)"),
+    ], ids=[
+        "count-quoted", "lo-text", "hi-below-lo", "count-8", "resolution-4", "beta-1.5",
+        "alpha-1.5", "alpha-quoted", "theta-negative", "params-quoted", "params-scalar",
+        "atoms-0", "uniform-b-below-a", "horizon-0", "stationary-beta-1",
+    ])
+    def test_refusals_name_their_field(self, make, field, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as info:
+            make()
+        assert info.value.field == field
 
     def test_integral_numbers_still_construct(self):
         config = ModelConfig(2.0, (es_stage(m=11),), GridSpec(-1, 1, 17.0),
@@ -1412,20 +1449,13 @@ class TestContractionAndIteration:
 
 class TestSolveInfinite:
     def test_rejects_noncoherent(self):
-        s = StageData(
-            uniform01(101), point(0.3), RiskSpec("value-at-risk", alpha=0.95),
-            PremiumSpec("expected", theta=0.2), 0.9,
-        )
-        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
-        with pytest.raises(ValidationError, match="coheren"):
-            solve_infinite(cfg)
-        s2 = StageData(
-            uniform01(101), point(0.3), RiskSpec("entropic", gamma=1.0),
-            PremiumSpec("expected", theta=0.2), 0.9,
-        )
-        cfg2 = ModelConfig(None, (s2,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
-        with pytest.raises(ValidationError, match="coheren"):
-            solve_infinite(cfg2)
+        # refused when the stationary config is built, at the stage's risk
+        prem = PremiumSpec("expected", theta=0.2)
+        for risk in (RiskSpec("value-at-risk", alpha=0.95), RiskSpec("entropic", gamma=1.0)):
+            s = StageData(uniform01(101), point(0.3), risk, prem, 0.9)
+            with pytest.raises(ValidationError, match="coheren") as info:
+                ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
+            assert info.value.field == "stages[0].risk"
 
     def test_rejects_finite_config(self):
         cfg = affine_cfg(n=2, m=101, count=33)

@@ -305,16 +305,23 @@ class TestEntropic:
 
 class TestEvaluateDispatch:
     def test_kinds(self):
+        # each kind against a route that shares no code with evaluate
         rng = np.random.default_rng(SEED + 8)
         d = random_dist(rng)
         assert evaluate(RiskSpec("expectation"), d) == pytest.approx(d.mean(), abs=1e-12)
         assert evaluate(RiskSpec("value-at-risk", alpha=0.95), d) == var(d, 0.95)
         assert evaluate(RiskSpec("expected-shortfall", alpha=0.9), d) == es(d, 0.9)
+        # PH(0.5) by the sum over ascending atoms of v_(i) (g(S_{i-1}) - g(S_i)),
+        # S_i = P(X > v_(i)); the survival after the top atom is exactly 0
+        surv = np.append(np.cumsum(d.probs[::-1])[::-1], 0.0)
+        ph = sum(v * (math.sqrt(surv[i]) - math.sqrt(surv[i + 1])) for i, v in enumerate(d.values))
         g = distortion_preset("ph:0.5")
-        assert evaluate(RiskSpec("distortion", distortion=g), d) == distortion_rm(d, g)
-        s = es_spectrum(0.9)
-        assert evaluate(RiskSpec("spectral", spectrum=s), d) == spectral_rm(d, s)
-        assert evaluate(RiskSpec("entropic", gamma=1.5), d) == entropic(d, 1.5)
+        assert evaluate(RiskSpec("distortion", distortion=g), d) == pytest.approx(ph, abs=1e-12)
+        es_by_spectrum = evaluate(RiskSpec("spectral", spectrum=es_spectrum(0.9)), d)
+        assert es_by_spectrum == pytest.approx(es(d, 0.9), abs=1e-12)
+        gamma = 1.5
+        want = math.log(sum(p * math.exp(gamma * v) for v, p in zip(d.values, d.probs))) / gamma
+        assert evaluate(RiskSpec("entropic", gamma=gamma), d) == pytest.approx(want, abs=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -372,6 +372,31 @@ class TestRuinBoundCheck:
             res = simulate_paths(policy, config, x0, 20_000, seed=seed)
             assert res.ruin_estimate - res.ci_half_width <= bound
 
+    def test_drift_path_leaving_the_grid_at_both_ends(self, monkeypatch):
+        # the worst-case drift starts above the grid's top and ends below its
+        # bottom; the end states hold treaties of their own, so a lookup off
+        # either end that picked another row would change the walk
+        config = basic_config(uniform01(31), point(0.3), horizon=8,
+                              risk=RiskSpec("value-at-risk", 0.95), grid=GridSpec(-0.5, 1.5, 33))
+        grid = config.grid.points()
+        row = (
+            (make_treaty("identity", {}),)
+            + (make_treaty("proportional", {"c": 0.5}),) * (grid.size - 2)
+            + (make_treaty("stop-loss", {"a": 0.2}),)
+        )
+        policy = PolicyTable(grid, (row,) * 8)
+        walk = []
+
+        def recording(policy, config, table):
+            tails = _policy_values(policy, config, table)
+            return [lambda x, v=v: walk.append(x) or v(x) for v in tails]
+
+        monkeypatch.setattr(sim, "_policy_values", recording)
+        assert ruin_bound_check(policy, config, 1.9) == (pytest.approx(0.4, abs=1e-12), False)
+        # looked up twice above the top state and once below the bottom one
+        assert walk[1] > grid[-1] and walk[-2] < grid[0]
+        assert np.array_equal(walk, reference_ruin_walk(policy, config, 1.9)[0])
+
 
 def mixed_policy_config(shared=True):
     # every treaty family in one policy. Blocks of states run from the

@@ -7,9 +7,11 @@ timing data lives in the manifest, never in the CSVs. The manifest is
 written last and atomically, which makes its presence a completion
 certificate: a run that died half way leaves no manifest behind.
 
-The solver itself is single threaded by design: the batched evaluator owns
-the vectorization, and fixed accumulation order is what keeps reruns
-reproducible.
+The solver's own code is single threaded: the batched evaluator owns the
+vectorization, and fixed accumulation order is what keeps reruns
+reproducible. The stationary solve's policy-evaluation jump is the exception:
+its np.linalg.solve runs LAPACK on the BLAS library's threads, which
+OPENBLAS_NUM_THREADS=1 pins to one.
 
 Config documents carry the optional keys cost_of_capital_rate and
 risk_free_rate. Both are documentation: the model's discount factor beta
@@ -26,7 +28,7 @@ import sys
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -61,20 +63,9 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # config codec
 
-# config fields per risk and premium kind; both the parser and the writer
-# read these tables. "preset" names a distortion_preset, held as the spec's
-# distortion; every other field is a number held under its own name.
-_RISK_FIELDS = {
-    "value-at-risk": ("alpha",),
-    "expected-shortfall": ("alpha",),
-    "entropic": ("gamma",),
-    "distortion": ("preset",),
-}
-_PREMIUM_FIELDS = {
-    "expected": ("theta",),
-    "ph": ("theta", "gamma"),
-    "wang": ("theta", "preset"),
-}
+# the config key of a field named otherwise: "preset" names the distortion_preset
+# a spec holds as its distortion, and a Spectrum has no config form
+_KEYS = {"distortion": "preset", "spectrum": None}
 
 
 def _field(prefix: str, key: str) -> str:
@@ -90,12 +81,12 @@ def _need(doc, key, prefix=""):
 @contextmanager
 def _at(path: str):
     """Report a bad value read from the config section at path at its own
-    field: path, then the field the error names, if any. Sections do not
-    nest, so a path is prefixed once."""
+    field: path, then the config key of the field the error names, if any.
+    Sections do not nest, so a path is prefixed once."""
     try:
         yield
     except ValidationError as exc:
-        field = _field(path, exc.field) if exc.field else path
+        field = _field(path, _KEYS.get(exc.field, exc.field)) if exc.field else path
         raise type(exc)(f"field {field}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"field {path}: {exc}") from exc
@@ -123,56 +114,58 @@ def _load_json(path):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _read(cls, obj, path, tag=None):
+    """A cls from its config section obj at path; tag names the field that
+    selects its kind or family, read as a string.
+
+    Each key is the field of its name, or the one _KEYS names by it. A key
+    no field has is read by nothing, and a field without a default is
+    required; cls refuses every other value, a field its kind does not read
+    included, at that field's key.
+    """
+    keys = {key: f for f in fields(cls) if (key := _KEYS.get(f.name, f.name))}
+    _only(obj, path, tuple(keys))
+    kwargs = {}
+    for key, f in keys.items():
+        if f.default is MISSING:
+            kwargs[f.name] = _need(obj, key, path)
+        elif obj.get(key) is not None:
+            kwargs[f.name] = obj[key]
+    if tag is not None:
+        kind = kwargs[tag] = str(kwargs[tag])
+        if cls is RiskSpec and kind == "spectral":
+            raise ValidationError(f"field {path}.kind: {kind!r} has no config form")
+    if "distortion" in kwargs:
+        with _at(f"{path}.preset"):
+            kwargs["distortion"] = distortion_preset(str(kwargs["distortion"]))
+    with _at(path):
+        return cls(**kwargs)
+
+
+def _doc(spec) -> dict:
+    """The config section _read reads spec back from: every field set, which
+    is every field its kind reads."""
+    doc = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None:
+            key = _KEYS.get(f.name, f.name)
+            if key is None:
+                raise ValidationError(f"kind {spec.kind!r} has no config form")
+            # refuses a distortion the parser could not rebuild from its name
+            if key == "preset":
+                value = distortion_preset(getattr(value, "name", "")).name
+            doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
 def _parse_dist(obj, path) -> DiscreteDistribution:
-    # pairs, or a family to discretize; neither form reads the other's keys,
-    # and a point mass, one atom, reads no atom count and nothing caps it
-    pairs = isinstance(obj, dict) and "pairs" in obj
-    keys = ("pairs",) if pairs else ("family", "params", "atoms", "truncation")
-    if not pairs and isinstance(obj, dict) and obj.get("family") == "point-mass":
-        keys = keys[:2]
-    _only(obj, path, keys)
-    if pairs:
+    # pairs, or a family to discretize; neither form reads the other's keys
+    if isinstance(obj, dict) and "pairs" in obj:
+        _only(obj, path, ("pairs",))
         with _at(path):
             return make_discrete(obj["pairs"])
-    family = str(_need(obj, "family", path))
-    params = _need(obj, "params", path)
-    with _at(path):
-        return discretize(
-            FamilySpec(family, params, truncation=obj.get("truncation"), atoms=obj.get("atoms", 2))
-        )
-
-
-def _parse_kind(obj, path, table, make):
-    """A RiskSpec or PremiumSpec from its config section, via its field table."""
-    kind = str(_need(obj, "kind", path))
-    fields = table.get(kind)
-    if fields is None:
-        raise ValidationError(
-            f"field {path}.kind: {kind!r} has no config form; use one of {', '.join(table)}"
-        )
-    unread = sorted(set(obj) - {"kind", *fields})
-    if unread:
-        raise ValidationError(f"field {path}: {kind} reads no {', '.join(unread)}")
-    kwargs = {key: obj[key] for key in fields if obj.get(key) is not None}
-    if "preset" in kwargs:
-        with _at(f"{path}.preset"):
-            kwargs["distortion"] = distortion_preset(str(kwargs.pop("preset")))
-    with _at(path):
-        return make(kind, **kwargs)
-
-
-def _kind_doc(spec, table) -> dict:
-    fields = table.get(spec.kind)
-    if fields is None:
-        raise ValidationError(f"kind {spec.kind!r} has no config form")
-    doc = {"kind": spec.kind}
-    for key in fields:
-        if key == "preset":
-            # refuses a distortion the parser could not rebuild from its name
-            doc[key] = distortion_preset(getattr(spec.distortion, "name", "")).name
-        else:
-            doc[key] = getattr(spec, key)
-    return doc
+    return discretize(_read(FamilySpec, obj, path, "family"))
 
 
 def _parse_stage(obj, idx) -> StageData:
@@ -180,32 +173,11 @@ def _parse_stage(obj, idx) -> StageData:
     _only(obj, path, ("claims", "income", "risk", "premium", "beta", "budget_constrained"))
     dY = _parse_dist(_need(obj, "claims", path), f"{path}.claims")
     dZ = _parse_dist(_need(obj, "income", path), f"{path}.income")
-    risk = _parse_kind(_need(obj, "risk", path), f"{path}.risk", _RISK_FIELDS, RiskSpec)
-    prem = _parse_kind(
-        _need(obj, "premium", path), f"{path}.premium", _PREMIUM_FIELDS, PremiumSpec
-    )
+    risk = _read(RiskSpec, _need(obj, "risk", path), f"{path}.risk", "kind")
+    prem = _read(PremiumSpec, _need(obj, "premium", path), f"{path}.premium", "kind")
     beta = _need(obj, "beta", path)
-    constrained = obj.get("budget_constrained", True)
-    if not isinstance(constrained, bool):
-        raise ValidationError(
-            f"field {path}.budget_constrained: expected true or false, got {constrained!r}"
-        )
     with _at(path):
-        return StageData(dY, dZ, risk, prem, beta, constrained)
-
-
-def _parse_grid(obj) -> GridSpec:
-    _only(obj, "grid", ("lo", "hi", "count"))
-    bounds = [_need(obj, key, "grid") for key in ("lo", "hi", "count")]
-    with _at("grid"):
-        return GridSpec(*bounds)
-
-
-def _parse_search(obj) -> SearchSpec:
-    family = str(_need(obj, "family", "search"))
-    settings = {k: v for k, v in obj.items() if k != "family" and v is not None}
-    with _at("search"):
-        return SearchSpec(family, **settings)
+        return StageData(dY, dZ, risk, prem, beta, obj.get("budget_constrained", True))
 
 
 def _config_from_doc(doc, keys) -> ModelConfig:
@@ -215,8 +187,8 @@ def _config_from_doc(doc, keys) -> ModelConfig:
     _only(doc, "", ("horizon", "grid", "search", "stages", "tol", *keys, *_DOC_KEYS))
     if "horizon" not in doc:
         raise ParseError("field horizon: required (integer, or null for infinite)")
-    grid = _parse_grid(_need(doc, "grid"))
-    search = _parse_search(_need(doc, "search"))
+    grid = _read(GridSpec, _need(doc, "grid"), "grid")
+    search = _read(SearchSpec, _need(doc, "search"), "search", "family")
     stages_doc = _need(doc, "stages")
     if not isinstance(stages_doc, list) or not stages_doc:
         raise ParseError("field stages: expected a nonempty array")
@@ -237,15 +209,15 @@ def parse_config(path) -> ModelConfig:
 def config_to_doc(config: ModelConfig) -> dict:
     doc = {
         "horizon": config.horizon,
-        "grid": {"lo": config.grid.lo, "hi": config.grid.hi, "count": config.grid.count},
-        "search": config.search.config(),
+        "grid": _doc(config.grid),
+        "search": _doc(config.search),
         "tol": config.tol,
         "stages": [
             {
                 "claims": {"pairs": s.dY.to_pairs()},
                 "income": {"pairs": s.dZ.to_pairs()},
-                "risk": _kind_doc(s.risk, _RISK_FIELDS),
-                "premium": _kind_doc(s.premium, _PREMIUM_FIELDS),
+                "risk": _doc(s.risk),
+                "premium": _doc(s.premium),
                 "beta": s.beta,
                 "budget_constrained": s.budget_constrained,
             }

@@ -32,7 +32,9 @@ from .errors import (
     UnsupportedFamily,
     ValidationError,
     _integer,
+    _number,
     _real,
+    _refuse_unread,
 )
 
 MASS_TOL = 1e-12
@@ -86,8 +88,15 @@ class DiscreteDistribution:
         return int(self.values.size)
 
 
-# parameters each family takes; an empirical sample takes any number
-_PARAM_COUNTS = {"uniform": 2, "exponential": 1, "lognormal": 2, "point-mass": 1}
+# each family's parameter count (None: an empirical sample takes any number)
+# and the rule its parameters meet, with the refusal when they do not
+_FAMILIES = {
+    "uniform": (2, lambda p: p[0] < p[1], "uniform family needs a < b"),
+    "exponential": (1, lambda p: p[0] > 0.0, "exponential rate must be positive"),
+    "lognormal": (2, lambda p: p[1] > 0.0, "lognormal sigma must be positive"),
+    "empirical": (None, len, "empirical family needs at least one sample value"),
+    "point-mass": (1, lambda p: True, ""),
+}
 
 
 @dataclass(frozen=True)
@@ -97,40 +106,51 @@ class FamilySpec:
     Attributes:
         family: one of "uniform", "exponential", "lognormal", "empirical",
             "point-mass".
-        params: family parameters - uniform (a, b); exponential (rate,);
-            lognormal (mu, sigma); empirical (the raw sample values);
-            point-mass (z,).
+        params: family parameters - uniform (a, b), a < b; exponential
+            (rate,), rate > 0; lognormal (mu, sigma), sigma > 0; empirical
+            (the raw sample values, at least one); point-mass (z,).
         truncation: upper bound at which unbounded supports are capped; the
             mass beyond is assigned to the bound atom. Required for
-            exponential and lognormal, refused for point-mass.
-        atoms: number of midpoint-quantile atoms (>= 2 except point-mass).
+            exponential and lognormal.
+        atoms: number of midpoint-quantile atoms, at least 2; None reads as 2.
+
+    A point mass reads neither truncation nor atoms. A field the family does
+    not read is refused, naming it, and discretize checks nothing.
     """
 
     family: str
     params: tuple[float, ...]
     truncation: float | None = None
-    atoms: int = 2
+    atoms: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
+            raise UnsupportedFamily(f"unknown family {self.family!r}", "family")
+        reads = ("params",) if self.family == "point-mass" else ("params", "truncation", "atoms")
+        _refuse_unread(self, self.family, reads)
         try:
             params = tuple(_real(p, "params") for p in self.params)
         except TypeError:  # params is not iterable
             raise ValidationError(f"expected a list, got {self.params!r}", "params") from None
-        n = _PARAM_COUNTS.get(self.family)
+        n, rule, message = _FAMILIES[self.family]
         if n is not None and len(params) != n:
             raise ValidationError(
                 f"{self.family} takes {n} parameter{'s' * (n > 1)}, got {len(params)}", "params"
             )
+        if not rule(params):
+            raise ValidationError(message, "params")
         object.__setattr__(self, "params", params)
+        if self.family == "point-mass":
+            return
         if self.truncation is not None:
-            if self.family == "point-mass":
-                raise ValidationError("a point mass takes no truncation bound", "truncation")
             t = _real(self.truncation, "truncation")
             if t <= 0.0:
                 raise ValidationError("truncation bound must be positive", "truncation")
             object.__setattr__(self, "truncation", t)
-        atoms = _integer(self.atoms, "atoms")
-        if self.family != "point-mass" and atoms < 2:
+        elif self.family in ("exponential", "lognormal"):
+            raise ValidationError(f"{self.family} family requires a truncation bound", "truncation")
+        atoms = 2 if self.atoms is None else _integer(self.atoms, "atoms")
+        if atoms < 2:
             raise ValidationError("atom count must be >= 2 for non-point-mass families", "atoms")
         object.__setattr__(self, "atoms", atoms)
 
@@ -163,14 +183,18 @@ def make_discrete(pairs) -> DiscreteDistribution:
     of 1 is kept as given, so a distribution's to_pairs() read back bitwise.
 
     Raises:
+        ValidationError: a cell is not a number (a quoted number or a
+            boolean included), at field pairs.
         NonpositiveProb: a probability is <= 0.
         MassNotOne: the probabilities sum further than 1e-9 from 1.
     """
-    pairs = list(pairs)
-    if not pairs:
+    try:
+        cells = [(_number(v, "pairs"), _number(p, "pairs")) for v, p in pairs]
+    except (TypeError, ValueError):  # pairs, or a pair, is not a sequence of two
+        raise ValidationError("expected a list of (value, prob) pairs", "pairs") from None
+    if not cells:
         raise ValidationError("need at least one (value, prob) pair")
-    values = np.array([p[0] for p in pairs], dtype=np.float64)
-    probs = np.array([p[1] for p in pairs], dtype=np.float64)
+    values, probs = (np.array(column, dtype=np.float64) for column in zip(*cells))
     if not np.all(probs > 0.0):  # NaN fails too
         raise NonpositiveProb("every atom probability must be positive")
     total = float(probs.sum())
@@ -196,36 +220,22 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     u = (np.arange(m) + 0.5) / m
     if fam == "uniform":
         a, b = spec.params
-        if b <= a:
-            raise ValidationError("uniform family needs a < b", "params")
         values = a + (b - a) * u
     elif fam == "exponential":
         (rate,) = spec.params
-        if rate <= 0.0:
-            raise ValidationError("exponential rate must be positive", "params")
-        if spec.truncation is None:
-            raise ValidationError("exponential family requires a truncation bound", "truncation")
         values = -np.log1p(-u) / rate
     elif fam == "lognormal":
         mu, sigma = spec.params
-        if sigma <= 0.0:
-            raise ValidationError("lognormal sigma must be positive", "params")
-        if spec.truncation is None:
-            raise ValidationError("lognormal family requires a truncation bound", "truncation")
         # the standard normal quantile by Wichura's AS 241 (Applied
         # Statistics 37(3), 1988), to about 1e-16 relative
         inv_cdf = NormalDist().inv_cdf
         z = np.array([inv_cdf(p) for p in u.tolist()])
         values = np.exp(mu + sigma * z)
-    elif fam == "empirical":
+    else:  # empirical
         data = np.sort(np.asarray(spec.params, dtype=np.float64))
-        if data.size == 0:
-            raise ValidationError("empirical family needs at least one sample value", "params")
         n = data.size
         idx = np.minimum(np.ceil(u * n).astype(int) - 1, n - 1)
         values = data[np.maximum(idx, 0)]
-    else:
-        raise UnsupportedFamily(f"unknown family {fam!r}", "family")
 
     if spec.truncation is not None:
         values = np.minimum(values, spec.truncation)

@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     _integer,
     _real,
+    _refuse_unread,
 )
 from .premiums import PremiumSpec, premium, treaty_premium
 from .risk import RiskSpec, _logsumexp, atom_weights, evaluate, is_coherent
@@ -127,6 +128,9 @@ class StageData:
         if not (0.0 < beta <= 1.0):
             raise ValidationError("discount factor must lie in (0, 1]", "beta")
         object.__setattr__(self, "beta", beta)
+        if not isinstance(self.budget_constrained, bool):
+            got = self.budget_constrained
+            raise ValidationError(f"expected true or false, got {got!r}", "budget_constrained")
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,9 @@ class SearchSpec:
     knots / sweeps: piecewise-linear family only; sweeps defaults to 3.
 
     The settings each family reads are its FAMILIES entry's ``search``; a
-    setting the family does not read is refused, so a spec carries only
-    settings that act. The methods hold the family's facts that only the
-    search needs.
+    setting the family does not read is refused, naming it, so a spec
+    carries only settings that act. The methods hold the family's facts that
+    only the search needs.
     """
 
     family: str
@@ -175,10 +179,7 @@ class SearchSpec:
         reads = FAMILIES[self.family].search if self.family in FAMILIES else None
         if reads is None:
             raise UnsupportedFamily(f"cannot search over family {self.family!r}", "family")
-        unread = [k for k in ("layer_upper", "knots", "sweeps")
-                  if k not in reads and getattr(self, k) is not None]
-        if unread:
-            raise ValidationError(f"{self.family} search reads no {', '.join(unread)}")
+        _refuse_unread(self, f"{self.family} search", reads)
         resolution = _integer(self.resolution, "resolution")
         if resolution < 8:
             raise ValidationError("search resolution must be at least 8", "resolution")
@@ -198,14 +199,6 @@ class SearchSpec:
             if sweeps < 1:
                 raise ValidationError("sweeps must be >= 1", "sweeps")
             object.__setattr__(self, "sweeps", sweeps)
-
-    def config(self) -> dict:
-        """Config form: the family and every setting it reads."""
-        doc = {"family": self.family}
-        for key in FAMILIES[self.family].search:
-            value = getattr(self, key)
-            doc[key] = list(value) if key == "knots" else value
-        return doc
 
     @property
     def scalar(self) -> str | None:

@@ -6,10 +6,11 @@ Two branches matter to callers: :class:`ValidationError` covers bad inputs
 (resolution too coarse, iteration budgets exhausted) and maps to exit code 2.
 
 The rules for a config integer and a config real live here too, where every
-model type reads them.
+model type reads them, and so does the refusal of a field a kind does not read.
 """
 
 import math
+from dataclasses import fields
 
 
 class ReinsureError(Exception):
@@ -110,18 +111,31 @@ def _integer(value, field=None) -> int:
     return int(value)
 
 
-def _real(value, field=None) -> float:
-    """A finite config number; a string, a boolean, NaN or an infinity is
-    refused, naming field."""
+def _number(value, field=None) -> float:
+    """A config number, NaN included; a string or a boolean is refused."""
     try:
         # float() would read a boolean as 0 or 1 and parse a string
         if isinstance(value, (bool, str, bytes)):
             raise TypeError
-        x = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ValidationError(f"expected a number, got {value!r}", field) from None
     except OverflowError:  # an integer beyond the float range
-        x = math.inf
+        return math.inf
+
+
+def _real(value, field=None) -> float:
+    """A finite config number; a string, a boolean, NaN or an infinity is
+    refused, naming field."""
+    x = _number(value, field)
     if not math.isfinite(x):
         raise ValidationError(f"expected a finite number, got {value!r}", field)
     return x
+
+
+def _refuse_unread(spec, kind, reads) -> None:
+    """Refuse a field of dataclass spec, past its first (the kind or family
+    that selects what it reads), that is set though kind reads no such field."""
+    for f in fields(spec)[1:]:
+        if f.name not in reads and getattr(spec, f.name) is not None:
+            raise ValidationError(f"{kind} reads no {f.name}", f.name)

@@ -22,15 +22,20 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution, _apply_map, push_forward
-from .errors import NegativeSupport, OutOfRange, ValidationError, _real
+from .errors import NegativeSupport, OutOfRange, ValidationError, _real, _refuse_unread
 from .risk import _check_distortion, distortion_preset
 
 _NEG_TOL = 1e-12
 
+# the fields each kind reads; PremiumSpec refuses any other
+_KINDS = {"expected": ("theta",), "ph": ("theta", "gamma"), "wang": ("theta", "distortion")}
+
 
 @dataclass(frozen=True)
 class PremiumSpec:
-    """Reinsurance pricing rule: expected, ph, or wang."""
+    """Reinsurance pricing rule: expected, ph, or wang. Each kind reads the
+    fields _KINDS lists for it; a field it does not read is refused, naming it.
+    """
 
     kind: str
     theta: float = 0.0
@@ -38,8 +43,9 @@ class PremiumSpec:
     distortion: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("expected", "ph", "wang"):
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValidationError(f"unknown premium kind {self.kind!r}", "kind")
+        _refuse_unread(self, self.kind, _KINDS[self.kind])
         for key in ("theta", "gamma"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _real(getattr(self, key), key))

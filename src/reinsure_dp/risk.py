@@ -22,17 +22,19 @@ from typing import Callable
 import numpy as np
 
 from .distributions import DiscreteDistribution, _apply_map, quantile
-from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError, _real
+from .errors import InvalidDistortion, InvalidSpectrum, OutOfRange, ValidationError
+from .errors import _real, _refuse_unread
 
 _PROBE = np.linspace(0.0, 1.0, 1001)
-_KINDS = (
-    "expectation",
-    "value-at-risk",
-    "expected-shortfall",
-    "distortion",
-    "spectral",
-    "entropic",
-)
+# the fields each kind reads; RiskSpec refuses any other
+_KINDS = {
+    "expectation": (),
+    "value-at-risk": ("alpha",),
+    "expected-shortfall": ("alpha",),
+    "distortion": ("distortion",),
+    "spectral": ("spectrum",),
+    "entropic": ("gamma",),
+}
 
 
 def _check_distortion(g: Callable) -> np.ndarray:
@@ -77,7 +79,9 @@ def _check_spectrum(s: Spectrum) -> None:
 
 @dataclass(frozen=True)
 class RiskSpec:
-    """Declarative description of a stage risk measure."""
+    """Declarative description of a stage risk measure. Each kind reads the
+    fields _KINDS lists for it; a field it does not read is refused, naming it.
+    """
 
     kind: str
     alpha: float | None = None
@@ -86,8 +90,9 @@ class RiskSpec:
     spectrum: Spectrum | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValidationError(f"unknown risk kind {self.kind!r}", "kind")
+        _refuse_unread(self, self.kind, _KINDS[self.kind])
         for key in ("alpha", "gamma"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _real(getattr(self, key), key))
@@ -313,7 +318,5 @@ def is_coherent(spec: RiskSpec) -> bool:
         return True
     if kind in ("value-at-risk", "entropic"):
         return False
-    if kind == "distortion":
-        vals = _apply_map(spec.distortion, _PROBE)
-        return bool(np.all(np.diff(vals, 2) <= 1e-9))
-    return False
+    vals = _apply_map(spec.distortion, _PROBE)  # distortion: concave on the probe grid
+    return bool(np.all(np.diff(vals, 2) <= 1e-9))

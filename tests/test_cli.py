@@ -14,8 +14,6 @@ import pytest
 
 import reinsure_dp
 from reinsure_dp.cli import (
-    _PREMIUM_FIELDS,
-    _RISK_FIELDS,
     _SUBCOMMANDS,
     _build_parser,
     _policy_csv,
@@ -33,6 +31,8 @@ from reinsure_dp.errors import (
     ValidationError,
 )
 from reinsure_dp.oracles import oracle_es_uniform, oracle_var_layer
+from reinsure_dp.premiums import _KINDS as PREMIUM_KINDS
+from reinsure_dp.risk import _KINDS as RISK_KINDS
 from reinsure_dp.risk import RiskSpec, tabulated_distortion, var
 from reinsure_dp.treaties import FAMILIES, make_treaty
 
@@ -56,6 +56,7 @@ SEARCH_DOCS = {
 }
 # one config section per risk and premium kind, every field set
 RISK_DOCS = {
+    "expectation": {"kind": "expectation"},
     "value-at-risk": {"kind": "value-at-risk", "alpha": 0.95},
     "expected-shortfall": {"kind": "expected-shortfall", "alpha": 0.9},
     "entropic": {"kind": "entropic", "gamma": 2.0},
@@ -204,8 +205,9 @@ class TestParseConfig:
         assert again.stages[1].risk.distortion.name == "ph:0.8"
 
     def test_roundtrip_every_kind_and_family(self, tmp_path):
-        assert set(RISK_DOCS) == set(_RISK_FIELDS)
-        assert set(PREMIUM_DOCS) == set(_PREMIUM_FIELDS)
+        # every kind but spectral, whose Spectrum has no config form
+        assert set(RISK_DOCS) == set(RISK_KINDS) - {"spectral"}
+        assert set(PREMIUM_DOCS) == set(PREMIUM_KINDS)
         premiums = list(PREMIUM_DOCS.values())
         for family, search in SEARCH_DOCS.items():
             doc = finite_doc(m=11, horizon=len(RISK_DOCS), count=17)
@@ -235,7 +237,9 @@ class TestParseConfig:
         block = doc["search"] if section == "search" else doc["stages"][0][section]
         block[key] = value
         path = "search" if section == "search" else rf"stages\[0\]\.{section}"
-        with pytest.raises(ValidationError, match=rf"field {path}: .*reads no {key}"):
+        # a preset names the spec's distortion, the field the kind does not read
+        field = "distortion" if key == "preset" else key
+        with pytest.raises(ValidationError, match=rf"field {path}\.{key}: .*reads no {field}$"):
             parse_config(dump(tmp_path, doc))
 
     def test_writer_refuses_distortion_without_preset(self, tmp_path):
@@ -372,6 +376,7 @@ QUOTED_NUMBERS = {
     "risk.alpha": (("stages", 0, "risk", "alpha"), "0.95", "stages[0].risk.alpha"),
     "premium.theta": (("stages", 0, "premium", "theta"), "0.2", "stages[0].premium.theta"),
     "beta": (("stages", 0, "beta"), "1.0", "stages[0].beta"),
+    "claims.pairs": (("stages", 0, "claims"), {"pairs": [[0.5, "1"]]}, "stages[0].claims.pairs"),
 }
 
 
@@ -383,6 +388,8 @@ def test_quoted_number_exits_1_at_its_field(tmp_path, capsys, case):
     assert run("solve-finite", dump(tmp_path, doc), str(tmp_path / "o")) == 1
     assert not (tmp_path / "o" / "manifest.json").exists()
     quoted = value[0] if isinstance(value, list) else value
+    if isinstance(value, dict):
+        quoted = value["pairs"][0][1]
     assert capsys.readouterr().err == f"error: field {field}: expected a number, got {quoted!r}\n"
 
 
@@ -458,6 +465,13 @@ UNREAD_KEYS = {
         ("stages", 0, "income", "truncation"), 0.1, r"stages\[0\]\.income\.truncation"
     ),
     "simulate": (("simulate", "seeds"), 3, r"simulate\.seeds"),
+    # misspelled: no field of SearchSpec has the key
+    "search": (("search", "resolutoin"), 32, r"search\.resolutoin"),
+}
+# a key a field of FamilySpec has, which the point-mass family does not read
+FAMILY_UNREAD = {
+    "income-point-mass-atoms": "point-mass reads no atoms",
+    "income-point-mass-truncation": "point-mass reads no truncation",
 }
 
 
@@ -469,7 +483,8 @@ def test_unread_key_exits_1_at_its_field(tmp_path, capsys, case):
     _set(doc, path, value)
     assert run("simulate", dump(tmp_path, doc), str(tmp_path / "o")) == 1
     assert not (tmp_path / "o" / "manifest.json").exists()
-    assert re.search(f"error: field {field}: read by nothing", capsys.readouterr().err)
+    reason = FAMILY_UNREAD.get(case, "read by nothing")
+    assert re.search(f"error: field {field}: {reason}", capsys.readouterr().err)
 
 
 # a boolean each number field would otherwise read as 0.0 or 1.0
@@ -497,6 +512,9 @@ BOOLEAN_NUMBERS = {
     ),
     "claims.params": (
         ("stages", 0, "claims", "params"), [False, True], r"stages\[0\]\.claims\.params"
+    ),
+    "claims.pairs": (
+        ("stages", 0, "claims"), {"pairs": [[0.5, True]]}, r"stages\[0\]\.claims\.pairs"
     ),
 }
 

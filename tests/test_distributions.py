@@ -1,5 +1,6 @@
 """Tests for finite-support distributions: construction, queries, transforms."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,28 @@ from reinsure_dp.errors import MassNotOne, NonpositiveProb, OutOfRange, Unsuppor
 
 TOL_MASS = 1e-12
 SEED = 20260818
+
+
+# family: its settings, and the sha256 of values.tobytes() and probs.tobytes()
+# (little-endian float64) that discretize gave while it still held the checks
+# FamilySpec now makes
+DISCRETIZE_DIGESTS = {
+    "uniform": ({"params": (0.0, 1.0), "atoms": 11},
+                "851023ee99d57788c1b802340a8a11ffe7d05197a323eb31f047f8a9e2970500",
+                "d85878d63a88da6afca065078e8bac2dcef052b7463a609f2e34447443e388c7"),
+    "exponential": ({"params": (1.5,), "truncation": 3.0, "atoms": 51},
+                    "8f16a90c35115089ac4b9ba3bce1673e438ee3f1211b52a5a3a38cf9e84dd2e8",
+                    "f0e5850d18b24c6ea24474f867c6ce84d531dd1c7aa68454addbd5bacb39aa09"),
+    "lognormal": ({"params": (0.0, 0.5), "truncation": 4.0, "atoms": 101},
+                  "b36c277ecc1b9c75bc995ea497d7841114dac3e3c3ddf29738182ec6cc6c025a",
+                  "b8a4068412e3ad97183b012debf7b1732a77b3ba1dd668fc3296c50bfdf27bc3"),
+    "empirical": ({"params": (3.0, 1.0, 2.0, 2.0, 5.5), "atoms": 7},
+                  "8839a70efc6af9147f9613458cb8d12582eab5f8f57a6213cc997f91fc0fb9d2",
+                  "3c7594a6a977d4be1356c48966d072422a2b1553143a37a79608234ec8a7e1a6"),
+    "point-mass": ({"params": (0.3,)},
+                   "785532c46fac2acf9272cc7399f550747206622e1d56fc7379f34628e071c80a",
+                   "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+}
 
 
 def uniform_grid(m):
@@ -86,7 +109,7 @@ class TestDiscretize:
 
     def test_point_mass_refuses_truncation(self):
         # one atom: a bound would be silently ignored
-        with pytest.raises(ValidationError, match="point mass"):
+        with pytest.raises(ValidationError, match="^point-mass reads no truncation$"):
             FamilySpec("point-mass", (0.3,), truncation=0.1)
 
     def test_exponential_midpoint_quantiles(self):
@@ -149,6 +172,13 @@ class TestDiscretize:
     def test_wrong_parameter_count_names_the_familys(self, family, params, count):
         with pytest.raises(ValidationError, match=f"{family} takes {count}"):
             FamilySpec(family, params)
+
+    @pytest.mark.parametrize("family", sorted(DISCRETIZE_DIGESTS))
+    def test_atoms_keep_their_bytes(self, family):
+        settings, values, probs = DISCRETIZE_DIGESTS[family]
+        d = discretize(FamilySpec(family, **settings))
+        assert hashlib.sha256(d.values.tobytes()).hexdigest() == values
+        assert hashlib.sha256(d.probs.tobytes()).hexdigest() == probs
 
     def test_uniform_mean_exact(self):
         for m in (2, 17, 2001):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from reinsure_dp import dp, treaties
+from reinsure_dp.cli import _doc
 from reinsure_dp.distributions import (
     FamilySpec,
     discretize,
@@ -161,7 +162,7 @@ class TestConfigValidation:
         reads = FAMILIES[family].search
         assert reads[0] == "resolution"
         spec = SearchSpec(family, **{k: read[k] for k in reads})
-        assert list(spec.config()) == ["family", *reads]
+        assert list(_doc(spec)) == ["family", *reads]
         for key, value in unread.items():
             if key not in reads:
                 with pytest.raises(ValidationError, match=f"reads no {key}"):
@@ -170,7 +171,7 @@ class TestConfigValidation:
     def test_sweeps_default_belongs_to_piecewise_linear(self):
         assert SearchSpec("piecewise-linear", knots=(0.2,)).sweeps == 3
         assert SearchSpec("stop-loss").sweeps is None
-        assert SearchSpec("stop-loss").config() == {"family": "stop-loss", "resolution": 64}
+        assert _doc(SearchSpec("stop-loss")) == {"family": "stop-loss", "resolution": 64}
 
     @pytest.mark.parametrize("family", SEARCHABLE)
     def test_curve_is_the_family_premium_curve(self, family):
@@ -241,17 +242,35 @@ class TestConfigValidation:
         (lambda: FamilySpec("uniform", 5), "params", "expected a list, got 5"),
         (lambda: FamilySpec("uniform", (0.0, 1.0), atoms=0), "atoms",
          "atom count must be >= 2 for non-point-mass families"),
-        (lambda: discretize(FamilySpec("uniform", (1.0, 0.0))), "params",
-         "uniform family needs a < b"),
+        (lambda: FamilySpec("uniform", (1.0, 0.0)), "params", "uniform family needs a < b"),
         (lambda: ModelConfig(0, (es_stage(m=11),), GridSpec(-1.0, 1.0, 17),
                              SearchSpec("stop-loss")), "horizon", "horizon must be >= 1"),
         (lambda: ModelConfig(None, (es_stage(m=11, beta=1.0),), GridSpec(-1.0, 1.0, 17),
                              SearchSpec("stop-loss")), "stages[0].beta",
          "infinite horizon needs strict discounting (beta < 1)"),
+        # a field the kind or family does not read, and the rules discretize held
+        (lambda: RiskSpec("value-at-risk", alpha=0.9, gamma=2.0), "gamma",
+         "value-at-risk reads no gamma"),
+        (lambda: RiskSpec("expected-shortfall", alpha=0.9,
+                          distortion=distortion_preset("identity")), "distortion",
+         "expected-shortfall reads no distortion"),
+        (lambda: PremiumSpec("expected", theta=0.1, gamma=0.5), "gamma",
+         "expected reads no gamma"),
+        (lambda: FamilySpec("point-mass", (0.3,), atoms=7), "atoms",
+         "point-mass reads no atoms"),
+        (lambda: SearchSpec("stop-loss", sweeps=3), "sweeps", "stop-loss search reads no sweeps"),
+        (lambda: FamilySpec("gamma", (1.0, 2.0)), "family", "unknown family 'gamma'"),
+        (lambda: FamilySpec("exponential", (1.0,)), "truncation",
+         "exponential family requires a truncation bound"),
+        # a kind that is not a string names no kind, hashable or not
+        (lambda: RiskSpec(["entropic"], gamma=1.0), "kind", "unknown risk kind ['entropic']"),
+        (lambda: FamilySpec(["uniform"], (0.0, 1.0)), "family", "unknown family ['uniform']"),
     ], ids=[
         "count-quoted", "lo-text", "hi-below-lo", "count-8", "resolution-4", "beta-1.5",
         "alpha-1.5", "alpha-quoted", "theta-negative", "params-quoted", "params-scalar",
         "atoms-0", "uniform-b-below-a", "horizon-0", "stationary-beta-1",
+        "var-gamma", "es-distortion", "expected-gamma", "point-mass-atoms", "stop-loss-sweeps",
+        "unknown-family", "exponential-untruncated", "risk-kind-list", "family-list",
     ])
     def test_refusals_name_their_field(self, make, field, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as info:

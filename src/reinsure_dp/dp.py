@@ -23,7 +23,10 @@ scan an evenly spaced ladder over the feasible interval, then rescan inside
 the bracketing cells. A one-point interval takes one probe. Every probe
 ladder is a pure function of the feasible interval, and ties in the
 objective break toward the smaller parameter, so reruns and equivalent
-reformulations of the objective select identical parameters.
+reformulations of the objective select identical parameters. The
+piecewise-linear search descends knot by knot from the identity treaty, one
+batched call scoring every state's slope candidates; a state's value is
+apply_L of its final treaty, as a replay of the policy has it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from .treaties import (
     FAMILIES,
     Treaty,
     _admissible_values,
+    _family,
+    _knot_segments,
     feasible_retention_range,
     make_treaty,
     premium_breakpoints,
@@ -176,7 +181,7 @@ class SearchSpec:
     sweeps: int | None = None
 
     def __post_init__(self):
-        reads = FAMILIES[self.family].search if self.family in FAMILIES else None
+        reads = getattr(_family(self.family), "search", None)
         if reads is None:
             raise UnsupportedFamily(f"cannot search over family {self.family!r}", "family")
         _refuse_unread(self, f"{self.family} search", reads)
@@ -559,26 +564,34 @@ def _pw_search(v_next, s, grid, search):
     start = make_treaty(search.family, {"knots": knots, "slopes": np.ones(knots.size)})
     assert treaty_premium(s.premium, s.dY, start) == 0.0, "piecewise start must cede nothing"
     seg = _segment_prices(s, knots)
-    values = np.empty(grid.size)
-    row = []
-    for j, (x, budget) in enumerate(zip(grid, _budgets(s, grid))):
-        slopes = np.ones(knots.size)
-        best_f = start
-        best = apply_L(v_next, float(x), best_f, s)
-        for _ in range(search.sweeps):
-            for i in range(knots.size):
-                for c in cand:
-                    trial = slopes.copy()
-                    trial[i] = c
-                    if seg @ (1.0 - trial) > budget + 1e-12:
-                        continue
-                    f = make_treaty(search.family, {"knots": knots, "slopes": trial})
-                    got = apply_L(v_next, float(x), f, s)
-                    if got < best:
-                        best, best_f, slopes = got, f, trial
-        values[j] = best
-        row.append(best_f)
-    return values, row
+    segs = _knot_segments(knots, s.dY.values)
+    budget = _budgets(s, grid)[:, None] + 1e-12
+
+    def objectives(slopes):
+        # (state, candidate) slope vectors; an unaffordable one scores +inf
+        flat = (1.0 - slopes).reshape(-1, knots.size)
+        prem = (1.0 - slopes) @ seg
+        obj = _candidate_objectives(
+            v_next, s, grid[:, None], prem, lambda sl, cols, y: y - flat[sl] @ segs[cols].T
+        )
+        return np.where(prem > budget, np.inf, obj)
+
+    slopes = np.ones((grid.size, knots.size))
+    best = objectives(slopes[:, None])[:, 0]
+    for _ in range(search.sweeps):
+        for i in range(knots.size):
+            trial = np.repeat(slopes[:, None], cand.size, axis=1)
+            trial[:, :, i] = cand
+            obj = objectives(trial)
+            # the first minimum, kept only if strictly better, as a scan keeps
+            idx, got = np.argmin(obj, axis=1), np.min(obj, axis=1)
+            better = got < best
+            best[better] = got[better]
+            slopes[better] = trial[better, idx[better]]
+    row = [make_treaty(search.family, {"knots": knots, "slopes": sl}) for sl in slopes]
+    # the reported value is the reference route's, as a replay of the row gives
+    values = np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
+    return values, row, grid.size * (1 + search.sweeps * knots.size * cand.size)
 
 
 def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, stats=None):
@@ -587,14 +600,12 @@ def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, 
     Returns the new value function (decreasing, enforced) and the minimizing
     treaty per state. Tail slopes follow the recursion a -> 1 + beta a.
     When ``stats`` is a dict it receives the objective evaluations the
-    search ran under "argmin_evaluations" (None for the piecewise search).
+    search ran under "argmin_evaluations": the (state, candidate) pairs it
+    scored, for the piecewise search unaffordable candidates included.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if search.scalar is None:
-        values, row = _pw_search(v_next, s, grid, search)
-        probes = None
-    else:
-        values, row, probes = _scalar_family_search(v_next, s, grid, search)
+    search_row = _pw_search if search.scalar is None else _scalar_family_search
+    values, row, probes = search_row(v_next, s, grid, search)
     if stats is not None:
         stats["argmin_evaluations"] = probes
     out_left = -(1.0 - s.beta * v_next.slope_left)

@@ -94,14 +94,17 @@ def _check_piecewise(p: dict) -> dict:
     return {"knots": [float(t) for t in knots], "slopes": [float(s) for s in slopes]}
 
 
-def _piecewise_retained(p: dict, y: np.ndarray) -> np.ndarray:
-    knots = np.asarray(p["knots"], dtype=np.float64)
-    slopes = np.asarray(p["slopes"], dtype=np.float64)
+def _knot_segments(knots, y: np.ndarray) -> np.ndarray:
+    # each claim's part of each knot's segment, the last one unbounded
     widths = np.diff(np.concatenate([knots, [np.inf]]))
-    segs = np.clip(y[..., None] - knots, 0.0, widths)
+    return np.clip(y[..., None] - knots, 0.0, widths)
+
+
+def _piecewise_retained(p: dict, y: np.ndarray) -> np.ndarray:
+    slopes = np.asarray(p["slopes"], dtype=np.float64)
     # segment i cedes (1 - slope_i) of itself; the claim below the first
     # knot is retained in full, and all-ones slopes retain exactly y
-    return y - segs @ (1.0 - slopes)
+    return y - _knot_segments(p["knots"], y) @ (1.0 - slopes)
 
 
 def _survival_steps(pspec: PremiumSpec, dY: DiscreteDistribution):
@@ -175,9 +178,14 @@ class Treaty:
         return f"Treaty({self.family}, {inner})"
 
 
+def _family(name) -> Family | None:
+    # name's FAMILIES entry; a name that is not a string has none
+    return FAMILIES.get(name) if isinstance(name, str) else None
+
+
 def make_treaty(family: str, params: dict) -> Treaty:
-    if family not in FAMILIES:
-        raise UnsupportedFamily(f"unknown treaty family {family!r}")
+    if _family(family) is None:
+        raise UnsupportedFamily(f"unknown treaty family {family!r}", "family")
     return Treaty(family, FAMILIES[family].check(params))
 
 
@@ -210,9 +218,9 @@ def premium_breakpoints(
     by positive homogeneity. Premiums are decreasing along the table. Only
     the layer reads ``upper``, its upper edge (the top claim when None).
     """
-    curve = FAMILIES[family].curve if family in FAMILIES else None
+    curve = getattr(_family(family), "curve", None)
     if curve is None:
-        raise UnsupportedFamily(f"no retention curve for family {family!r}")
+        raise UnsupportedFamily(f"no retention curve for family {family!r}", "family")
     return curve(pspec, dY, upper)
 
 

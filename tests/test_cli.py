@@ -561,6 +561,19 @@ class TestSolveSubcommands:
         assert sorted(manifest["outputs"]) == ["policy.csv", "values.csv"]
         assert manifest["config"]["search"] == {"family": "stop-loss", "resolution": 64}
 
+    def test_piecewise_solve_counts_its_candidates(self, tmp_path):
+        doc = finite_doc()
+        doc["search"] = {
+            "family": "piecewise-linear", "knots": [0.2, 0.6], "resolution": 8, "sweeps": 2,
+        }
+        out = tmp_path / "pw"
+        assert run("solve-finite", dump(tmp_path, doc), str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # every state scores its start, then 2 sweeps x 2 knots x 9 slopes,
+        # the unaffordable ones included
+        per_stage = manifest["stats"]["per_stage"]
+        assert [entry["argmin_evaluations"] for entry in per_stage] == [33 * (1 + 2 * 2 * 9)] * 2
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = dump(tmp_path, finite_doc())
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -277,6 +277,18 @@ class TestConfigValidation:
             make()
         assert info.value.field == field
 
+    # a family that is not a string names no family, hashable or not
+    @pytest.mark.parametrize("family", [["layer"], {"a": 1}, None, 1], ids=repr)
+    @pytest.mark.parametrize("make", [
+        SearchSpec,
+        lambda family: make_treaty(family, {}),
+        lambda family: premium_breakpoints(family, PremiumSpec("expected"), uniform01(11)),
+    ], ids=["search", "make_treaty", "premium_breakpoints"])
+    def test_non_string_family_is_unsupported(self, make, family):
+        with pytest.raises(UnsupportedFamily) as info:
+            make(family)
+        assert info.value.field == "family"
+
     def test_integral_numbers_still_construct(self):
         config = ModelConfig(2.0, (es_stage(m=11),), GridSpec(-1, 1, 17.0),
                              SearchSpec("stop-loss", resolution=16.0), tol=1)
@@ -1040,6 +1052,81 @@ class TestBellmanStep:
         monkeypatch.setattr(treaties, "premium_breakpoints", counting)
         bellman_step(zero_vf(grid), s, grid, SearchSpec("stop-loss"))
         assert len(calls) == 1
+
+
+def _sequential_pw_search(v_next, s, grid, search):
+    # the reference piecewise-linear search: coordinate descent from the
+    # identity treaty, state by state, each affordable candidate scored by
+    # apply_L and kept if strictly better than the best so far
+    knots = np.asarray(search.knots)
+    cand = np.linspace(0.0, 1.0, search.resolution + 1)
+    seg = dp._segment_prices(s, knots)
+    budgets = np.maximum(grid, 0.0) if s.budget_constrained else np.full(grid.size, np.inf)
+    values, rows = [], []
+    for x, budget in zip(grid, budgets):
+        slopes = np.ones(knots.size)
+        best_f = make_treaty(search.family, {"knots": knots, "slopes": slopes})
+        best = apply_L(v_next, float(x), best_f, s)
+        for _ in range(search.sweeps):
+            for i in range(knots.size):
+                for c in cand:
+                    trial = slopes.copy()
+                    trial[i] = c
+                    if seg @ (1.0 - trial) > budget + 1e-12:
+                        continue
+                    f = make_treaty(search.family, {"knots": knots, "slopes": trial})
+                    got = apply_L(v_next, float(x), f, s)
+                    if got < best:
+                        best, best_f, slopes = got, f, trial
+        values.append(best)
+        rows.append(best_f)
+    return np.asarray(values), rows
+
+
+PW_RISKS = {k: RISKS[k] for k in ("es", "var", "ph", "entropic")}
+PW_INCOMES = {"point": INCOMES["point"], "equal": INCOMES["5-atom"], "unequal": INCOMES["3-atom"]}
+# with 0, a single knot, an interior pair, and one knot above the top claim
+PW_KNOTS = {"zero": (0.0, 0.4, 0.8), "single": (0.3,), "pair": (0.2, 0.6), "above": (0.5, 1.5)}
+
+
+class TestPiecewiseSearch:
+    """The batched coordinate descent against the sequential apply_L scan."""
+
+    GRID = np.linspace(-0.5, 1.5, 24)
+
+    @pytest.mark.parametrize("constrained", [True, False], ids=["budget", "free"])
+    @pytest.mark.parametrize("knots_id", list(PW_KNOTS))
+    @pytest.mark.parametrize("income_id", list(PW_INCOMES))
+    @pytest.mark.parametrize("risk_id", list(PW_RISKS))
+    def test_same_slopes_as_the_sequential_scan(self, risk_id, income_id, knots_id, constrained):
+        s = StageData(
+            uniform01(21), PW_INCOMES[income_id](), PW_RISKS[risk_id],
+            PremiumSpec("expected", theta=0.2), 0.9, constrained,
+        )
+        grid = self.GRID
+        v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
+        search = SearchSpec("piecewise-linear", knots=PW_KNOTS[knots_id], resolution=8, sweeps=2)
+        got, row = bellman_step(v, s, grid, search)
+        want, ref_row = _sequential_pw_search(v, s, grid, search)
+        for j, (x, f, g) in enumerate(zip(grid, row, ref_row)):
+            if f.params["slopes"] != g.params["slopes"]:
+                gap = apply_L(v, x, f, s) - apply_L(v, x, g, s)
+                pytest.fail(f"state {j}: slopes {f.params['slopes']} against"
+                            f" {g.params['slopes']}, objective gap {gap:.3g}")
+        # the same treaties, so this is apply_L of each returned treaty
+        assert np.array_equal(_bits(got.values), _bits(want))
+
+    def test_one_apply_L_call_per_state(self, monkeypatch):
+        s = es_stage(m=101)
+        grid = np.linspace(-0.5, 1.5, 32)
+        search = SearchSpec("piecewise-linear", knots=(0.2, 0.6), resolution=16, sweeps=2)
+        log = []
+        _counting(monkeypatch, dp, "apply_L", log)
+        stats = {}
+        bellman_step(zero_vf(grid), s, grid, search, stats)
+        assert [float(args[1]) for args in log] == list(grid)
+        # each state's start, then 2 sweeps x 2 knots x 17 slope candidates
+        assert stats["argmin_evaluations"] == grid.size * (1 + 2 * 2 * 17)
 
 
 class TestWeightedNorm:

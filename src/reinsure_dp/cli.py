@@ -332,8 +332,8 @@ def _write_solution(out_dir, values, policy: PolicyTable, labels=None) -> list[s
 def _atomic_json(path, obj) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        # one dumps call takes the C encoder, which indent=2 would bypass
+        fh.write(json.dumps(obj) + "\n")
     os.replace(tmp, path)
 
 

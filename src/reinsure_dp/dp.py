@@ -26,7 +26,7 @@ objective break toward the smaller parameter, so reruns and equivalent
 reformulations of the objective select identical parameters. The
 piecewise-linear search descends knot by knot from the identity treaty, one
 batched call scoring every state's slope candidates; a state's value is
-apply_L of its final treaty, as a replay of the policy has it.
+apply_L of its final treaty, which a replay matches to rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import (
     InvalidTreaty,
     MaxIterations,
     MonotonicityViolation,
+    NumericError,
     UnsupportedFamily,
     ValidationError,
     _integer,
@@ -589,7 +590,7 @@ def _pw_search(v_next, s, grid, search):
             best[better] = got[better]
             slopes[better] = trial[better, idx[better]]
     row = [make_treaty(search.family, {"knots": knots, "slopes": sl}) for sl in slopes]
-    # the reported value is the reference route's, as a replay of the row gives
+    # the reported value is the reference route's; a replay matches it to rounding
     values = np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
     return values, row, grid.size * (1 + search.sweeps * knots.size * cand.size)
 
@@ -735,18 +736,6 @@ def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
             return sol
 
 
-def _row_values(v_next: ValueFunction, s: StageData, grid: np.ndarray, row, prem, index, claims):
-    # a one-family row whose scalar parameter is its only one goes through
-    # the batched evaluator, with its premiums and retained claims off the
-    # policy table; any other row through apply_L, state by state
-    fam = FAMILIES[row[0].family]
-    if fam.fields == (fam.scalar,) and all(f.family == row[0].family for f in row):
-        return _candidate_objectives(
-            v_next, s, grid, prem, lambda sl, cols, y: claims[index[sl, None], cols]
-        )
-    return np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
-
-
 def _treaty_key(f: Treaty):
     # equal parameters price equally; a custom map is known only by identity
     if FAMILIES[f.family].fields is None:
@@ -815,7 +804,9 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
-    table is the policy's _policy_table, which has checked it.
+    table is the policy's _policy_table, which has checked it. Every row of
+    every family is priced by the batched evaluator off the table; at each
+    stage's first, middle and last state apply_L checks it (NumericError).
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
@@ -826,7 +817,16 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
     values[n] = v = ValueFunction(grid, np.zeros(grid.size))
     for k in range(n - 1, -1, -1):
         s = config.stage(k)
-        row_values = _row_values(v, s, grid, policy.rows[k], premiums[k], index[k], claims[k])
+        row_values = _candidate_objectives(
+            v, s, grid, premiums[k], lambda sl, cols, y: claims[k][index[k, sl, None], cols]
+        )
+        for j in (0, grid.size // 2, grid.size - 1):
+            ref = apply_L(v, float(grid[j]), policy.rows[k][j], s)
+            if abs(row_values[j] - ref) > 1e-9 * (1.0 + abs(ref)):
+                raise NumericError(
+                    f"stage {k}: replayed value {row_values[j]:.12g} at x = {grid[j]:.6g}"
+                    f" differs from apply_L's {ref:.12g}"
+                )
         out_left = -(1.0 - s.beta * v.slope_left)
         out_right = -(1.0 - s.beta * v.slope_right)
         values[k] = v = ValueFunction(grid, row_values, out_left, out_right)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import reinsure_dp
+from reinsure_dp import dp
 from reinsure_dp.cli import (
     _SUBCOMMANDS,
     _build_parser,
@@ -689,6 +690,27 @@ class TestPolicyFlow:
             assert len(evaluated) == len(solved)
             for a, b in zip(evaluated, solved):
                 assert float(a["value"]) == pytest.approx(float(b["value"]), abs=1e-9), family
+
+    def test_replay_off_apply_L_exits_2_without_manifest(self, tmp_path, monkeypatch, capsys):
+        doc = finite_doc(m=11, count=17)
+        doc["search"] = SEARCH_DOCS["layer"]
+        cfg = dump(tmp_path, doc)
+        solve = tmp_path / "solve"
+        assert run("solve-finite", cfg, str(solve)) == 0
+        real = dp._candidate_objectives
+
+        def shifted(*args):
+            # the middle state, one of the three the replay checks
+            out = real(*args).copy()
+            out[out.size // 2] += 1e-6
+            return out
+
+        monkeypatch.setattr(dp, "_candidate_objectives", shifted)
+        out = tmp_path / "eval"
+        assert run("evaluate-policy", cfg, str(out), policy=str(solve / "policy.csv")) == 2
+        assert "numeric failure: stage 1: replayed value" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "values.csv").exists()
 
     def test_policy_csv_roundtrip(self, tmp_path):
         config = parse_config(dump(tmp_path, finite_doc()))

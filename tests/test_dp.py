@@ -47,6 +47,7 @@ from reinsure_dp.errors import (
     InvalidTreaty,
     MaxIterations,
     MonotonicityViolation,
+    NumericError,
     UnsupportedFamily,
     ValidationError,
 )
@@ -1450,6 +1451,94 @@ class TestEvaluatePolicy:
                 want.slope_left,
                 want.slope_right,
             )
+
+
+# a replayed row of each kind: every state's treaty drawn from narrow ranges,
+# so that neighbouring states' values stay decreasing across the grid
+def _replay_treaty(rng, family):
+    if family == "layer":
+        return make_treaty("layer", {"a": rng.uniform(0.35, 0.45), "w": rng.uniform(0.25, 0.35)})
+    if family == "piecewise-linear":
+        slopes = rng.uniform(0.7, 1.0, size=2)
+        return make_treaty(family, {"knots": [0.2, 0.6], "slopes": slopes})
+    if family == "stop-loss":
+        return make_treaty(family, {"a": rng.uniform(0.55, 0.65)})
+    if family == "proportional":
+        return make_treaty(family, {"c": rng.uniform(0.75, 0.85)})
+    if family == "custom":
+        # h' = 1 - c y lies in [0, 1] on the claims' support: admissible
+        c = rng.uniform(0.0, 0.4)
+        return make_treaty(family, {"fn": lambda y: y - c * np.asarray(y) ** 2 / 2})
+    return make_treaty(family, {})
+
+
+def _replay_row(rng, row_id, size):
+    if row_id == "mixed":
+        kinds = ("layer", "piecewise-linear", "stop-loss", "proportional", "custom")
+        return tuple(_replay_treaty(rng, kinds[j % len(kinds)]) for j in range(size))
+    return tuple(_replay_treaty(rng, row_id) for _ in range(size))
+
+
+REPLAY_ROWS = ("layer", "piecewise-linear", "identity", "full-cession", "mixed", "custom")
+REPLAY_RISKS = ("mean", "var", "es", "ph", "entropic")
+REPLAY_INCOMES = {
+    "point": INCOMES["point"],
+    "equal-3": EQUAL_INCOMES["3-atom-uniform"],
+    "unequal-3": INCOMES["3-atom"],
+}
+
+
+def _replay_case(risk_id, income_id, horizon=2):
+    s = StageData(uniform01(31), REPLAY_INCOMES[income_id](), RISKS[risk_id],
+                  PremiumSpec("expected", theta=0.2), 0.9, budget_constrained=False)
+    return ModelConfig(horizon, (s,), GridSpec(-1.0, 2.2, 17), SearchSpec("stop-loss"))
+
+
+class TestReplayAgainstApplyL:
+    """Every stored row, whatever its family, replays through the batched
+    evaluator: its values are apply_L's, state by state, to rounding."""
+
+    @pytest.mark.parametrize("row_id", REPLAY_ROWS)
+    @pytest.mark.parametrize("income_id", list(REPLAY_INCOMES))
+    @pytest.mark.parametrize("risk_id", REPLAY_RISKS)
+    def test_rows_match_apply_L(self, risk_id, income_id, row_id):
+        rng = np.random.default_rng(SEED)
+        cfg = _replay_case(risk_id, income_id)
+        grid, s = cfg.grid.points(), cfg.stage(0)
+        policy = PolicyTable(grid, tuple(_replay_row(rng, row_id, grid.size) for _ in range(2)))
+        got = evaluate_policy(policy, cfg)
+        v = zero_vf(grid)
+        for row in reversed(policy.rows):
+            want = np.array([apply_L(v, x, f, s) for x, f in zip(grid, row)])
+            v = ValueFunction(grid, want, -(1.0 - s.beta * v.slope_left),
+                              -(1.0 - s.beta * v.slope_right))
+        gap = np.abs(got.values - want) / (1.0 + np.abs(want))
+        assert np.max(gap) <= 1e-12, int(np.argmax(gap))
+        assert np.array_equal(_bits(got.values), _bits(evaluate_policy(policy, cfg).values))
+
+    def test_apply_L_checks_three_states_per_stage(self, monkeypatch):
+        cfg = _replay_case("es", "unequal-3", horizon=3)
+        grid = cfg.grid.points()
+        policy = PolicyTable(grid, (_replay_row(np.random.default_rng(SEED), "mixed", 17),) * 3)
+        log = []
+        _counting(monkeypatch, dp, "apply_L", log)
+        evaluate_policy(policy, cfg)
+        assert [float(args[1]) for args in log] == [grid[0], grid[8], grid[16]] * 3
+
+    def test_batched_value_off_apply_L_raises(self, monkeypatch):
+        cfg = _replay_case("var", "point")
+        grid = cfg.grid.points()
+        policy = PolicyTable(grid, (_replay_row(np.random.default_rng(SEED), "layer", 17),) * 2)
+        real = dp._candidate_objectives
+
+        def shifted(*args):
+            out = real(*args).copy()
+            out[out.size // 2] += 1e-6
+            return out
+
+        monkeypatch.setattr(dp, "_candidate_objectives", shifted)
+        with pytest.raises(NumericError, match=rf"stage 1: .* x = {grid[8]:.6g} "):
+            evaluate_policy(policy, cfg)
 
 
 class TestScalarOnlyHandles:

@@ -25,8 +25,8 @@ ladder is a pure function of the feasible interval, and ties in the
 objective break toward the smaller parameter, so reruns and equivalent
 reformulations of the objective select identical parameters. The
 piecewise-linear search descends knot by knot from the identity treaty, one
-batched call scoring every state's slope candidates; a state's value is
-apply_L of its final treaty, which a replay matches to rounding.
+batched call scoring every state's slope candidates. Every searched and
+replayed stage value is the evaluator's; apply_L checks it at three states.
 """
 
 from __future__ import annotations
@@ -590,28 +590,40 @@ def _pw_search(v_next, s, grid, search):
             best[better] = got[better]
             slopes[better] = trial[better, idx[better]]
     row = [make_treaty(search.family, {"knots": knots, "slopes": sl}) for sl in slopes]
-    # the reported value is the reference route's; a replay matches it to rounding
-    values = np.asarray([apply_L(v_next, float(x), f, s) for x, f in zip(grid, row)])
-    return values, row, grid.size * (1 + search.sweeps * knots.size * cand.size)
+    return best, row, grid.size * (1 + search.sweeps * knots.size * cand.size)
 
 
 def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, stats=None):
     """One backward step: minimize the one-period cost at every grid state.
 
     Returns the new value function (decreasing, enforced) and the minimizing
-    treaty per state. Tail slopes follow the recursion a -> 1 + beta a.
-    When ``stats`` is a dict it receives the objective evaluations the
-    search ran under "argmin_evaluations": the (state, candidate) pairs it
-    scored, for the piecewise search unaffordable candidates included.
+    treaty per state. Each value is the search's batched minimum; apply_L
+    checks it at three states and raises NumericError on a gap. Tail slopes
+    follow the recursion a -> 1 + beta a. When ``stats`` is a dict it
+    receives the objective evaluations the search ran under
+    "argmin_evaluations": the (state, candidate) pairs it scored, for the
+    piecewise search unaffordable candidates included.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     search_row = _pw_search if search.scalar is None else _scalar_family_search
     values, row, probes = search_row(v_next, s, grid, search)
     if stats is not None:
         stats["argmin_evaluations"] = probes
-    out_left = -(1.0 - s.beta * v_next.slope_left)
-    out_right = -(1.0 - s.beta * v_next.slope_right)
-    return ValueFunction(grid, values, out_left, out_right), tuple(row)
+    return _checked_stage(v_next, s, grid, values, row, "searched"), tuple(row)
+
+
+def _checked_stage(v_next, s: StageData, grid, values, row, label):
+    """Stage value function of batched values, tails by a -> 1 + beta a, once
+    apply_L of row's treaties matches them at the first, middle and last state."""
+    for j in (0, grid.size // 2, grid.size - 1):
+        ref = apply_L(v_next, float(grid[j]), row[j], s)
+        if abs(values[j] - ref) > 1e-9 * (1.0 + abs(ref)):
+            raise NumericError(
+                f"{label} value {values[j]:.12g} at x = {grid[j]:.6g}"
+                f" differs from apply_L's {ref:.12g}"
+            )
+    tails = [-(1.0 - s.beta * a) for a in (v_next.slope_left, v_next.slope_right)]
+    return ValueFunction(grid, values, *tails)
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +816,8 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
-    table is the policy's _policy_table, which has checked it. Every row of
-    every family is priced by the batched evaluator off the table; at each
-    stage's first, middle and last state apply_L checks it (NumericError).
+    table is the policy's _policy_table, which has checked it. The batched
+    evaluator prices every row off the table, checked as a search is.
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
@@ -820,16 +831,8 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
         row_values = _candidate_objectives(
             v, s, grid, premiums[k], lambda sl, cols, y: claims[k][index[k, sl, None], cols]
         )
-        for j in (0, grid.size // 2, grid.size - 1):
-            ref = apply_L(v, float(grid[j]), policy.rows[k][j], s)
-            if abs(row_values[j] - ref) > 1e-9 * (1.0 + abs(ref)):
-                raise NumericError(
-                    f"stage {k}: replayed value {row_values[j]:.12g} at x = {grid[j]:.6g}"
-                    f" differs from apply_L's {ref:.12g}"
-                )
-        out_left = -(1.0 - s.beta * v.slope_left)
-        out_right = -(1.0 - s.beta * v.slope_right)
-        values[k] = v = ValueFunction(grid, row_values, out_left, out_right)
+        label = f"stage {k}: replayed"
+        values[k] = v = _checked_stage(v, s, grid, row_values, policy.rows[k], label)
     return values
 
 

@@ -712,6 +712,26 @@ class TestPolicyFlow:
         assert not (out / "manifest.json").exists()
         assert not (out / "values.csv").exists()
 
+    @pytest.mark.parametrize("family", ["stop-loss", "piecewise-linear"])
+    def test_search_off_apply_L_exits_2_without_manifest(self, tmp_path, monkeypatch, capsys,
+                                                         family):
+        doc = finite_doc(m=11, count=17)
+        doc["search"] = SEARCH_DOCS[family]
+        middle = np.linspace(-0.5, 1.5, 17)[8]
+        real = dp._candidate_objectives
+
+        def shifted(v, s, x, prem, retained):
+            # every candidate at the middle state, one of the three checked
+            out = real(v, s, x, prem, retained)
+            return out + 1e-6 * (np.broadcast_to(x, out.shape) == middle)
+
+        monkeypatch.setattr(dp, "_candidate_objectives", shifted)
+        out = tmp_path / "solve"
+        assert run("solve-finite", dump(tmp_path, doc), str(out)) == 2
+        assert "numeric failure: searched value" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "values.csv").exists()
+
     def test_policy_csv_roundtrip(self, tmp_path):
         config = parse_config(dump(tmp_path, finite_doc()))
         _, policy = solve_finite(config)

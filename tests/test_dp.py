@@ -1012,7 +1012,10 @@ class TestBellmanStep:
         v, row = bellman_step(zero_vf(grid), s, grid, search)
         for x, f, val in zip(grid, row, v.values):
             assert treaty_premium(s.premium, s.dY, f) <= max(x, 0.0) + 1e-12, x
-            assert val == apply_L(zero_vf(grid), x, f, s)
+            ref = apply_L(zero_vf(grid), x, f, s)
+            assert abs(val - ref) <= 1e-12 * (1.0 + abs(ref)), x
+        again, _ = bellman_step(zero_vf(grid), s, grid, search)
+        assert np.array_equal(_bits(v.values), _bits(again.values))
 
     @pytest.mark.parametrize("pspec", [
         PremiumSpec("expected", theta=0.2),
@@ -1114,20 +1117,62 @@ class TestPiecewiseSearch:
                 gap = apply_L(v, x, f, s) - apply_L(v, x, g, s)
                 pytest.fail(f"state {j}: slopes {f.params['slopes']} against"
                             f" {g.params['slopes']}, objective gap {gap:.3g}")
-        # the same treaties, so this is apply_L of each returned treaty
-        assert np.array_equal(_bits(got.values), _bits(want))
+        # the same treaties, whose batched scores are apply_L's to rounding
+        gap = np.abs(got.values - want) / (1.0 + np.abs(want))
+        assert np.max(gap) <= 1e-12, int(np.argmax(gap))
+        again, _ = bellman_step(v, s, grid, search)
+        assert np.array_equal(_bits(got.values), _bits(again.values))
 
-    def test_one_apply_L_call_per_state(self, monkeypatch):
-        s = es_stage(m=101)
-        grid = np.linspace(-0.5, 1.5, 32)
-        search = SearchSpec("piecewise-linear", knots=(0.2, 0.6), resolution=16, sweeps=2)
+
+# a search of each family, and the objective evaluations it runs on a
+# 32-state grid: the zoom's 3 levels x 17 rungs per state with an interval,
+# or the piecewise start then 2 sweeps x 2 knots x 17 slope candidates
+CHECKED_SEARCHES = {
+    "stop-loss": (SearchSpec("stop-loss", resolution=16), 3 * 17),
+    "layer": (SearchSpec("layer", resolution=16, layer_upper=0.9), 3 * 17),
+    "proportional": (SearchSpec("proportional", resolution=16), 3 * 17),
+    "piecewise-linear": (
+        SearchSpec("piecewise-linear", knots=(0.2, 0.6), resolution=16, sweeps=2),
+        1 + 2 * 2 * 17,
+    ),
+}
+
+
+class TestSearchCheckedAgainstApplyL:
+    """Every searched stage value is the batched evaluator's, and apply_L
+    checks it at the first, middle and last state of every step."""
+
+    GRID = np.linspace(-0.5, 1.5, 32)
+
+    @pytest.mark.parametrize("family", list(CHECKED_SEARCHES))
+    def test_three_apply_L_calls_per_step(self, monkeypatch, family):
+        search, per_state = CHECKED_SEARCHES[family]
+        grid = self.GRID
         log = []
         _counting(monkeypatch, dp, "apply_L", log)
         stats = {}
-        bellman_step(zero_vf(grid), s, grid, search, stats)
-        assert [float(args[1]) for args in log] == list(grid)
-        # each state's start, then 2 sweeps x 2 knots x 17 slope candidates
-        assert stats["argmin_evaluations"] == grid.size * (1 + 2 * 2 * 17)
+        bellman_step(zero_vf(grid), es_stage(m=101, constrained=False), grid, search, stats)
+        assert [float(args[1]) for args in log] == [grid[0], grid[grid.size // 2], grid[-1]]
+        assert stats["argmin_evaluations"] == grid.size * per_state
+
+    @pytest.mark.parametrize("family", ["stop-loss", "piecewise-linear"])
+    def test_batched_value_off_apply_L_raises(self, monkeypatch, family):
+        search, _ = CHECKED_SEARCHES[family]
+        grid = self.GRID
+        real = dp._candidate_objectives
+
+        def shifted(*args):
+            # without a budget every state searches, so row j of each call
+            # holds state j's candidates: shift every one at the middle state
+            out = real(*args).copy()
+            out[grid.size // 2] += 1e-6
+            return out
+
+        monkeypatch.setattr(dp, "_candidate_objectives", shifted)
+        s = es_stage(m=101, constrained=False)
+        middle = grid[grid.size // 2]
+        with pytest.raises(NumericError, match=rf"^searched value .* x = {middle:.6g} "):
+            bellman_step(zero_vf(grid), s, grid, search)
 
 
 class TestWeightedNorm:

@@ -14,9 +14,11 @@ weight vector per stage prices all of them; with stochastic income whose
 product atoms are equally likely one weight vector serves too, and each
 pair sorts only its values; otherwise one stable argsort orders every pair
 at once; the entropic measure needs no order. The zero terminal value is
-added as a constant, not interpolated. Pairs go through in cache-sized
-slices and each reduces on its own, so the temporaries stay bounded and
-slicing never changes a result bit.
+added as a constant, not interpolated; under it a weight-based measure is
+cash invariant, so a state shifts its pairs' values by -x sum(w) alone and a
+scalar search prices each distinct probe ladder once, for every state that
+probes it. Pairs go through in cache-sized slices and each reduces on its
+own, so the temporaries stay bounded and slicing never changes a result bit.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -488,6 +490,41 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
     return out.reshape(shape)
 
 
+def _ladder_objectives(v: ValueFunction, s: StageData, x, params, price, retained):
+    """Objective of every (state, probe) pair of a scalar search.
+
+    x holds each state's surplus and params, one row per state, its probe
+    ladder; price maps parameters to premiums and retained(p, y) gives the
+    claims y retained at parameters p. Under the zero terminal value a
+    weight-based measure is cash invariant: a state enters its pairs only
+    as the shift -x sum(w), so each distinct ladder (rows equal bit for
+    bit, -0.0 apart from +0.0) goes through the evaluator once.
+    """
+    if not _is_zero(v) or s.risk.kind == "entropic":
+        flat = params.ravel()
+        return _candidate_objectives(
+            v, s, x[:, None], price(params), lambda sl, cols, y: retained(flat[sl, None], y)
+        )
+    # equal ladders come in runs of neighboring states: only a run's first
+    # row is keyed, on its bytes
+    rows = np.ascontiguousarray(params)
+    bits = rows.view(np.uint64)
+    head = np.ones(rows.shape[0], dtype=bool)
+    head[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    rows = rows[head]
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    flat = rows[first].ravel()
+    sums = np.empty((2, flat.size))
+    for sl, t, w in _next_atoms(s, price(flat), lambda sl, cols, y: retained(flat[sl, None], y)):
+        sums[0, sl] = np.sum(w, axis=-1)
+        sums[1, sl] = np.sum(t * w, axis=-1)
+    sw, stw = sums.reshape(2, first.size, -1)
+    ladder = inv.ravel()[np.cumsum(head) - 1]
+    # _candidate_objectives' expression, the continuation's +0.0 included
+    return -x[:, None] * sw[ladder] - stw[ladder] + s.beta * 0.0
+
+
 def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
     # the premium budget at each state: its surplus x+, or none at all
     return np.maximum(grid, 0.0) if s.budget_constrained else np.full(grid.size, np.inf)
@@ -499,10 +536,8 @@ def _scalar_family_search(v_next, s, grid, search):
     lo, hi = feasible_retention_range((bp, bv), _budgets(s, grid))
 
     def objectives(states, params):
-        flat = params.ravel()
-        return _candidate_objectives(
-            v_next, s, grid[states, None], np.interp(params, bp, bv),
-            lambda sl, cols, y: search.retained(flat[sl, None], y),
+        return _ladder_objectives(
+            v_next, s, grid[states], params, lambda p: np.interp(p, bp, bv), search.retained
         )
 
     r = search.resolution
@@ -602,7 +637,9 @@ def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, 
     follow the recursion a -> 1 + beta a. When ``stats`` is a dict it
     receives the objective evaluations the search ran under
     "argmin_evaluations": the (state, candidate) pairs it scored, for the
-    piecewise search unaffordable candidates included.
+    piecewise search unaffordable candidates included. It counts pairs, not
+    the rows the evaluator built: on a zero continuation a scalar search
+    builds rows only for its distinct probe ladders.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     search_row = _pw_search if search.scalar is None else _scalar_family_search

@@ -797,14 +797,69 @@ class TestSharedComputations:
 
     def test_zero_terminal_value_adds_plus_zero(self, monkeypatch):
         # no claims, no income, no premium: at x = 0 the row sums to -0.0
-        # before the continuation's +0.0, which either route adds
+        # before the continuation's +0.0, which every route adds
         s = StageData(point(0.0), point(0.0), RISKS["es"], PremiumSpec("expected", theta=0.2), 0.9)
-        got = _objectives(zero_vf(self.GRID), s, np.array([0.0]), np.array([[0.0]]),
-                          SearchSpec("stop-loss"))
+        search = SearchSpec("stop-loss")
+        x, params = np.array([0.0]), np.array([[0.0]])
+        got = _objectives(zero_vf(self.GRID), s, x, params, search)
+        laddered = dp._ladder_objectives(
+            zero_vf(self.GRID), s, x, params, lambda p: np.zeros(np.shape(p)), search.retained
+        )
         monkeypatch.setattr(dp, "_is_zero", lambda v: False)
-        want = _objectives(zero_vf(self.GRID), s, np.array([0.0]), np.array([[0.0]]),
-                           SearchSpec("stop-loss"))
+        want = _objectives(zero_vf(self.GRID), s, x, params, search)
         assert np.array_equal(_bits(got), _bits(want)) and not np.signbit(got[0, 0])
+        assert np.array_equal(_bits(laddered), _bits(want))
+
+    @pytest.mark.parametrize("constrained", [True, False], ids=["budget", "free"])
+    @pytest.mark.parametrize("family", ["stop-loss", "layer", "proportional"])
+    @pytest.mark.parametrize("income_id", ["point", "3-atom-uniform", "3-atom"])
+    @pytest.mark.parametrize("risk_id", [k for k in RISKS if k != "entropic"])
+    def test_ladder_route_gives_the_per_pair_bits(self, monkeypatch, risk_id, income_id, family,
+                                                   constrained):
+        income = {**INCOMES, **EQUAL_INCOMES}[income_id]
+        s = StageData(uniform01(31), income(), RISKS[risk_id], PremiumSpec("expected", theta=0.2),
+                      0.9, constrained)
+        search = _grid_search(family, s.dY)
+        grid = self.GRID
+        shared, row = bellman_step(zero_vf(grid), s, grid, search)
+        monkeypatch.setattr(dp, "_is_zero", lambda v: False)
+        per_pair, per_pair_row = bellman_step(zero_vf(grid), s, grid, search)
+        assert np.array_equal(_bits(shared.values), _bits(per_pair.values))
+        assert [f.params for f in row] == [f.params for f in per_pair_row]
+
+    def test_ladders_apart_in_the_sign_of_a_zero_stay_apart(self, monkeypatch):
+        s = es_stage(m=31)
+        search = SearchSpec("stop-loss")
+        bp, bv = search.curve(s.premium, s.dY)
+        ladder = np.linspace(0.0, 1.0, 5)
+        signed = ladder.copy()
+        signed[0] = -0.0
+        # a run of two, then each ladder again, apart from its first run
+        params = np.array([ladder, ladder, signed, ladder, signed])
+        x = np.linspace(-0.2, 0.6, len(params))
+        built = []
+        _counting(monkeypatch, dp, "_next_atoms", built)
+        got = dp._ladder_objectives(
+            zero_vf(self.GRID), s, x, params, lambda p: np.interp(p, bp, bv), search.retained
+        )
+        assert [np.size(args[1]) for args in built] == [2 * ladder.size]
+        want = _objectives(zero_vf(self.GRID), s, x, params, search)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_one_stage_solve_builds_rows_per_distinct_ladder(self, monkeypatch):
+        size = 32
+        cfg = ModelConfig(1, (es_stage(m=101, constrained=False),), GridSpec(-0.5, 1.5, size),
+                          SearchSpec("stop-loss"))
+        searched, built = [], []
+        _counting(monkeypatch, dp, "_ladder_objectives", searched)
+        _counting(monkeypatch, dp, "_next_atoms", built)
+        stats = []
+        solve_finite(cfg, stats)
+        ladders = sum(len({row.tobytes() for row in args[3]}) for args in searched)
+        assert [np.shape(args[3]) for args in searched] == [(size, 65)] * 3
+        assert ladders < 3 * size
+        assert sum(np.size(args[1]) for args in built) == ladders * 65
+        assert stats[0]["argmin_evaluations"] == size * 3 * 65
 
     @pytest.mark.parametrize("family", ["stop-loss", "layer", "proportional"])
     @pytest.mark.parametrize(
@@ -1155,11 +1210,17 @@ class TestSearchCheckedAgainstApplyL:
         assert [float(args[1]) for args in log] == [grid[0], grid[grid.size // 2], grid[-1]]
         assert stats["argmin_evaluations"] == grid.size * per_state
 
-    @pytest.mark.parametrize("family", ["stop-loss", "piecewise-linear"])
-    def test_batched_value_off_apply_L_raises(self, monkeypatch, family):
+    # the evaluator each search scores through: on the zero terminal value a
+    # scalar search prices each distinct ladder once, by _ladder_objectives
+    @pytest.mark.parametrize(
+        "family, seam",
+        [("stop-loss", "_ladder_objectives"), ("piecewise-linear", "_candidate_objectives")],
+        ids=["stop-loss", "piecewise-linear"],
+    )
+    def test_batched_value_off_apply_L_raises(self, monkeypatch, family, seam):
         search, _ = CHECKED_SEARCHES[family]
         grid = self.GRID
-        real = dp._candidate_objectives
+        real = getattr(dp, seam)
 
         def shifted(*args):
             # without a budget every state searches, so row j of each call
@@ -1168,7 +1229,7 @@ class TestSearchCheckedAgainstApplyL:
             out[grid.size // 2] += 1e-6
             return out
 
-        monkeypatch.setattr(dp, "_candidate_objectives", shifted)
+        monkeypatch.setattr(dp, seam, shifted)
         s = es_stage(m=101, constrained=False)
         middle = grid[grid.size // 2]
         with pytest.raises(NumericError, match=rf"^searched value .* x = {middle:.6g} "):

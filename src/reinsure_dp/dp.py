@@ -11,14 +11,15 @@ One batched evaluator prices every (state, treaty) pair, whether a search
 ladder's candidates or a stored policy's rows. With deterministic premium
 income the ordering is claim-ascending for every admissible treaty, so one
 weight vector per stage prices all of them; with stochastic income whose
-product atoms are equally likely one weight vector serves too, and each
-pair sorts only its values; otherwise one stable argsort orders every pair
-at once; the entropic measure needs no order. The zero terminal value is
-added as a constant, not interpolated; under it a weight-based measure is
-cash invariant, so a state shifts its pairs' values by -x sum(w) alone and a
-scalar search prices each distinct probe ladder once, for every state that
-probes it. Pairs go through in cache-sized slices and each reduces on its
-own, so the temporaries stay bounded and slicing never changes a result bit.
+product atoms are equally likely one weight vector serves too, and each pair
+sorts only its values, a tail measure only the values it weighs; otherwise
+one stable argsort orders every pair at once; the entropic measure needs no
+order. The zero terminal value is added as a constant, not interpolated;
+under it a weight-based measure is cash invariant, so a state shifts its
+pairs' values by -x sum(w) alone and a scalar search prices each distinct
+probe ladder once, for every state that probes it. Pairs go through in
+cache-sized slices and each reduces on its own, so the temporaries stay
+bounded and slicing never changes a result bit.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -413,11 +414,13 @@ def _next_atoms(s: StageData, prem, retained):
     """Next-surplus atoms of flattened (state, treaty) pairs, slice by slice.
 
     prem holds each pair's premium, retained(sl, cols, y) the retained claims
-    of pairs sl at claim atoms cols, whose values are y. Yields (sl, t, w):
-    pair i of sl moves to its surplus plus t[i], over the (Y, Z) product,
-    and w weights t's atoms, shared or per pair; for the entropic kind w
-    holds the probabilities, unordered. A slice holds _CHUNK_ELEMS (pair,
-    atom) cells, at least one pair.
+    of pairs sl at claim atoms cols, whose values are y. Yields (sl, t, w,
+    head): pair i of sl moves to its surplus plus t[i], over the (Y, Z)
+    product, and w weights t's atoms, shared or per pair; for the entropic
+    kind w holds the probabilities, unordered. A slice holds _CHUNK_ELEMS
+    (pair, atom) cells, at least one pair. A shared w that starts with head
+    zeros leaves each row its size - head smallest offsets, sorted, after head
+    zeros: its sums group as over the full sorted row. Else head is 0.
     """
     prem = np.ravel(prem)
     ky, kz = len(s.dY), len(s.dZ)
@@ -440,6 +443,7 @@ def _next_atoms(s: StageData, prem, retained):
     values_only = shared is None and _equal_probs(probs)
     if values_only:
         shared = atom_weights(s.risk, probs)
+    head = _zero_head(shared) if values_only else 0
     y = s.dY.values[cols]
     step = max(1, _CHUNK_ELEMS // cols.size)
     for lo in range(0, prem.size, step):
@@ -447,16 +451,28 @@ def _next_atoms(s: StageData, prem, retained):
         t = z - retained(sl, cols, y) - prem[sl, None]
         w = shared
         if values_only:
-            t = -np.sort(-t, axis=-1, kind="stable")
+            # only the m smallest offsets are weighted: a linear-time
+            # selection finds them, and only they are sorted; it may swap a
+            # tied -0.0 and +0.0 across the edge, which moves no nonzero sum
+            m = cols.size - head
+            if head:
+                t.partition(m - 1, axis=-1)
+            t[:, head:] = -np.sort(-t[:, :m], axis=-1, kind="stable")
+            t[:, :head] = 0.0
         elif w is None:
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
             w = atom_weights(s.risk, probs[order])
-        yield sl, t, w
+        yield sl, t, w, head
 
 
 def _equal_probs(probs) -> bool:
     return bool(np.all(probs == probs[0]))
+
+
+def _zero_head(w) -> int:
+    # leading zero weights of a shared vector: a tail measure reads past them
+    return int(np.argmax(w != 0.0))
 
 
 def _is_zero(v: ValueFunction) -> bool:
@@ -478,14 +494,19 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
     # a zero continuation adds the +0.0 its interpolation would, so a row
     # summing to -0.0 keeps its sign
     zero = _is_zero(v)
-    for sl, t, w in _next_atoms(s, prem, retained):
+    for sl, t, w, head in _next_atoms(s, prem, retained):
         if s.risk.kind == "entropic":
             xt = xp[sl, None] + t
             g = s.risk.gamma
             cont = 0.0 if zero else v(xt)
             out[sl] = _logsumexp(g * (-xt + s.beta * cont), w) / g
             continue
-        cont = 0.0 if zero else np.sum(v(xp[sl, None] + t) * w, axis=-1)
+        cont = 0.0
+        if not zero:
+            # v is read only where w weighs; a zeroed head keeps the grouping
+            vt = v(xp[sl, None] + t[:, head:])
+            vt = np.concatenate((np.zeros((vt.shape[0], head)), vt), axis=1) if head else vt
+            cont = np.sum(vt * w, axis=-1)
         out[sl] = -xp[sl] * np.sum(w, axis=-1) - np.sum(t * w, axis=-1) + s.beta * cont
     return out.reshape(shape)
 
@@ -516,7 +537,7 @@ def _ladder_objectives(v: ValueFunction, s: StageData, x, params, price, retaine
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     flat = rows[first].ravel()
     sums = np.empty((2, flat.size))
-    for sl, t, w in _next_atoms(s, price(flat), lambda sl, cols, y: retained(flat[sl, None], y)):
+    for sl, t, w, _ in _next_atoms(s, price(flat), lambda sl, cols, y: retained(flat[sl, None], y)):
         sums[0, sl] = np.sum(w, axis=-1)
         sums[1, sl] = np.sum(t * w, axis=-1)
     sw, stw = sums.reshape(2, first.size, -1)
@@ -604,13 +625,16 @@ def _pw_search(v_next, s, grid, search):
     budget = _budgets(s, grid)[:, None] + 1e-12
 
     def objectives(slopes):
-        # (state, candidate) slope vectors; an unaffordable one scores +inf
-        flat = (1.0 - slopes).reshape(-1, knots.size)
+        # (state, candidate) slope vectors; only the affordable ones are
+        # scored, each on its own, and the others score +inf
         prem = (1.0 - slopes) @ seg
-        obj = _candidate_objectives(
-            v_next, s, grid[:, None], prem, lambda sl, cols, y: y - flat[sl] @ segs[cols].T
+        ok = prem <= budget
+        flat, obj = (1.0 - slopes)[ok], np.full(prem.shape, np.inf)
+        obj[ok] = _candidate_objectives(
+            v_next, s, np.broadcast_to(grid[:, None], ok.shape)[ok], prem[ok],
+            lambda sl, cols, y: y - flat[sl] @ segs[cols].T,
         )
-        return np.where(prem > budget, np.inf, obj)
+        return obj
 
     slopes = np.ones((grid.size, knots.size))
     best = objectives(slopes[:, None])[:, 0]
@@ -715,17 +739,18 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     b_vec = np.empty(size)
     states = np.arange(size)
     atoms = _next_atoms(s, prems, lambda sl, cols, y: claims[index[sl, None], cols])
-    for sl, t, w in atoms:
+    for sl, t, w, head in atoms:
         # v(x) = (1 - lam) v[cell] + lam v[cell + 1] + tail * off at every
-        # next surplus x; off is its distance past the grid's nearer end
+        # next surplus x; off is its distance past the grid's nearer end. The
+        # head's zero weights move no entry of a_mat
         xt = grid[sl, None] + t
         xc = np.clip(xt, grid[0], grid[-1])
+        b_vec[sl] = np.sum(w * (s.beta * tail * (xt - xc) - xt), axis=-1)
+        xc, bw = xc[:, head:], s.beta * w[..., head:]
         cell = np.minimum(np.searchsorted(grid, xc, side="right") - 1, size - 2)
         lam = (xc - grid[cell]) / (grid[cell + 1] - grid[cell])
-        bw = s.beta * w
         np.subtract.at(a_mat, (states[sl, None], cell), bw * (1.0 - lam))
         np.subtract.at(a_mat, (states[sl, None], cell + 1), bw * lam)
-        b_vec[sl] = np.sum(w * (s.beta * tail * (xt - xc) - xt), axis=-1)
     try:
         return np.linalg.solve(a_mat, b_vec)
     except np.linalg.LinAlgError:

@@ -731,6 +731,13 @@ def _dyadic_equal_stage(risk_id):
     return StageData(dY, dZ, RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
 
 
+def _shared_head(s):
+    # leading zero weights of an equal-probability stage's shared vector
+    probs = np.outer(s.dZ.probs, s.dY.probs).ravel()
+    assert np.all(probs == probs[0])
+    return dp._zero_head(atom_weights(s.risk, probs))
+
+
 class TestSharedComputations:
     """What a Bellman stage shares is computed once, and each reduction,
     turned off, gives the same bits by the route it replaces."""
@@ -741,17 +748,20 @@ class TestSharedComputations:
         grid = self.GRID
         return ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
 
+    def _equal_stage(self, risk_id, income_id, search):
+        # an equal-probability stage and a stop-loss ladder per grid state
+        if income_id == "dyadic-tied":
+            s = _dyadic_equal_stage(risk_id)
+            return s, np.tile([0.0, 0.25, 0.375, 0.5, 1.0], (self.GRID.size, 1))
+        s = StageData(uniform01(31), EQUAL_INCOMES[income_id](), RISKS[risk_id],
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        return s, _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
+
     @pytest.mark.parametrize("income_id", [*EQUAL_INCOMES, "dyadic-tied"])
     @pytest.mark.parametrize("risk_id", ["es", "var", "ph", "spectral-anti", "spectral-quad"])
     def test_equal_probabilities_share_one_weight_vector(self, monkeypatch, risk_id, income_id):
         search = SearchSpec("stop-loss")
-        if income_id == "dyadic-tied":
-            s = _dyadic_equal_stage(risk_id)
-            params = np.tile([0.0, 0.25, 0.375, 0.5, 1.0], (self.GRID.size, 1))
-        else:
-            s = StageData(uniform01(31), EQUAL_INCOMES[income_id](), RISKS[risk_id],
-                          PremiumSpec("expected", theta=0.2), 0.9)
-            params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
+        s, params = self._equal_stage(risk_id, income_id, search)
         v = self._continuation()
         # several slices, so the per-pair route weighs more than once
         monkeypatch.setattr(dp, "_CHUNK_ELEMS", 4 * len(s.dY) * len(s.dZ))
@@ -764,6 +774,76 @@ class TestSharedComputations:
         per_pair = _objectives(v, s, self.GRID, params, search)
         assert len(calls) > 1 and all(np.ndim(probs) == 2 for _, probs in calls)
         assert np.array_equal(_bits(shared), _bits(per_pair))
+
+    @pytest.mark.parametrize("income_id", [*EQUAL_INCOMES, "dyadic-tied"])
+    @pytest.mark.parametrize("risk_id", ["es", "var", "spectral-anti", "spectral-quad"])
+    def test_tail_route_gives_the_full_sort_bits(self, monkeypatch, risk_id, income_id):
+        search = SearchSpec("stop-loss")
+        s, params = self._equal_stage(risk_id, income_id, search)
+        head = _shared_head(s)
+        # the tail kinds weigh no leading atom; the full-support spectrum
+        # keeps the full sort
+        assert (head == 0) == (risk_id == "spectral-quad")
+        v, zero = self._continuation(), zero_vf(self.GRID)
+        bp, bv = search.curve(s.premium, s.dY)
+
+        def both():
+            # a nonzero continuation, and the ladder route's full-row sums
+            laddered = dp._ladder_objectives(
+                zero, s, self.GRID, params, lambda p: np.interp(p, bp, bv), search.retained
+            )
+            return _objectives(v, s, self.GRID, params, search), laddered
+
+        # several slices, the last one short
+        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 4 * len(s.dY) * len(s.dZ))
+        tail = both()
+        monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
+        full = both()
+        for got, want in zip(tail, full):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_signed_zero_tie_on_the_partition_boundary(self, monkeypatch):
+        # income -0.0 at claim 0 gives the offset -0.0, incomes 0.25 and 0.5
+        # at equal claims +0.0: under the identity treaty the stable full
+        # sort puts -0.0 first among the three zeros, the partition may not
+        dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
+        dZ = make_discrete([(z, 1 / 3) for z in (-0.0, 0.25, 0.5)])
+        t = (dZ.values[:, None] - dY.values).ravel()
+        offsets = -np.sort(-t, kind="stable")
+        positive = int(np.count_nonzero(offsets > 0.0))
+        # ES at this level weighs none of the first positive + 1 atoms
+        alpha = (positive + 1.5) / t.size
+        s = StageData(dY, dZ, RiskSpec("expected-shortfall", alpha=alpha),
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        head = _shared_head(s)
+        assert head == positive + 1
+        assert offsets[head - 1] == 0.0 == offsets[head]
+        assert np.signbit(offsets[head - 1]) and not np.signbit(offsets[head])
+        # the identity treaty (retention 1.0, no premium) and retention 0.5,
+        # at every state of a grid through x = 0
+        search = SearchSpec("stop-loss")
+        params = np.tile([0.5, 1.0], (self.GRID.size, 1))
+        assert 0.0 in self.GRID and np.interp(1.0, *search.curve(s.premium, s.dY)) == 0.0
+        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 3 * t.size)
+        runs = []
+        for off in (False, True):
+            if off:
+                monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
+            runs.append([_objectives(v, s, self.GRID, params, search)
+                         for v in (self._continuation(), zero_vf(self.GRID))])
+        for got, want in zip(*runs):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_continuation_read_only_in_the_tail(self, monkeypatch):
+        search = SearchSpec("stop-loss")
+        s, params = self._equal_stage("es", "5-atom-uniform", search)
+        size, head = len(s.dY) * len(s.dZ), _shared_head(s)
+        assert 0 < head < size
+        calls = []
+        _counting(monkeypatch, ValueFunction, "__call__", calls)
+        _objectives(self._continuation(), s, self.GRID, params, search)
+        assert {np.shape(args[1])[-1] for args in calls} == {size - head}
+        assert sum(np.shape(args[1])[0] for args in calls) == params.size
 
     def test_unequal_probabilities_keep_the_per_pair_route(self, monkeypatch):
         dZ = make_discrete([(0.0, 0.2), (0.3, 0.5), (0.6, 0.3)])
@@ -887,12 +967,17 @@ class TestSharedComputations:
         assert np.array_equal(_bits(fast.values), _bits(zoomed.values))
         assert [f.params for f in row] == [f.params for f in zoomed_row]
 
-    def test_solve_and_policy_evaluation_unchanged_with_every_reduction_off(self, monkeypatch):
-        s = StageData(uniform01(31), EQUAL_INCOMES["3-atom-uniform"](), RISKS["ph"],
+    # the full-support PH stage never takes the tail route, the ES stage does
+    @pytest.mark.parametrize("risk_id", ["ph", "es"])
+    def test_solve_and_policy_evaluation_unchanged_with_every_reduction_off(self, monkeypatch,
+                                                                            risk_id):
+        s = StageData(uniform01(31), EQUAL_INCOMES["3-atom-uniform"](), RISKS[risk_id],
                       PremiumSpec("expected", theta=0.2), 0.9)
+        assert (_shared_head(s) > 0) == (risk_id == "es")
         cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
         values, policy = solve_finite(cfg)
         evaluated = evaluate_policy(policy, cfg)
+        monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
         monkeypatch.setattr(dp, "_equal_probs", lambda probs: False)
         monkeypatch.setattr(dp, "_is_zero", lambda v: False)
         monkeypatch.setattr(dp, "_one_point", lambda lo, hi: np.zeros(lo.shape, dtype=bool))
@@ -923,6 +1008,28 @@ class TestPolicyValuesSolve:
         v0 = random_inside(np.random.default_rng(SEED), grid, b_low, b_high, (tail, tail))
         _, row = bellman_step(v0, s, grid, search)
         u = dp._policy_values_solve(row, cfg, grid, tail)
+        v = ValueFunction(grid, u, tail, tail)
+        scale = float(np.max(np.abs(u)))
+        for j, (x, f) in enumerate(zip(grid, row)):
+            assert apply_L(v, x, f, s) == pytest.approx(u[j], rel=1e-9, abs=1e-9 * scale), j
+
+    @pytest.mark.parametrize("family", ["stop-loss", "layer"])
+    def test_tail_route_gives_the_full_sort_fixed_point(self, monkeypatch, family):
+        # equally likely income under ES: the jump scatters only the
+        # weighted tail of each row
+        s = StageData(uniform01(31), EQUAL_INCOMES["3-atom-uniform"](), RISKS["es"],
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        assert _shared_head(s) > 0
+        search = _grid_search(family, s.dY)
+        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 17), search)
+        grid = cfg.grid.points()
+        tail = -1.0 / (1.0 - s.beta)
+        b_low, b_high = bounding_functions(cfg, 0)
+        v0 = random_inside(np.random.default_rng(SEED), grid, b_low, b_high, (tail, tail))
+        _, row = bellman_step(v0, s, grid, search)
+        u = dp._policy_values_solve(row, cfg, grid, tail)
+        monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
+        assert np.array_equal(_bits(u), _bits(dp._policy_values_solve(row, cfg, grid, tail)))
         v = ValueFunction(grid, u, tail, tail)
         scale = float(np.max(np.abs(u)))
         for j, (x, f) in enumerate(zip(grid, row)):
@@ -1178,6 +1285,64 @@ class TestPiecewiseSearch:
         again, _ = bellman_step(v, s, grid, search)
         assert np.array_equal(_bits(got.values), _bits(again.values))
 
+    @pytest.mark.parametrize("knots_id", ["zero", "pair"])
+    @pytest.mark.parametrize("income_id", list(PW_INCOMES))
+    @pytest.mark.parametrize("risk_id", list(PW_RISKS))
+    def test_only_affordable_pairs_are_scored(self, monkeypatch, risk_id, income_id, knots_id):
+        s = StageData(uniform01(21), PW_INCOMES[income_id](), PW_RISKS[risk_id],
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        grid = self.GRID
+        v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
+        search = SearchSpec("piecewise-linear", knots=PW_KNOTS[knots_id], resolution=8, sweeps=2)
+        want, want_slopes, affordable = _masked_pw_search(v, s, grid, search)
+        scored = []
+        _counting(monkeypatch, dp, "_candidate_objectives", scored)
+        got, row, _ = dp._pw_search(v, s, grid, search)
+        # the budget grid reaches x <= 0, where only slopes near one fit
+        assert sum(np.size(args[3]) for args in scored) == affordable
+        assert affordable < grid.size * (1 + search.sweeps * len(search.knots) * 9)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(np.array([f.params["slopes"] for f in row]), want_slopes)
+        # the count still holds every pair the search ranked
+        stats = {}
+        bellman_step(v, s, grid, search, stats)
+        assert stats["argmin_evaluations"] == grid.size * (1 + 2 * len(search.knots) * 9)
+
+
+def _masked_pw_search(v_next, s, grid, search):
+    # the piecewise descent scoring every (state, candidate) pair and masking
+    # the unaffordable ones to +inf after scoring: (values, slopes, count of
+    # affordable pairs scored)
+    knots = np.asarray(search.knots)
+    cand = np.linspace(0.0, 1.0, search.resolution + 1)
+    seg = dp._segment_prices(s, knots)
+    segs = treaties._knot_segments(knots, s.dY.values)
+    budget = dp._budgets(s, grid)[:, None] + 1e-12
+    affordable = 0
+
+    def objectives(slopes):
+        nonlocal affordable
+        flat = (1.0 - slopes).reshape(-1, knots.size)
+        prem = (1.0 - slopes) @ seg
+        obj = _candidate_objectives(
+            v_next, s, grid[:, None], prem, lambda sl, cols, y: y - flat[sl] @ segs[cols].T
+        )
+        affordable += int(np.count_nonzero(prem <= budget))
+        return np.where(prem > budget, np.inf, obj)
+
+    slopes = np.ones((grid.size, knots.size))
+    best = objectives(slopes[:, None])[:, 0]
+    for _ in range(search.sweeps):
+        for i in range(knots.size):
+            trial = np.repeat(slopes[:, None], cand.size, axis=1)
+            trial[:, :, i] = cand
+            obj = objectives(trial)
+            idx, got = np.argmin(obj, axis=1), np.min(obj, axis=1)
+            better = got < best
+            best[better] = got[better]
+            slopes[better] = trial[better, idx[better]]
+    return best, slopes, affordable
+
 
 # a search of each family, and the objective evaluations it runs on a
 # 32-state grid: the zoom's 3 levels x 17 rungs per state with an interval,
@@ -1223,10 +1388,10 @@ class TestSearchCheckedAgainstApplyL:
         real = getattr(dp, seam)
 
         def shifted(*args):
-            # without a budget every state searches, so row j of each call
-            # holds state j's candidates: shift every one at the middle state
+            # without a budget every state searches: shift every candidate of
+            # the middle state, the rows or pairs whose surplus x is its own
             out = real(*args).copy()
-            out[grid.size // 2] += 1e-6
+            out[np.asarray(args[2]) == grid[grid.size // 2]] += 1e-6
             return out
 
         monkeypatch.setattr(dp, seam, shifted)

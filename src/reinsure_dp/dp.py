@@ -11,15 +11,14 @@ One batched evaluator prices every (state, treaty) pair, whether a search
 ladder's candidates or a stored policy's rows. With deterministic premium
 income the ordering is claim-ascending for every admissible treaty, so one
 weight vector per stage prices all of them; with stochastic income whose
-product atoms are equally likely one weight vector serves too, and each pair
-sorts only its values, a tail measure only the values it weighs; otherwise
-one stable argsort orders every pair at once; the entropic measure needs no
-order. The zero terminal value is added as a constant, not interpolated;
+product atoms are equally likely one weight vector serves too, each pair
+sorts only its values and interpolates only those a tail measure weighs;
+otherwise one stable argsort orders every pair; the entropic measure needs
+no order. The zero terminal value is added as a constant, not interpolated;
 under it a weight-based measure is cash invariant, so a state shifts its
 pairs' values by -x sum(w) alone and a scalar search prices each distinct
 probe ladder once, for every state that probes it. Pairs go through in
-cache-sized slices and each reduces on its own, so the temporaries stay
-bounded and slicing never changes a result bit.
+cache-sized slices, each reducing on its own: bounded temporaries, same bits.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -418,9 +417,9 @@ def _next_atoms(s: StageData, prem, retained):
     head): pair i of sl moves to its surplus plus t[i], over the (Y, Z)
     product, and w weights t's atoms, shared or per pair; for the entropic
     kind w holds the probabilities, unordered. A slice holds _CHUNK_ELEMS
-    (pair, atom) cells, at least one pair. A shared w that starts with head
-    zeros leaves each row its size - head smallest offsets, sorted, after head
-    zeros: its sums group as over the full sorted row. Else head is 0.
+    (pair, atom) cells, at least one pair. A shared w with head leading zeros
+    weighs each row's last size - head atoms; if those are a fifth or less, a
+    selection finds them and zeros the head, keeping every sum's grouping.
     """
     prem = np.ravel(prem)
     ky, kz = len(s.dY), len(s.dZ)
@@ -444,21 +443,23 @@ def _next_atoms(s: StageData, prem, retained):
     if values_only:
         shared = atom_weights(s.risk, probs)
     head = _zero_head(shared) if values_only else 0
+    # a selection scrambles the kz runs the stable sort merges: only a short tail gains
+    select = 5 * head >= 4 * cols.size
     y = s.dY.values[cols]
     step = max(1, _CHUNK_ELEMS // cols.size)
     for lo in range(0, prem.size, step):
         sl = slice(lo, lo + step)
         t = z - retained(sl, cols, y) - prem[sl, None]
         w = shared
-        if values_only:
-            # only the m smallest offsets are weighted: a linear-time
-            # selection finds them, and only they are sorted; it may swap a
-            # tied -0.0 and +0.0 across the edge, which moves no nonzero sum
+        if select:
+            # only the m smallest offsets are weighted and sorted; a tied
+            # -0.0 and +0.0 swapped across the edge move no nonzero sum
             m = cols.size - head
-            if head:
-                t.partition(m - 1, axis=-1)
+            t.partition(m - 1, axis=-1)
             t[:, head:] = -np.sort(-t[:, :m], axis=-1, kind="stable")
             t[:, :head] = 0.0
+        elif values_only:
+            t = -np.sort(-t, axis=-1, kind="stable")
         elif w is None:
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
@@ -625,8 +626,7 @@ def _pw_search(v_next, s, grid, search):
     budget = _budgets(s, grid)[:, None] + 1e-12
 
     def objectives(slopes):
-        # (state, candidate) slope vectors; only the affordable ones are
-        # scored, each on its own, and the others score +inf
+        # (state, candidate) slope vectors; only affordable ones are scored, the rest +inf
         prem = (1.0 - slopes) @ seg
         ok = prem <= budget
         flat, obj = (1.0 - slopes)[ok], np.full(prem.shape, np.inf)
@@ -741,7 +741,7 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     atoms = _next_atoms(s, prems, lambda sl, cols, y: claims[index[sl, None], cols])
     for sl, t, w, head in atoms:
         # v(x) = (1 - lam) v[cell] + lam v[cell + 1] + tail * off at every
-        # next surplus x; off is its distance past the grid's nearer end. The
+        # next surplus x; off is its distance past the grid's nearer end; the
         # head's zero weights move no entry of a_mat
         xt = grid[sl, None] + t
         xc = np.clip(xt, grid[0], grid[-1])

@@ -723,12 +723,16 @@ EQUAL_INCOMES = {
 }
 
 
+# ES at a low level: a zero head too short for the tail selection
+EQUAL_RISKS = {**RISKS, "es-0.5": RiskSpec("expected-shortfall", alpha=0.5)}
+
+
 def _dyadic_equal_stage(risk_id):
     # dyadic claims and incomes with equal probabilities: next surpluses tie
     # across income atoms, as in TestTiedIncomeAtoms
     dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
     dZ = make_discrete([(z, 1 / 3) for z in (0.0, 0.25, 0.5)])
-    return StageData(dY, dZ, RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
+    return StageData(dY, dZ, EQUAL_RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
 
 
 def _shared_head(s):
@@ -753,7 +757,7 @@ class TestSharedComputations:
         if income_id == "dyadic-tied":
             s = _dyadic_equal_stage(risk_id)
             return s, np.tile([0.0, 0.25, 0.375, 0.5, 1.0], (self.GRID.size, 1))
-        s = StageData(uniform01(31), EQUAL_INCOMES[income_id](), RISKS[risk_id],
+        s = StageData(uniform01(31), EQUAL_INCOMES[income_id](), EQUAL_RISKS[risk_id],
                       PremiumSpec("expected", theta=0.2), 0.9)
         return s, _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
 
@@ -776,7 +780,7 @@ class TestSharedComputations:
         assert np.array_equal(_bits(shared), _bits(per_pair))
 
     @pytest.mark.parametrize("income_id", [*EQUAL_INCOMES, "dyadic-tied"])
-    @pytest.mark.parametrize("risk_id", ["es", "var", "spectral-anti", "spectral-quad"])
+    @pytest.mark.parametrize("risk_id", ["es", "var", "es-0.5", "spectral-anti", "spectral-quad"])
     def test_tail_route_gives_the_full_sort_bits(self, monkeypatch, risk_id, income_id):
         search = SearchSpec("stop-loss")
         s, params = self._equal_stage(risk_id, income_id, search)
@@ -802,12 +806,28 @@ class TestSharedComputations:
         for got, want in zip(tail, full):
             assert np.array_equal(_bits(got), _bits(want))
 
+    @pytest.mark.parametrize("risk_id, selected", [("es", True), ("es-0.5", False)])
+    def test_selection_only_for_a_short_tail(self, risk_id, selected):
+        # a selection zeros the head; a full sort leaves its offsets in place
+        search = SearchSpec("stop-loss")
+        s, params = self._equal_stage(risk_id, "5-atom-uniform", search)
+        head = _shared_head(s)
+        assert head > 0 and (5 * head >= 4 * len(s.dY) * len(s.dZ)) == selected
+        prem = np.interp(params, *search.curve(s.premium, s.dY)).ravel()
+        flat = params.ravel()
+        atoms = list(dp._next_atoms(s, prem, lambda sl, cols, y: search.retained(flat[sl, None], y)))
+        assert {h for *_, h in atoms} == {head}
+        sorted_head = np.concatenate([t[:, :head] for _, t, _, _ in atoms])
+        assert np.all(sorted_head == 0.0) == selected
+
     def test_signed_zero_tie_on_the_partition_boundary(self, monkeypatch):
-        # income -0.0 at claim 0 gives the offset -0.0, incomes 0.25 and 0.5
-        # at equal claims +0.0: under the identity treaty the stable full
-        # sort puts -0.0 first among the three zeros, the partition may not
+        # income -0.0 at claim 0 gives the offset -0.0, income 1.0 at claim
+        # 1.0 gives +0.0: under the identity treaty the stable full sort puts
+        # -0.0 first among the zeros, the partition may not. Incomes above
+        # the top claim add only positive offsets, so the head is long enough
+        # for the selection
         dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
-        dZ = make_discrete([(z, 1 / 3) for z in (-0.0, 0.25, 0.5)])
+        dZ = make_discrete([(z, 1 / 6) for z in (-0.0, 1.0, 1.25, 1.5, 1.75, 2.0)])
         t = (dZ.values[:, None] - dY.values).ravel()
         offsets = -np.sort(-t, kind="stable")
         positive = int(np.count_nonzero(offsets > 0.0))
@@ -816,7 +836,7 @@ class TestSharedComputations:
         s = StageData(dY, dZ, RiskSpec("expected-shortfall", alpha=alpha),
                       PremiumSpec("expected", theta=0.2), 0.9)
         head = _shared_head(s)
-        assert head == positive + 1
+        assert head == positive + 1 and 5 * head >= 4 * t.size
         assert offsets[head - 1] == 0.0 == offsets[head]
         assert np.signbit(offsets[head - 1]) and not np.signbit(offsets[head])
         # the identity treaty (retention 1.0, no premium) and retention 0.5,
@@ -834,9 +854,10 @@ class TestSharedComputations:
         for got, want in zip(*runs):
             assert np.array_equal(_bits(got), _bits(want))
 
-    def test_continuation_read_only_in_the_tail(self, monkeypatch):
+    @pytest.mark.parametrize("risk_id", ["es", "es-0.5"])
+    def test_continuation_read_only_in_the_tail(self, monkeypatch, risk_id):
         search = SearchSpec("stop-loss")
-        s, params = self._equal_stage("es", "5-atom-uniform", search)
+        s, params = self._equal_stage(risk_id, "5-atom-uniform", search)
         size, head = len(s.dY) * len(s.dZ), _shared_head(s)
         assert 0 < head < size
         calls = []
@@ -1294,54 +1315,37 @@ class TestPiecewiseSearch:
         grid = self.GRID
         v = ValueFunction(grid, -1.2 * grid - 0.1 * grid**2 * (grid > 0), -1.2, -1.6)
         search = SearchSpec("piecewise-linear", knots=PW_KNOTS[knots_id], resolution=8, sweeps=2)
-        want, want_slopes, affordable = _masked_pw_search(v, s, grid, search)
+        # reference: every pair scored, the unaffordable ones masked after
+        with monkeypatch.context() as m:
+            affordable = _scoring_every_pair(m, s)
+            want, want_row, _ = dp._pw_search(v, s, grid, search)
         scored = []
         _counting(monkeypatch, dp, "_candidate_objectives", scored)
         got, row, _ = dp._pw_search(v, s, grid, search)
         # the budget grid reaches x <= 0, where only slopes near one fit
-        assert sum(np.size(args[3]) for args in scored) == affordable
-        assert affordable < grid.size * (1 + search.sweeps * len(search.knots) * 9)
+        assert sum(np.size(args[3]) for args in scored) == affordable[0]
+        assert affordable[0] < grid.size * (1 + search.sweeps * len(search.knots) * 9)
         assert np.array_equal(_bits(got), _bits(want))
-        assert np.array_equal(np.array([f.params["slopes"] for f in row]), want_slopes)
+        assert [f.params["slopes"] for f in row] == [f.params["slopes"] for f in want_row]
         # the count still holds every pair the search ranked
         stats = {}
         bellman_step(v, s, grid, search, stats)
         assert stats["argmin_evaluations"] == grid.size * (1 + 2 * len(search.knots) * 9)
 
 
-def _masked_pw_search(v_next, s, grid, search):
-    # the piecewise descent scoring every (state, candidate) pair and masking
-    # the unaffordable ones to +inf after scoring: (values, slopes, count of
-    # affordable pairs scored)
-    knots = np.asarray(search.knots)
-    cand = np.linspace(0.0, 1.0, search.resolution + 1)
-    seg = dp._segment_prices(s, knots)
-    segs = treaties._knot_segments(knots, s.dY.values)
-    budget = dp._budgets(s, grid)[:, None] + 1e-12
-    affordable = 0
+def _scoring_every_pair(monkeypatch, s):
+    # lift the search's budget so every (state, candidate) pair is scored,
+    # then mask the unaffordable ones to +inf; returns [affordable pairs]
+    budgets, score, affordable = dp._budgets, dp._candidate_objectives, [0]
 
-    def objectives(slopes):
-        nonlocal affordable
-        flat = (1.0 - slopes).reshape(-1, knots.size)
-        prem = (1.0 - slopes) @ seg
-        obj = _candidate_objectives(
-            v_next, s, grid[:, None], prem, lambda sl, cols, y: y - flat[sl] @ segs[cols].T
-        )
-        affordable += int(np.count_nonzero(prem <= budget))
-        return np.where(prem > budget, np.inf, obj)
+    def masked(v, s, x, prem, retained):
+        over = prem > budgets(s, np.ravel(x)) + 1e-12
+        affordable[0] += int(np.count_nonzero(~over))
+        return np.where(over, np.inf, score(v, s, x, prem, retained))
 
-    slopes = np.ones((grid.size, knots.size))
-    best = objectives(slopes[:, None])[:, 0]
-    for _ in range(search.sweeps):
-        for i in range(knots.size):
-            trial = np.repeat(slopes[:, None], cand.size, axis=1)
-            trial[:, :, i] = cand
-            obj = objectives(trial)
-            idx, got = np.argmin(obj, axis=1), np.min(obj, axis=1)
-            better = got < best
-            best[better] = got[better]
-            slopes[better] = trial[better, idx[better]]
-    return best, slopes, affordable
+    monkeypatch.setattr(dp, "_budgets", lambda s, grid: np.full(grid.size, np.inf))
+    monkeypatch.setattr(dp, "_candidate_objectives", masked)
+    return affordable
 
 
 # a search of each family, and the objective evaluations it runs on a

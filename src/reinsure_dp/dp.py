@@ -8,17 +8,14 @@ v is decreasing, sorting the cost atoms is the same as sorting next-surplus
 atoms in reverse, and the risk-measure weights depend only on that ordering.
 
 One batched evaluator prices every (state, treaty) pair, whether a search
-ladder's candidates or a stored policy's rows. With deterministic premium
-income the ordering is claim-ascending for every admissible treaty, so one
-weight vector per stage prices all of them; with stochastic income whose
-product atoms are equally likely one weight vector serves too, each pair
-sorts only its values and interpolates only those a tail measure weighs;
-otherwise one stable argsort orders every pair; the entropic measure needs
-no order. The zero terminal value is added as a constant, not interpolated;
-under it a weight-based measure is cash invariant, so a state shifts its
-pairs' values by -x sum(w) alone and a scalar search prices each distinct
-probe ladder once, for every state that probes it. Pairs go through in
-cache-sized slices, each reducing on its own: bounded temporaries, same bits.
+ladder's candidates or a stored policy's rows. How it orders and weighs the
+(Y, Z) atoms depends only on the stage: _route chooses that once per
+searched or replayed stage, and its docstring lists the five routes. The
+zero terminal value is added as a constant, not interpolated; under it a
+weight-based measure is cash invariant, so a state shifts its pairs' values
+by -x sum(w) alone and a scalar search prices each distinct probe ladder
+once, for every state that probes it. Pairs go through in cache-sized
+slices, each reducing on its own: bounded temporaries, same bits.
 
 Candidate search over one-parameter families runs a fixed three-level zoom:
 scan an evenly spaced ladder over the feasible interval, then rescan inside
@@ -34,6 +31,7 @@ replayed stage value is the evaluator's; apply_L checks it at three states.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,71 +407,71 @@ def apply_L(v: ValueFunction, x: float, f: Treaty, s: StageData) -> float:
 # batched evaluation
 
 
-def _next_atoms(s: StageData, prem, retained):
-    """Next-surplus atoms of flattened (state, treaty) pairs, slice by slice.
+_Route = namedtuple("_Route", "name cols z probs w head")
 
-    prem holds each pair's premium, retained(sl, cols, y) the retained claims
-    of pairs sl at claim atoms cols, whose values are y. Yields (sl, t, w,
-    head): pair i of sl moves to its surplus plus t[i], over the (Y, Z)
-    product, and w weights t's atoms, shared or per pair; for the entropic
-    kind w holds the probabilities, unordered. A slice holds _CHUNK_ELEMS
-    (pair, atom) cells, at least one pair. A shared w with head leading zeros
-    weighs each row's last size - head atoms; if those are a fifth or less, a
-    selection finds them and zeros the head, keeping every sum's grouping.
+
+def _route(s: StageData) -> _Route:
+    """The evaluator route of stage s and what its pairs share.
+
+    cols, z and probs are the (Y, Z) atoms' claim columns, incomes and
+    probabilities, z-major: a pair's row is kz descending runs, which a
+    stable sort merges. w weighs each pair's offsets sorted descending (None:
+    one row per pair), and head counts its leading zeros. The routes:
+
+    - "entropic": w is probs, unordered; no sort.
+    - "point": one income atom orders every treaty's atoms by claim; only
+      those w weighs are kept.
+    - "tail": equally likely atoms (so every order shares w), head at least
+      4/5 of the row: a selection finds the tail, sorts it, zeroes the head.
+    - "sorted": the same with a shorter head: a stable full sort, whose runs
+      a selection would scramble; tied +-0.0 keep the argsort's order.
+    - "per-pair": unequal probabilities: a stable argsort and weights per pair.
     """
-    prem = np.ravel(prem)
     ky, kz = len(s.dY), len(s.dZ)
-    # z-major: within each income atom the claims ascend, so with h
-    # increasing a pair's row is kz descending runs, which the stable sort
-    # merges rather than sorting from scratch
     cols = np.tile(np.arange(ky), kz)
     z = np.repeat(s.dZ.values, ky)
     probs = np.outer(s.dZ.probs, s.dY.probs).ravel()
-    shared = None
     if s.risk.kind == "entropic":
-        shared = probs
-    elif kz == 1:
-        w = atom_weights(s.risk, probs)
+        return _Route("entropic", cols, z, probs, probs, 0)
+    if kz > 1 and not np.all(probs == probs[0]):
+        return _Route("per-pair", cols, z, probs, None, 0)
+    w = atom_weights(s.risk, probs)
+    if kz == 1:
         act = np.flatnonzero(w)
-        shared, cols, z = w[act], cols[act], z[act]
-    # equal probabilities are those of every ordering, so one weight vector
-    # serves every pair and a slice sorts only its values; the stable sort
-    # keeps tied +-0.0 in the argsort's order
-    values_only = shared is None and _equal_probs(probs)
-    if values_only:
-        shared = atom_weights(s.risk, probs)
-    head = _zero_head(shared) if values_only else 0
-    # a selection scrambles the kz runs the stable sort merges: only a short tail gains
-    select = 5 * head >= 4 * cols.size
+        return _Route("point", cols[act], z[act], probs[act], w[act], 0)
+    head = int(np.argmax(w != 0.0))
+    return _Route("tail" if 5 * head >= 4 * cols.size else "sorted", cols, z, probs, w, head)
+
+
+def _next_atoms(s: StageData, route: _Route, prem, retained):
+    """Next-surplus atoms of flattened (state, treaty) pairs, slice by slice.
+
+    prem holds each pair's premium, retained(sl, cols, y) the retained claims
+    of pairs sl at claim atoms cols, whose values are y. Yields (sl, t, w):
+    pair i of sl moves to its surplus plus t[i] over the atoms of route (see
+    _route), and w weighs t. A slice holds _CHUNK_ELEMS cells, one pair or more.
+    """
+    prem, cols, head = np.ravel(prem), route.cols, route.head
     y = s.dY.values[cols]
     step = max(1, _CHUNK_ELEMS // cols.size)
     for lo in range(0, prem.size, step):
         sl = slice(lo, lo + step)
-        t = z - retained(sl, cols, y) - prem[sl, None]
-        w = shared
-        if select:
+        t = route.z - retained(sl, cols, y) - prem[sl, None]
+        w = route.w
+        if route.name == "tail":
             # only the m smallest offsets are weighted and sorted; a tied
             # -0.0 and +0.0 swapped across the edge move no nonzero sum
             m = cols.size - head
             t.partition(m - 1, axis=-1)
             t[:, head:] = -np.sort(-t[:, :m], axis=-1, kind="stable")
             t[:, :head] = 0.0
-        elif values_only:
+        elif route.name == "sorted":
             t = -np.sort(-t, axis=-1, kind="stable")
-        elif w is None:
+        elif route.name == "per-pair":
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
-            w = atom_weights(s.risk, probs[order])
-        yield sl, t, w, head
-
-
-def _equal_probs(probs) -> bool:
-    return bool(np.all(probs == probs[0]))
-
-
-def _zero_head(w) -> int:
-    # leading zero weights of a shared vector: a tail measure reads past them
-    return int(np.argmax(w != 0.0))
+            w = atom_weights(s.risk, route.probs[order])
+        yield sl, t, w
 
 
 def _is_zero(v: ValueFunction) -> bool:
@@ -481,22 +479,21 @@ def _is_zero(v: ValueFunction) -> bool:
     return v.slope_left == 0.0 and v.slope_right == 0.0 and not np.any(v.values)
 
 
-def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
+def _candidate_objectives(v: ValueFunction, s: StageData, route: _Route, x, prem, retained):
     """Objective value of every (state, treaty) pair.
 
     x is each pair's surplus, broadcast against the premiums prem; the
-    result matches prem. retained is the claims source of _next_atoms. The
-    entropic kind takes a log-sum-exp over the atoms, the other kinds a
-    weighted sum.
+    result matches prem. route and retained are _next_atoms'. The entropic
+    route takes a log-sum-exp over the atoms, the others a weighted sum.
     """
     shape = np.shape(prem)
     xp = np.broadcast_to(np.asarray(x, dtype=np.float64), shape).ravel()
     out = np.empty(xp.size)
     # a zero continuation adds the +0.0 its interpolation would, so a row
     # summing to -0.0 keeps its sign
-    zero = _is_zero(v)
-    for sl, t, w, head in _next_atoms(s, prem, retained):
-        if s.risk.kind == "entropic":
+    zero, head = _is_zero(v), route.head
+    for sl, t, w in _next_atoms(s, route, prem, retained):
+        if route.name == "entropic":
             xt = xp[sl, None] + t
             g = s.risk.gamma
             cont = 0.0 if zero else v(xt)
@@ -512,7 +509,7 @@ def _candidate_objectives(v: ValueFunction, s: StageData, x, prem, retained):
     return out.reshape(shape)
 
 
-def _ladder_objectives(v: ValueFunction, s: StageData, x, params, price, retained):
+def _ladder_objectives(v: ValueFunction, s: StageData, route: _Route, x, params, price, retained):
     """Objective of every (state, probe) pair of a scalar search.
 
     x holds each state's surplus and params, one row per state, its probe
@@ -522,10 +519,10 @@ def _ladder_objectives(v: ValueFunction, s: StageData, x, params, price, retaine
     as the shift -x sum(w), so each distinct ladder (rows equal bit for
     bit, -0.0 apart from +0.0) goes through the evaluator once.
     """
-    if not _is_zero(v) or s.risk.kind == "entropic":
+    if not _is_zero(v) or route.name == "entropic":
         flat = params.ravel()
         return _candidate_objectives(
-            v, s, x[:, None], price(params), lambda sl, cols, y: retained(flat[sl, None], y)
+            v, s, route, x[:, None], price(params), lambda sl, cols, y: retained(flat[sl, None], y)
         )
     # equal ladders come in runs of neighboring states: only a run's first
     # row is keyed, on its bytes
@@ -538,7 +535,8 @@ def _ladder_objectives(v: ValueFunction, s: StageData, x, params, price, retaine
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     flat = rows[first].ravel()
     sums = np.empty((2, flat.size))
-    for sl, t, w, _ in _next_atoms(s, price(flat), lambda sl, cols, y: retained(flat[sl, None], y)):
+    atoms = _next_atoms(s, route, price(flat), lambda sl, cols, y: retained(flat[sl, None], y))
+    for sl, t, w in atoms:
         sums[0, sl] = np.sum(w, axis=-1)
         sums[1, sl] = np.sum(t * w, axis=-1)
     sw, stw = sums.reshape(2, first.size, -1)
@@ -552,14 +550,14 @@ def _budgets(s: StageData, grid: np.ndarray) -> np.ndarray:
     return np.maximum(grid, 0.0) if s.budget_constrained else np.full(grid.size, np.inf)
 
 
-def _scalar_family_search(v_next, s, grid, search):
+def _scalar_family_search(v_next, s, route, grid, search):
     # one premium curve gives the feasible intervals and every zoom price
     bp, bv = search.curve(s.premium, s.dY)
     lo, hi = feasible_retention_range((bp, bv), _budgets(s, grid))
 
     def objectives(states, params):
         return _ladder_objectives(
-            v_next, s, grid[states], params, lambda p: np.interp(p, bp, bv), search.retained
+            v_next, s, route, grid[states], params, lambda p: np.interp(p, bp, bv), search.retained
         )
 
     r = search.resolution
@@ -614,7 +612,7 @@ def _segment_prices(s: StageData, knots: np.ndarray) -> np.ndarray:
     return edge - np.append(edge[1:], 0.0)
 
 
-def _pw_search(v_next, s, grid, search):
+def _pw_search(v_next, s, route, grid, search):
     # coordinate descent over knot slopes from all-ones slopes: the identity
     # treaty, which cedes nothing and so is affordable at every state
     knots = np.asarray(search.knots)
@@ -631,7 +629,7 @@ def _pw_search(v_next, s, grid, search):
         ok = prem <= budget
         flat, obj = (1.0 - slopes)[ok], np.full(prem.shape, np.inf)
         obj[ok] = _candidate_objectives(
-            v_next, s, np.broadcast_to(grid[:, None], ok.shape)[ok], prem[ok],
+            v_next, s, route, np.broadcast_to(grid[:, None], ok.shape)[ok], prem[ok],
             lambda sl, cols, y: y - flat[sl] @ segs[cols].T,
         )
         return obj
@@ -659,17 +657,18 @@ def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, 
     treaty per state. Each value is the search's batched minimum; apply_L
     checks it at three states and raises NumericError on a gap. Tail slopes
     follow the recursion a -> 1 + beta a. When ``stats`` is a dict it
-    receives the objective evaluations the search ran under
-    "argmin_evaluations": the (state, candidate) pairs it scored, for the
-    piecewise search unaffordable candidates included. It counts pairs, not
-    the rows the evaluator built: on a zero continuation a scalar search
-    builds rows only for its distinct probe ladders.
+    receives the stage's _route name under "route" and, under
+    "argmin_evaluations", the (state, candidate) pairs the search scored,
+    for the piecewise search unaffordable candidates included. It counts
+    pairs, not the rows the evaluator built: on a zero continuation a scalar
+    search builds rows only for its distinct probe ladders.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
+    route = _route(s)
     search_row = _pw_search if search.scalar is None else _scalar_family_search
-    values, row, probes = search_row(v_next, s, grid, search)
+    values, row, probes = search_row(v_next, s, route, grid, search)
     if stats is not None:
-        stats["argmin_evaluations"] = probes
+        stats.update(argmin_evaluations=probes, route=route.name)
     return _checked_stage(v_next, s, grid, values, row, "searched"), tuple(row)
 
 
@@ -703,7 +702,7 @@ def solve_finite(config: ModelConfig, stats: list | None = None):
     """Backward induction; returns ([J_0 .. J_N], PolicyTable).
 
     When ``stats`` is a list it receives one dict per stage, in solve order
-    (last stage first), with the stage's runtime and objective-probe count.
+    (last stage first): its runtime, evaluator route and objective-probe count.
     """
     if config.is_infinite:
         raise ValidationError("solve_finite needs a finite horizon")
@@ -738,15 +737,15 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     a_mat = np.eye(size)
     b_vec = np.empty(size)
     states = np.arange(size)
-    atoms = _next_atoms(s, prems, lambda sl, cols, y: claims[index[sl, None], cols])
-    for sl, t, w, head in atoms:
+    route = _route(s)
+    for sl, t, w in _next_atoms(s, route, prems, lambda sl, cols, y: claims[index[sl, None], cols]):
         # v(x) = (1 - lam) v[cell] + lam v[cell + 1] + tail * off at every
         # next surplus x; off is its distance past the grid's nearer end; the
         # head's zero weights move no entry of a_mat
         xt = grid[sl, None] + t
         xc = np.clip(xt, grid[0], grid[-1])
         b_vec[sl] = np.sum(w * (s.beta * tail * (xt - xc) - xt), axis=-1)
-        xc, bw = xc[:, head:], s.beta * w[..., head:]
+        xc, bw = xc[:, route.head:], s.beta * w[..., route.head:]
         cell = np.minimum(np.searchsorted(grid, xc, side="right") - 1, size - 2)
         lam = (xc - grid[cell]) / (grid[cell + 1] - grid[cell])
         np.subtract.at(a_mat, (states[sl, None], cell), bw * (1.0 - lam))
@@ -891,7 +890,8 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
     for k in range(n - 1, -1, -1):
         s = config.stage(k)
         row_values = _candidate_objectives(
-            v, s, grid, premiums[k], lambda sl, cols, y: claims[k][index[k, sl, None], cols]
+            v, s, _route(s), grid, premiums[k],
+            lambda sl, cols, y: claims[k][index[k, sl, None], cols],
         )
         label = f"stage {k}: replayed"
         values[k] = v = _checked_stage(v, s, grid, row_values, policy.rows[k], label)

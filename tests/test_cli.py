@@ -575,6 +575,34 @@ class TestSolveSubcommands:
         per_stage = manifest["stats"]["per_stage"]
         assert [entry["argmin_evaluations"] for entry in per_stage] == [33 * (1 + 2 * 2 * 9)] * 2
 
+    # income and risk -> the evaluator route the manifest names for every
+    # searched stage
+    @pytest.mark.parametrize(
+        "income, risk, route",
+        [
+            (None, {"kind": "expected-shortfall", "alpha": 0.95}, "point"),
+            ("uniform", {"kind": "expected-shortfall", "alpha": 0.95}, "tail"),
+            ("uniform", {"kind": "expected-shortfall", "alpha": 0.5}, "sorted"),
+            ("uniform", {"kind": "distortion", "preset": "ph:0.7"}, "sorted"),
+            ("unequal", {"kind": "expected-shortfall", "alpha": 0.95}, "per-pair"),
+            (None, {"kind": "entropic", "gamma": 2.0}, "entropic"),
+        ],
+        ids=["es-point", "es-0.95-uniform", "es-0.5-uniform", "ph-uniform", "es-unequal",
+             "entropic"],
+    )
+    def test_manifest_names_each_stage_route(self, tmp_path, income, risk, route):
+        doc = finite_doc(count=17)
+        stage = doc["stages"][0]
+        stage["risk"] = risk
+        if income == "uniform":
+            stage["income"] = {"family": "uniform", "params": [0.1, 0.5], "atoms": 3}
+        if income == "unequal":
+            stage["income"] = {"pairs": [[0.0, 0.2], [0.3, 0.5], [0.6, 0.3]]}
+        out = tmp_path / "solve"
+        assert run("solve-finite", dump(tmp_path, doc), str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["route"] for entry in manifest["stats"]["per_stage"]] == [route] * 2
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = dump(tmp_path, finite_doc())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -720,9 +748,9 @@ class TestPolicyFlow:
         middle = np.linspace(-0.5, 1.5, 17)[8]
         real = dp._candidate_objectives
 
-        def shifted(v, s, x, prem, retained):
+        def shifted(v, s, route, x, prem, retained):
             # every candidate at the middle state, one of the three checked
-            out = real(v, s, x, prem, retained)
+            out = real(v, s, route, x, prem, retained)
             return out + 1e-6 * (np.broadcast_to(x, out.shape) == middle)
 
         monkeypatch.setattr(dp, "_candidate_objectives", shifted)

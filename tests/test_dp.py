@@ -443,7 +443,7 @@ def _objectives(v, s, x, params, search):
     bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
     par = np.ravel(params)
     return _candidate_objectives(
-        v, s, np.asarray(x)[:, None], np.interp(params, bp, bv),
+        v, s, dp._route(s), np.asarray(x)[:, None], np.interp(params, bp, bv),
         lambda sl, cols, y: search.retained(par[sl, None], y),
     )
 
@@ -735,11 +735,109 @@ def _dyadic_equal_stage(risk_id):
     return StageData(dY, dZ, EQUAL_RISKS[risk_id], PremiumSpec("expected", theta=0.2), 0.9)
 
 
+def _equal_income_stage(risk_id, income_id):
+    return StageData(uniform01(31), EQUAL_INCOMES[income_id](), EQUAL_RISKS[risk_id],
+                     PremiumSpec("expected", theta=0.2), 0.9)
+
+
 def _shared_head(s):
     # leading zero weights of an equal-probability stage's shared vector
-    probs = np.outer(s.dZ.probs, s.dY.probs).ravel()
-    assert np.all(probs == probs[0])
-    return dp._zero_head(atom_weights(s.risk, probs))
+    route = dp._route(s)
+    assert route.name in ("tail", "sorted")
+    return route.head
+
+
+def _forcing_route(monkeypatch, name):
+    # wrap dp._route so that an equal-probability stage ("tail" or "sorted")
+    # takes route name with no zero head: "per-pair" drops the shared
+    # weights, "sorted" the tail selection and the head's skipped reads;
+    # other routes pass through. Returns the names it replaced, call by call
+    real, forced = dp._route, []
+
+    def wrapped(s):
+        route = real(s)
+        if route.name not in ("tail", "sorted"):
+            return route
+        forced.append(route.name)
+        return route._replace(name=name, w=None if name == "per-pair" else route.w, head=0)
+
+    monkeypatch.setattr(dp, "_route", wrapped)
+    return forced
+
+
+def _signed_zero_stage():
+    # income -0.0 at claim 0 gives the offset -0.0, income 1.0 at claim 1.0
+    # gives +0.0: under the identity treaty the stable full sort puts -0.0
+    # first among the zeros, the partition may not. Incomes above the top
+    # claim add only positive offsets, so the head is long enough for the
+    # selection. Returns the stage and its offsets, sorted descending
+    dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
+    dZ = make_discrete([(z, 1 / 6) for z in (-0.0, 1.0, 1.25, 1.5, 1.75, 2.0)])
+    t = (dZ.values[:, None] - dY.values).ravel()
+    offsets = -np.sort(-t, kind="stable")
+    positive = int(np.count_nonzero(offsets > 0.0))
+    # ES at this level weighs none of the first positive + 1 atoms
+    alpha = (positive + 1.5) / t.size
+    s = StageData(dY, dZ, RiskSpec("expected-shortfall", alpha=alpha),
+                  PremiumSpec("expected", theta=0.2), 0.9)
+    return s, offsets
+
+
+def _edge_stage(alpha):
+    # 5 x 2 equally likely atoms: ES 0.85 weighs the last 2 (head 8, exactly
+    # four fifths of the row), ES 0.75 the last 3 (head 7)
+    dY = make_discrete([(k / 4, 1 / 5) for k in range(5)])
+    dZ = make_discrete([(0.0, 0.5), (0.5, 0.5)])
+    return StageData(dY, dZ, RiskSpec("expected-shortfall", alpha=alpha),
+                     PremiumSpec("expected", theta=0.2), 0.9)
+
+
+# stage -> (route name, head): every route, the selection's edge from both
+# sides, and the signed-zero stage of the tail selection
+ROUTE_CASES = {
+    "entropic-point": (lambda: _grid_stage("entropic", "point"), "entropic", 0),
+    "entropic-equal": (lambda: _equal_income_stage("entropic", "3-atom-uniform"), "entropic", 0),
+    "es-point": (lambda: _grid_stage("es", "point"), "point", 0),
+    "ph-point": (lambda: _grid_stage("ph", "point"), "point", 0),
+    "es-equal": (lambda: _equal_income_stage("es", "3-atom-uniform"), "tail", 79),
+    "es-0.5-equal": (lambda: _equal_income_stage("es-0.5", "5-atom-uniform"), "sorted", 77),
+    "ph-equal": (lambda: _grid_stage("ph", "5-atom"), "sorted", 0),
+    "spectral-quad-equal": (lambda: _dyadic_equal_stage("spectral-quad"), "sorted", 0),
+    "edge-at-four-fifths": (lambda: _edge_stage(0.85), "tail", 8),
+    "edge-below-four-fifths": (lambda: _edge_stage(0.75), "sorted", 7),
+    "signed-zero": (lambda: _signed_zero_stage()[0], "tail", 45),
+    "es-unequal": (lambda: _grid_stage("es", "3-atom"), "per-pair", 0),
+    "ph-unequal": (lambda: _grid_stage("ph", "3-atom"), "per-pair", 0),
+}
+
+
+class TestRoute:
+    """dp._route names each stage's evaluator route, once, from the stage alone."""
+
+    @pytest.mark.parametrize("case", list(ROUTE_CASES))
+    def test_route_of_each_stage(self, case):
+        stage, name, head = ROUTE_CASES[case]
+        s = stage()
+        route = dp._route(s)
+        assert (route.name, route.head) == (name, head)
+        size = len(s.dY) * len(s.dZ)
+        if name in ("tail", "sorted"):
+            assert (5 * head >= 4 * size) == (name == "tail")
+            assert route.w.size == size and not np.any(route.w[:head]) and route.w[head] > 0
+        if name == "point":
+            # only the weighed atoms are kept, with their claims and incomes
+            assert np.all(route.w > 0) and route.cols.size == route.z.size == route.w.size
+        if name == "entropic":
+            assert route.w is route.probs and route.cols.size == size
+        if name == "per-pair":
+            assert route.w is None and route.probs.size == size
+
+    def test_z_major_layout(self):
+        s = _grid_stage("es", "3-atom", m=4)
+        route = dp._route(s)
+        assert route.cols.tolist() == [0, 1, 2, 3] * 3
+        assert np.array_equal(route.z, np.repeat(s.dZ.values, 4))
+        assert np.array_equal(route.probs, np.outer(s.dZ.probs, s.dY.probs).ravel())
 
 
 class TestSharedComputations:
@@ -757,8 +855,7 @@ class TestSharedComputations:
         if income_id == "dyadic-tied":
             s = _dyadic_equal_stage(risk_id)
             return s, np.tile([0.0, 0.25, 0.375, 0.5, 1.0], (self.GRID.size, 1))
-        s = StageData(uniform01(31), EQUAL_INCOMES[income_id](), EQUAL_RISKS[risk_id],
-                      PremiumSpec("expected", theta=0.2), 0.9)
+        s = _equal_income_stage(risk_id, income_id)
         return s, _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
 
     @pytest.mark.parametrize("income_id", [*EQUAL_INCOMES, "dyadic-tied"])
@@ -773,10 +870,13 @@ class TestSharedComputations:
         _counting(monkeypatch, dp, "atom_weights", calls)
         shared = _objectives(v, s, self.GRID, params, search)
         assert [np.ndim(probs) for _, probs in calls] == [1]
-        monkeypatch.setattr(dp, "_equal_probs", lambda probs: False)
+        forced = _forcing_route(monkeypatch, "per-pair")
         calls.clear()
         per_pair = _objectives(v, s, self.GRID, params, search)
-        assert len(calls) > 1 and all(np.ndim(probs) == 2 for _, probs in calls)
+        assert len(forced) == 1
+        # the route's own 1-D call, then one 2-D call per slice of 4 pairs
+        slices = -(-params.size // 4)
+        assert [np.ndim(probs) for _, probs in calls] == [1] + [2] * slices
         assert np.array_equal(_bits(shared), _bits(per_pair))
 
     @pytest.mark.parametrize("income_id", [*EQUAL_INCOMES, "dyadic-tied"])
@@ -794,15 +894,17 @@ class TestSharedComputations:
         def both():
             # a nonzero continuation, and the ladder route's full-row sums
             laddered = dp._ladder_objectives(
-                zero, s, self.GRID, params, lambda p: np.interp(p, bp, bv), search.retained
+                zero, s, dp._route(s), self.GRID, params, lambda p: np.interp(p, bp, bv),
+                search.retained,
             )
             return _objectives(v, s, self.GRID, params, search), laddered
 
         # several slices, the last one short
         monkeypatch.setattr(dp, "_CHUNK_ELEMS", 4 * len(s.dY) * len(s.dZ))
         tail = both()
-        monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
+        forced = _forcing_route(monkeypatch, "sorted")
         full = both()
+        assert forced
         for got, want in zip(tail, full):
             assert np.array_equal(_bits(got), _bits(want))
 
@@ -811,32 +913,23 @@ class TestSharedComputations:
         # a selection zeros the head; a full sort leaves its offsets in place
         search = SearchSpec("stop-loss")
         s, params = self._equal_stage(risk_id, "5-atom-uniform", search)
-        head = _shared_head(s)
+        route = dp._route(s)
+        head = route.head
         assert head > 0 and (5 * head >= 4 * len(s.dY) * len(s.dZ)) == selected
+        assert route.name == ("tail" if selected else "sorted")
         prem = np.interp(params, *search.curve(s.premium, s.dY)).ravel()
         flat = params.ravel()
-        atoms = list(dp._next_atoms(s, prem, lambda sl, cols, y: search.retained(flat[sl, None], y)))
-        assert {h for *_, h in atoms} == {head}
-        sorted_head = np.concatenate([t[:, :head] for _, t, _, _ in atoms])
+        atoms = list(dp._next_atoms(s, route, prem,
+                                    lambda sl, cols, y: search.retained(flat[sl, None], y)))
+        # every slice reads the route's one shared weight vector
+        assert all(w is route.w for _, _, w in atoms)
+        sorted_head = np.concatenate([t[:, :head] for _, t, _ in atoms])
         assert np.all(sorted_head == 0.0) == selected
 
     def test_signed_zero_tie_on_the_partition_boundary(self, monkeypatch):
-        # income -0.0 at claim 0 gives the offset -0.0, income 1.0 at claim
-        # 1.0 gives +0.0: under the identity treaty the stable full sort puts
-        # -0.0 first among the zeros, the partition may not. Incomes above
-        # the top claim add only positive offsets, so the head is long enough
-        # for the selection
-        dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
-        dZ = make_discrete([(z, 1 / 6) for z in (-0.0, 1.0, 1.25, 1.5, 1.75, 2.0)])
-        t = (dZ.values[:, None] - dY.values).ravel()
-        offsets = -np.sort(-t, kind="stable")
-        positive = int(np.count_nonzero(offsets > 0.0))
-        # ES at this level weighs none of the first positive + 1 atoms
-        alpha = (positive + 1.5) / t.size
-        s = StageData(dY, dZ, RiskSpec("expected-shortfall", alpha=alpha),
-                      PremiumSpec("expected", theta=0.2), 0.9)
-        head = _shared_head(s)
-        assert head == positive + 1 and 5 * head >= 4 * t.size
+        s, offsets = _signed_zero_stage()
+        head, positive = _shared_head(s), int(np.count_nonzero(offsets > 0.0))
+        assert head == positive + 1 and 5 * head >= 4 * offsets.size
         assert offsets[head - 1] == 0.0 == offsets[head]
         assert np.signbit(offsets[head - 1]) and not np.signbit(offsets[head])
         # the identity treaty (retention 1.0, no premium) and retention 0.5,
@@ -844,13 +937,14 @@ class TestSharedComputations:
         search = SearchSpec("stop-loss")
         params = np.tile([0.5, 1.0], (self.GRID.size, 1))
         assert 0.0 in self.GRID and np.interp(1.0, *search.curve(s.premium, s.dY)) == 0.0
-        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 3 * t.size)
+        monkeypatch.setattr(dp, "_CHUNK_ELEMS", 3 * offsets.size)
+        assert dp._route(s).name == "tail"
         runs = []
         for off in (False, True):
-            if off:
-                monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
+            forced = _forcing_route(monkeypatch, "sorted") if off else []
             runs.append([_objectives(v, s, self.GRID, params, search)
                          for v in (self._continuation(), zero_vf(self.GRID))])
+        assert forced == ["tail", "tail"]
         for got, want in zip(*runs):
             assert np.array_equal(_bits(got), _bits(want))
 
@@ -872,6 +966,7 @@ class TestSharedComputations:
         search = SearchSpec("stop-loss")
         params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 4)
         v = self._continuation()
+        assert dp._route(s).name == "per-pair"
         calls = []
         _counting(monkeypatch, dp, "atom_weights", calls)
         got = _objectives(v, s, self.GRID, params, search)
@@ -904,7 +999,8 @@ class TestSharedComputations:
         x, params = np.array([0.0]), np.array([[0.0]])
         got = _objectives(zero_vf(self.GRID), s, x, params, search)
         laddered = dp._ladder_objectives(
-            zero_vf(self.GRID), s, x, params, lambda p: np.zeros(np.shape(p)), search.retained
+            zero_vf(self.GRID), s, dp._route(s), x, params, lambda p: np.zeros(np.shape(p)),
+            search.retained,
         )
         monkeypatch.setattr(dp, "_is_zero", lambda v: False)
         want = _objectives(zero_vf(self.GRID), s, x, params, search)
@@ -941,9 +1037,10 @@ class TestSharedComputations:
         built = []
         _counting(monkeypatch, dp, "_next_atoms", built)
         got = dp._ladder_objectives(
-            zero_vf(self.GRID), s, x, params, lambda p: np.interp(p, bp, bv), search.retained
+            zero_vf(self.GRID), s, dp._route(s), x, params, lambda p: np.interp(p, bp, bv),
+            search.retained,
         )
-        assert [np.size(args[1]) for args in built] == [2 * ladder.size]
+        assert [np.size(args[2]) for args in built] == [2 * ladder.size]
         want = _objectives(zero_vf(self.GRID), s, x, params, search)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -956,10 +1053,10 @@ class TestSharedComputations:
         _counting(monkeypatch, dp, "_next_atoms", built)
         stats = []
         solve_finite(cfg, stats)
-        ladders = sum(len({row.tobytes() for row in args[3]}) for args in searched)
-        assert [np.shape(args[3]) for args in searched] == [(size, 65)] * 3
+        ladders = sum(len({row.tobytes() for row in args[4]}) for args in searched)
+        assert [np.shape(args[4]) for args in searched] == [(size, 65)] * 3
         assert ladders < 3 * size
-        assert sum(np.size(args[1]) for args in built) == ladders * 65
+        assert sum(np.size(args[2]) for args in built) == ladders * 65
         assert stats[0]["argmin_evaluations"] == size * 3 * 65
 
     @pytest.mark.parametrize("family", ["stop-loss", "layer", "proportional"])
@@ -998,16 +1095,17 @@ class TestSharedComputations:
         cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
         values, policy = solve_finite(cfg)
         evaluated = evaluate_policy(policy, cfg)
-        monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
-        monkeypatch.setattr(dp, "_equal_probs", lambda probs: False)
+        forced = _forcing_route(monkeypatch, "per-pair")
         monkeypatch.setattr(dp, "_is_zero", lambda v: False)
         monkeypatch.setattr(dp, "_one_point", lambda lo, hi: np.zeros(lo.shape, dtype=bool))
         values_off, policy_off = solve_finite(cfg)
+        assert forced == ["tail" if risk_id == "es" else "sorted"] * 2
         for v, v_off in zip(values, values_off):
             assert np.array_equal(_bits(v.values), _bits(v_off.values))
         for row, row_off in zip(policy.rows, policy_off.rows):
             assert [f.params for f in row] == [f.params for f in row_off]
         assert np.array_equal(_bits(evaluated.values), _bits(evaluate_policy(policy, cfg).values))
+        assert len(forced) == 4
 
 
 class TestPolicyValuesSolve:
@@ -1049,8 +1147,9 @@ class TestPolicyValuesSolve:
         v0 = random_inside(np.random.default_rng(SEED), grid, b_low, b_high, (tail, tail))
         _, row = bellman_step(v0, s, grid, search)
         u = dp._policy_values_solve(row, cfg, grid, tail)
-        monkeypatch.setattr(dp, "_zero_head", lambda w: 0)
+        forced = _forcing_route(monkeypatch, "sorted")
         assert np.array_equal(_bits(u), _bits(dp._policy_values_solve(row, cfg, grid, tail)))
+        assert forced == ["tail"]
         v = ValueFunction(grid, u, tail, tail)
         scale = float(np.max(np.abs(u)))
         for j, (x, f) in enumerate(zip(grid, row)):
@@ -1318,12 +1417,12 @@ class TestPiecewiseSearch:
         # reference: every pair scored, the unaffordable ones masked after
         with monkeypatch.context() as m:
             affordable = _scoring_every_pair(m, s)
-            want, want_row, _ = dp._pw_search(v, s, grid, search)
+            want, want_row, _ = dp._pw_search(v, s, dp._route(s), grid, search)
         scored = []
         _counting(monkeypatch, dp, "_candidate_objectives", scored)
-        got, row, _ = dp._pw_search(v, s, grid, search)
+        got, row, _ = dp._pw_search(v, s, dp._route(s), grid, search)
         # the budget grid reaches x <= 0, where only slopes near one fit
-        assert sum(np.size(args[3]) for args in scored) == affordable[0]
+        assert sum(np.size(args[4]) for args in scored) == affordable[0]
         assert affordable[0] < grid.size * (1 + search.sweeps * len(search.knots) * 9)
         assert np.array_equal(_bits(got), _bits(want))
         assert [f.params["slopes"] for f in row] == [f.params["slopes"] for f in want_row]
@@ -1338,10 +1437,10 @@ def _scoring_every_pair(monkeypatch, s):
     # then mask the unaffordable ones to +inf; returns [affordable pairs]
     budgets, score, affordable = dp._budgets, dp._candidate_objectives, [0]
 
-    def masked(v, s, x, prem, retained):
+    def masked(v, s, route, x, prem, retained):
         over = prem > budgets(s, np.ravel(x)) + 1e-12
         affordable[0] += int(np.count_nonzero(~over))
-        return np.where(over, np.inf, score(v, s, x, prem, retained))
+        return np.where(over, np.inf, score(v, s, route, x, prem, retained))
 
     monkeypatch.setattr(dp, "_budgets", lambda s, grid: np.full(grid.size, np.inf))
     monkeypatch.setattr(dp, "_candidate_objectives", masked)
@@ -1395,7 +1494,7 @@ class TestSearchCheckedAgainstApplyL:
             # without a budget every state searches: shift every candidate of
             # the middle state, the rows or pairs whose surplus x is its own
             out = real(*args).copy()
-            out[np.asarray(args[2]) == grid[grid.size // 2]] += 1e-6
+            out[np.asarray(args[3]) == grid[grid.size // 2]] += 1e-6
             return out
 
         monkeypatch.setattr(dp, seam, shifted)

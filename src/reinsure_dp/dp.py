@@ -9,8 +9,8 @@ atoms in reverse, and the risk-measure weights depend only on that ordering.
 
 One batched evaluator prices every (state, treaty) pair, whether a search
 ladder's candidates or a stored policy's rows. How it orders and weighs the
-(Y, Z) atoms depends only on the stage: _route chooses that once per
-searched or replayed stage, and its docstring lists the five routes. The
+(Y, Z) atoms depends only on the stage and the treaty families: _route
+chooses that once per searched or replayed stage and lists the routes. The
 zero terminal value is added as a constant, not interpolated; under it a
 weight-based measure is cash invariant, so a state shifts its pairs' values
 by -x sum(w) alone and a scalar search prices each distinct probe ladder
@@ -410,10 +410,10 @@ def apply_L(v: ValueFunction, x: float, f: Treaty, s: StageData) -> float:
 _Route = namedtuple("_Route", "name cols z probs w head")
 
 
-def _route(s: StageData) -> _Route:
-    """The evaluator route of stage s and what its pairs share.
+def _route(s: StageData, families) -> _Route:
+    """The evaluator route of stage s under families, and what its pairs share.
 
-    cols, z and probs are the (Y, Z) atoms' claim columns, incomes and
+    cols, z and probs are the kept (Y, Z) atoms' claim columns, incomes and
     probabilities, z-major: a pair's row is kz descending runs, which a
     stable sort merges. w weighs each pair's offsets sorted descending (None:
     one row per pair), and head counts its leading zeros. The routes:
@@ -421,10 +421,10 @@ def _route(s: StageData) -> _Route:
     - "entropic": w is probs, unordered; no sort.
     - "point": one income atom orders every treaty's atoms by claim; only
       those w weighs are kept.
-    - "tail": equally likely atoms (so every order shares w), head at least
-      4/5 of the row: a selection finds the tail, sorts it, zeroes the head.
-    - "sorted": the same with a shorter head: a stable full sort, whose runs
-      a selection would scramble; tied +-0.0 keep the argsort's order.
+    - "tail": equally likely atoms, so every order shares w. A monotone map
+      puts atom (p, q) (p = ky - i, q = j + 1 for claim rank i, income rank
+      j) at or above p q - 1 others, so only atoms with p q <= w.size - head
+      reach the weighted tail; all are kept if a family is not monotone.
     - "per-pair": unequal probabilities: a stable argsort and weights per pair.
     """
     ky, kz = len(s.dY), len(s.dZ)
@@ -440,7 +440,9 @@ def _route(s: StageData) -> _Route:
         act = np.flatnonzero(w)
         return _Route("point", cols[act], z[act], probs[act], w[act], 0)
     head = int(np.argmax(w != 0.0))
-    return _Route("tail" if 5 * head >= 4 * cols.size else "sorted", cols, z, probs, w, head)
+    m = w.size - head if all(FAMILIES[f].monotone for f in families) else w.size
+    keep = (ky - cols) * np.repeat(np.arange(1, kz + 1), ky) <= m
+    return _Route("tail", cols[keep], z[keep], probs[keep], w, head)
 
 
 def _next_atoms(s: StageData, route: _Route, prem, retained):
@@ -448,25 +450,20 @@ def _next_atoms(s: StageData, route: _Route, prem, retained):
 
     prem holds each pair's premium, retained(sl, cols, y) the retained claims
     of pairs sl at claim atoms cols, whose values are y. Yields (sl, t, w):
-    pair i of sl moves to its surplus plus t[i] over the atoms of route (see
-    _route), and w weighs t. A slice holds _CHUNK_ELEMS cells, one pair or more.
+    pair i of sl moves to its surplus plus t[i], laid out as _route says, and
+    w weighs t. A slice holds _CHUNK_ELEMS cells of t, one pair or more.
     """
     prem, cols, head = np.ravel(prem), route.cols, route.head
     y = s.dY.values[cols]
-    step = max(1, _CHUNK_ELEMS // cols.size)
+    step = max(1, _CHUNK_ELEMS // (cols.size if route.w is None else route.w.size))
     for lo in range(0, prem.size, step):
         sl = slice(lo, lo + step)
         t = route.z - retained(sl, cols, y) - prem[sl, None]
         w = route.w
         if route.name == "tail":
-            # only the m smallest offsets are weighted and sorted; a tied
-            # -0.0 and +0.0 swapped across the edge move no nonzero sum
-            m = cols.size - head
-            t.partition(m - 1, axis=-1)
-            t[:, head:] = -np.sort(-t[:, :m], axis=-1, kind="stable")
-            t[:, :head] = 0.0
-        elif route.name == "sorted":
-            t = -np.sort(-t, axis=-1, kind="stable")
+            np.negative(t, out=t).sort(axis=-1, kind="stable")
+            t, kept = np.zeros((t.shape[0], w.size)), t
+            np.negative(kept[:, cols.size - w.size + head:], out=t[:, head:])
         elif route.name == "per-pair":
             order = np.argsort(-t, axis=-1, kind="stable")
             t = np.take_along_axis(t, order, axis=-1)
@@ -664,7 +661,7 @@ def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, 
     search builds rows only for its distinct probe ladders.
     """
     grid = np.ascontiguousarray(grid, dtype=np.float64)
-    route = _route(s)
+    route = _route(s, (search.family,))
     search_row = _pw_search if search.scalar is None else _scalar_family_search
     values, row, probes = search_row(v_next, s, route, grid, search)
     if stats is not None:
@@ -737,7 +734,7 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     a_mat = np.eye(size)
     b_vec = np.empty(size)
     states = np.arange(size)
-    route = _route(s)
+    route = _route(s, {f.family for f in row})
     for sl, t, w in _next_atoms(s, route, prems, lambda sl, cols, y: claims[index[sl, None], cols]):
         # v(x) = (1 - lam) v[cell] + lam v[cell + 1] + tail * off at every
         # next surplus x; off is its distance past the grid's nearer end; the
@@ -890,7 +887,7 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
     for k in range(n - 1, -1, -1):
         s = config.stage(k)
         row_values = _candidate_objectives(
-            v, s, _route(s), grid, premiums[k],
+            v, s, _route(s, {f.family for f in policy.rows[k]}), grid, premiums[k],
             lambda sl, cols, y: claims[k][index[k, sl, None], cols],
         )
         label = f"stage {k}: replayed"

@@ -5,8 +5,8 @@ y - f(y) is what the reinsurer prices. Admissible treaties satisfy f(0) = 0
 and 0 <= f(y2) - f(y1) <= y2 - y1. Every family is one way to parameterize
 that class, and FAMILIES holds each family's facts in one place: parameter
 names in policy.csv column order, which of them are vectors, the parameter
-check, the retained map, the one parameter a scalar search varies, and the
-settings a search over the family reads.
+check, the retained map, the one parameter a scalar search varies, the
+settings a search reads, and whether the map is monotone under rounding.
 
 A piecewise-linear treaty retains the claim below its first knot in full
 and the slope-weighted part of each segment above it, so all-ones slopes
@@ -43,6 +43,7 @@ class Family:
     vectors: the fields holding one number per knot.
     search: the SearchSpec settings a search over the family reads; None
         when the family cannot be searched.
+    monotone: the retained map is nondecreasing under rounding, not only to a slack.
     """
 
     fields: tuple[str, ...] | None
@@ -52,6 +53,7 @@ class Family:
     curve: Callable | None = None
     vectors: tuple[str, ...] = ()
     search: tuple[str, ...] | None = None
+    monotone: bool = True
 
 
 def _check_proportional(p: dict) -> dict:
@@ -149,9 +151,9 @@ FAMILIES: dict[str, Family] = {
     ),
     "piecewise-linear": Family(
         ("knots", "slopes"), _check_piecewise, _piecewise_retained, vectors=("knots", "slopes"),
-        search=("resolution", "knots", "sweeps"),
+        search=("resolution", "knots", "sweeps"), monotone=False,
     ),
-    "custom": Family(None, _check_custom, lambda p, y: _apply_map(p["fn"], y)),
+    "custom": Family(None, _check_custom, lambda p, y: _apply_map(p["fn"], y), monotone=False),
 }
 
 

@@ -582,8 +582,8 @@ class TestSolveSubcommands:
         [
             (None, {"kind": "expected-shortfall", "alpha": 0.95}, "point"),
             ("uniform", {"kind": "expected-shortfall", "alpha": 0.95}, "tail"),
-            ("uniform", {"kind": "expected-shortfall", "alpha": 0.5}, "sorted"),
-            ("uniform", {"kind": "distortion", "preset": "ph:0.7"}, "sorted"),
+            ("uniform", {"kind": "expected-shortfall", "alpha": 0.5}, "tail"),
+            ("uniform", {"kind": "distortion", "preset": "ph:0.7"}, "tail"),
             ("unequal", {"kind": "expected-shortfall", "alpha": 0.95}, "per-pair"),
             (None, {"kind": "entropic", "gamma": 2.0}, "entropic"),
         ],

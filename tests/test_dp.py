@@ -443,7 +443,7 @@ def _objectives(v, s, x, params, search):
     bp, bv = premium_breakpoints(search.family, s.premium, s.dY, upper=search.layer_upper)
     par = np.ravel(params)
     return _candidate_objectives(
-        v, s, dp._route(s), np.asarray(x)[:, None], np.interp(params, bp, bv),
+        v, s, dp._route(s, (search.family,)), np.asarray(x)[:, None], np.interp(params, bp, bv),
         lambda sl, cols, y: search.retained(par[sl, None], y),
     )
 
@@ -740,37 +740,68 @@ def _equal_income_stage(risk_id, income_id):
                      PremiumSpec("expected", theta=0.2), 0.9)
 
 
+STOP_LOSS = ("stop-loss",)
+
+
 def _shared_head(s):
     # leading zero weights of an equal-probability stage's shared vector
-    route = dp._route(s)
-    assert route.name in ("tail", "sorted")
+    route = dp._route(s, STOP_LOSS)
+    assert route.name == "tail"
     return route.head
 
 
+def _unfiltered(s, route):
+    # route over every z-major (Y, Z) atom, as _route lays them out before it
+    # keeps only the atoms an increasing treaty can weigh
+    ky, kz = len(s.dY), len(s.dZ)
+    return route._replace(cols=np.tile(np.arange(ky), kz), z=np.repeat(s.dZ.values, ky),
+                          probs=np.outer(s.dZ.probs, s.dY.probs).ravel())
+
+
+def _full_sort_atoms(s, route, prem, retained):
+    # the unfiltered reference for dp._next_atoms: every atom's offsets,
+    # stably sorted descending, under the shared weights
+    prem, cols = np.ravel(prem), route.cols
+    y = s.dY.values[cols]
+    step = max(1, dp._CHUNK_ELEMS // cols.size)
+    for lo in range(0, prem.size, step):
+        sl = slice(lo, lo + step)
+        t = route.z - retained(sl, cols, y) - prem[sl, None]
+        yield sl, -np.sort(-t, axis=-1, kind="stable"), route.w
+
+
 def _forcing_route(monkeypatch, name):
-    # wrap dp._route so that an equal-probability stage ("tail" or "sorted")
-    # takes route name with no zero head: "per-pair" drops the shared
-    # weights, "sorted" the tail selection and the head's skipped reads;
+    # wrap dp._route so that an equal-probability stage ("tail") takes route
+    # name over every atom, unfiltered, with no zero head: "per-pair" drops
+    # the shared weights, "full-sort" the kept atoms, the head's zeros and
+    # its skipped reads for _full_sort_atoms' stable sort of the whole row;
     # other routes pass through. Returns the names it replaced, call by call
-    real, forced = dp._route, []
+    real_route, real_atoms, forced = dp._route, dp._next_atoms, []
 
-    def wrapped(s):
-        route = real(s)
-        if route.name not in ("tail", "sorted"):
-            return route
-        forced.append(route.name)
-        return route._replace(name=name, w=None if name == "per-pair" else route.w, head=0)
+    def route(s, families):
+        got = real_route(s, families)
+        if got.name != "tail":
+            return got
+        forced.append(got.name)
+        w = None if name == "per-pair" else got.w
+        return _unfiltered(s, got)._replace(name=name, w=w, head=0)
 
-    monkeypatch.setattr(dp, "_route", wrapped)
+    def atoms(s, route, prem, retained):
+        if route.name == "full-sort":
+            return _full_sort_atoms(s, route, prem, retained)
+        return real_atoms(s, route, prem, retained)
+
+    monkeypatch.setattr(dp, "_route", route)
+    monkeypatch.setattr(dp, "_next_atoms", atoms)
     return forced
 
 
 def _signed_zero_stage():
     # income -0.0 at claim 0 gives the offset -0.0, income 1.0 at claim 1.0
     # gives +0.0: under the identity treaty the stable full sort puts -0.0
-    # first among the zeros, the partition may not. Incomes above the top
-    # claim add only positive offsets, so the head is long enough for the
-    # selection. Returns the stage and its offsets, sorted descending
+    # first among the zeros, just before the weighted tail and +0.0 just
+    # inside it. Incomes above the top claim add only positive offsets.
+    # Returns the stage and its offsets, sorted descending
     dY = make_discrete([(k / 8, 1 / 9) for k in range(9)])
     dZ = make_discrete([(z, 1 / 6) for z in (-0.0, 1.0, 1.25, 1.5, 1.75, 2.0)])
     t = (dZ.values[:, None] - dY.values).ravel()
@@ -792,19 +823,19 @@ def _edge_stage(alpha):
                      PremiumSpec("expected", theta=0.2), 0.9)
 
 
-# stage -> (route name, head): every route, the selection's edge from both
-# sides, and the signed-zero stage of the tail selection
+# stage -> (route name, head): every route, a tail of a fifth of the row and
+# one atom longer, and the signed-zero stage
 ROUTE_CASES = {
     "entropic-point": (lambda: _grid_stage("entropic", "point"), "entropic", 0),
     "entropic-equal": (lambda: _equal_income_stage("entropic", "3-atom-uniform"), "entropic", 0),
     "es-point": (lambda: _grid_stage("es", "point"), "point", 0),
     "ph-point": (lambda: _grid_stage("ph", "point"), "point", 0),
     "es-equal": (lambda: _equal_income_stage("es", "3-atom-uniform"), "tail", 79),
-    "es-0.5-equal": (lambda: _equal_income_stage("es-0.5", "5-atom-uniform"), "sorted", 77),
-    "ph-equal": (lambda: _grid_stage("ph", "5-atom"), "sorted", 0),
-    "spectral-quad-equal": (lambda: _dyadic_equal_stage("spectral-quad"), "sorted", 0),
+    "es-0.5-equal": (lambda: _equal_income_stage("es-0.5", "5-atom-uniform"), "tail", 77),
+    "ph-equal": (lambda: _grid_stage("ph", "5-atom"), "tail", 0),
+    "spectral-quad-equal": (lambda: _dyadic_equal_stage("spectral-quad"), "tail", 0),
     "edge-at-four-fifths": (lambda: _edge_stage(0.85), "tail", 8),
-    "edge-below-four-fifths": (lambda: _edge_stage(0.75), "sorted", 7),
+    "edge-below-four-fifths": (lambda: _edge_stage(0.75), "tail", 7),
     "signed-zero": (lambda: _signed_zero_stage()[0], "tail", 45),
     "es-unequal": (lambda: _grid_stage("es", "3-atom"), "per-pair", 0),
     "ph-unequal": (lambda: _grid_stage("ph", "3-atom"), "per-pair", 0),
@@ -812,18 +843,27 @@ ROUTE_CASES = {
 
 
 class TestRoute:
-    """dp._route names each stage's evaluator route, once, from the stage alone."""
+    """dp._route names each stage's evaluator route, once, from the stage and
+    the treaty families it prices."""
 
     @pytest.mark.parametrize("case", list(ROUTE_CASES))
     def test_route_of_each_stage(self, case):
         stage, name, head = ROUTE_CASES[case]
         s = stage()
-        route = dp._route(s)
+        route = dp._route(s, STOP_LOSS)
         assert (route.name, route.head) == (name, head)
         size = len(s.dY) * len(s.dZ)
-        if name in ("tail", "sorted"):
-            assert (5 * head >= 4 * size) == (name == "tail")
+        if name == "tail":
             assert route.w.size == size and not np.any(route.w[:head]) and route.w[head] > 0
+            # kept: the atoms that every increasing treaty puts at or above
+            # at most m = size - head atoms, counted off the atom values
+            full = _unfiltered(s, route)
+            y, z = s.dY.values[full.cols], full.z
+            below = np.sum((y >= y[:, None]) & (z <= z[:, None]), axis=1)
+            keep = below <= size - head
+            assert np.array_equal(route.cols, full.cols[keep])
+            assert np.array_equal(route.z, full.z[keep])
+            assert np.array_equal(route.probs, full.probs[keep])
         if name == "point":
             # only the weighed atoms are kept, with their claims and incomes
             assert np.all(route.w > 0) and route.cols.size == route.z.size == route.w.size
@@ -834,10 +874,54 @@ class TestRoute:
 
     def test_z_major_layout(self):
         s = _grid_stage("es", "3-atom", m=4)
-        route = dp._route(s)
+        route = dp._route(s, STOP_LOSS)
         assert route.cols.tolist() == [0, 1, 2, 3] * 3
         assert np.array_equal(route.z, np.repeat(s.dZ.values, 4))
         assert np.array_equal(route.probs, np.outer(s.dZ.probs, s.dY.probs).ravel())
+
+    @pytest.mark.parametrize(
+        "risk_id, families, kept",
+        [
+            # 26 + 13 + 8 + 6 + 5 atoms, by income rank
+            ("es-0.95", STOP_LOSS, 58),
+            ("es-0.95", ("layer", "proportional", "identity", "full-cession"), 58),
+            ("ph", STOP_LOSS, 505),
+            # maps not monotone under rounding keep every atom, alone or mixed
+            ("es-0.95", ("piecewise-linear",), 505),
+            ("es-0.95", ("custom",), 505),
+            ("es-0.95", ("stop-loss", "custom"), 505),
+        ],
+        ids=["es", "es-monotone-families", "ph", "es-piecewise", "es-custom", "es-mixed"],
+    )
+    def test_atoms_kept(self, risk_id, families, kept):
+        # stochastic_income's shape: 101 claim atoms x 5 equally likely incomes
+        risk = {"es-0.95": RiskSpec("expected-shortfall", alpha=0.95), "ph": RISKS["ph"]}[risk_id]
+        s = StageData(uniform01(101), INCOMES["5-atom"](), risk,
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        route = dp._route(s, families)
+        assert route.name == "tail" and route.w.size == 505
+        assert route.cols.size == route.z.size == route.probs.size == kept
+        assert route.head == (0 if risk_id == "ph" else 479)
+
+    @pytest.mark.parametrize(
+        "search", [SearchSpec("piecewise-linear", knots=(0.2, 0.6), resolution=8),
+                   SearchSpec("stop-loss")], ids=["piecewise-linear", "stop-loss"],
+    )
+    def test_replay_and_jump_read_their_rows_families(self, monkeypatch, search):
+        # the stage's route is chosen for the families of the rows it prices
+        s = StageData(uniform01(21), INCOMES["5-atom"](), RISKS["es"],
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        family = search.family
+        cfg = ModelConfig(1, (s,), GridSpec(-0.5, 1.5, 17), search)
+        _, policy = solve_finite(cfg)
+        calls = []
+        _counting(monkeypatch, dp, "_route", calls)
+        evaluate_policy(policy, cfg)
+        stationary = ModelConfig(None, (s,), cfg.grid, search)
+        dp._policy_values_solve(policy.rows[0], stationary, policy.grid, -10.0)
+        assert [set(args[1]) for args in calls] == [{family}] * 2
+        kept = dp._route(s, (family,)).cols.size
+        assert (kept == 105) == (family == "piecewise-linear") and kept <= 105
 
 
 class TestSharedComputations:
@@ -873,7 +957,7 @@ class TestSharedComputations:
         forced = _forcing_route(monkeypatch, "per-pair")
         calls.clear()
         per_pair = _objectives(v, s, self.GRID, params, search)
-        assert len(forced) == 1
+        assert forced == ["tail"]
         # the route's own 1-D call, then one 2-D call per slice of 4 pairs
         slices = -(-params.size // 4)
         assert [np.ndim(probs) for _, probs in calls] == [1] + [2] * slices
@@ -894,7 +978,7 @@ class TestSharedComputations:
         def both():
             # a nonzero continuation, and the ladder route's full-row sums
             laddered = dp._ladder_objectives(
-                zero, s, dp._route(s), self.GRID, params, lambda p: np.interp(p, bp, bv),
+                zero, s, dp._route(s, STOP_LOSS), self.GRID, params, lambda p: np.interp(p, bp, bv),
                 search.retained,
             )
             return _objectives(v, s, self.GRID, params, search), laddered
@@ -902,34 +986,57 @@ class TestSharedComputations:
         # several slices, the last one short
         monkeypatch.setattr(dp, "_CHUNK_ELEMS", 4 * len(s.dY) * len(s.dZ))
         tail = both()
-        forced = _forcing_route(monkeypatch, "sorted")
+        forced = _forcing_route(monkeypatch, "full-sort")
         full = both()
-        assert forced
+        assert forced == ["tail"] * 2
         for got, want in zip(tail, full):
             assert np.array_equal(_bits(got), _bits(want))
 
-    @pytest.mark.parametrize("risk_id, selected", [("es", True), ("es-0.5", False)])
-    def test_selection_only_for_a_short_tail(self, risk_id, selected):
-        # a selection zeros the head; a full sort leaves its offsets in place
+    @pytest.mark.parametrize("risk_id", ["es", "es-0.5", "var", "ph"])
+    def test_rows_are_the_full_sorts_tail(self, risk_id):
+        # from the kept atoms, each row is the unfiltered stable full sort's,
+        # its head zeroed, at full length
         search = SearchSpec("stop-loss")
         s, params = self._equal_stage(risk_id, "5-atom-uniform", search)
-        route = dp._route(s)
-        head = route.head
-        assert head > 0 and (5 * head >= 4 * len(s.dY) * len(s.dZ)) == selected
-        assert route.name == ("tail" if selected else "sorted")
+        route = dp._route(s, STOP_LOSS)
+        head, size = route.head, len(s.dY) * len(s.dZ)
+        assert route.name == "tail" and (head > 0) == (risk_id != "ph")
+        assert (route.cols.size < size) == (risk_id != "ph")
         prem = np.interp(params, *search.curve(s.premium, s.dY)).ravel()
         flat = params.ravel()
-        atoms = list(dp._next_atoms(s, route, prem,
-                                    lambda sl, cols, y: search.retained(flat[sl, None], y)))
+
+        def retained(sl, cols, y):
+            return search.retained(flat[sl, None], y)
+
+        atoms = list(dp._next_atoms(s, route, prem, retained))
         # every slice reads the route's one shared weight vector
         assert all(w is route.w for _, _, w in atoms)
-        sorted_head = np.concatenate([t[:, :head] for _, t, _ in atoms])
-        assert np.all(sorted_head == 0.0) == selected
+        got = np.concatenate([t for _, t, _ in atoms])
+        full = _full_sort_atoms(s, _unfiltered(s, route), prem, retained)
+        want = np.concatenate([t for _, t, _ in full])
+        want[:, :head] = 0.0
+        assert got.shape == (prem.size, size)
+        assert np.array_equal(_bits(got), _bits(want))
 
-    def test_signed_zero_tie_on_the_partition_boundary(self, monkeypatch):
+    # a tail of a fifth of the row and one atom longer
+    @pytest.mark.parametrize("alpha", [0.85, 0.75], ids=["fifth", "fifth-plus-one"])
+    def test_short_tails_give_the_unfiltered_bits(self, monkeypatch, alpha):
+        s = _edge_stage(alpha)
+        search = SearchSpec("stop-loss")
+        params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 9)
+        runs = []
+        for off in (False, True):
+            forced = _forcing_route(monkeypatch, "full-sort") if off else []
+            runs.append([_objectives(v, s, self.GRID, params, search)
+                         for v in (self._continuation(), zero_vf(self.GRID))])
+        assert forced == ["tail", "tail"]
+        for got, want in zip(*runs):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_signed_zero_tie_on_the_tail_edge(self, monkeypatch):
         s, offsets = _signed_zero_stage()
         head, positive = _shared_head(s), int(np.count_nonzero(offsets > 0.0))
-        assert head == positive + 1 and 5 * head >= 4 * offsets.size
+        assert head == positive + 1
         assert offsets[head - 1] == 0.0 == offsets[head]
         assert np.signbit(offsets[head - 1]) and not np.signbit(offsets[head])
         # the identity treaty (retention 1.0, no premium) and retention 0.5,
@@ -938,15 +1045,37 @@ class TestSharedComputations:
         params = np.tile([0.5, 1.0], (self.GRID.size, 1))
         assert 0.0 in self.GRID and np.interp(1.0, *search.curve(s.premium, s.dY)) == 0.0
         monkeypatch.setattr(dp, "_CHUNK_ELEMS", 3 * offsets.size)
-        assert dp._route(s).name == "tail"
         runs = []
         for off in (False, True):
-            forced = _forcing_route(monkeypatch, "sorted") if off else []
+            forced = _forcing_route(monkeypatch, "full-sort") if off else []
             runs.append([_objectives(v, s, self.GRID, params, search)
                          for v in (self._continuation(), zero_vf(self.GRID))])
         assert forced == ["tail", "tail"]
         for got, want in zip(*runs):
             assert np.array_equal(_bits(got), _bits(want))
+
+    def test_slices_hold_chunk_full_length_cells(self, monkeypatch):
+        # 101 x 5 atoms under ES 0.95 keep 58, but each row is written 505
+        # long: a slice of several pairs holds at most _CHUNK_ELEMS of those
+        s = StageData(uniform01(101), INCOMES["5-atom"](),
+                      RiskSpec("expected-shortfall", alpha=0.95),
+                      PremiumSpec("expected", theta=0.2), 0.9)
+        search = SearchSpec("stop-loss")
+        grid = np.linspace(-0.5, 1.5, 64)
+        params = _ladder_for(np.random.default_rng(SEED), s, search, grid.size, 65)
+        real, shapes = dp._next_atoms, []
+
+        def atoms(*args):
+            for sl, t, w in real(*args):
+                shapes.append(t.shape)
+                yield sl, t, w
+
+        monkeypatch.setattr(dp, "_next_atoms", atoms)
+        _objectives(self._continuation(), s, grid, params, search)
+        assert dp._route(s, STOP_LOSS).cols.size == 58
+        assert len(shapes) > 1 and {width for _, width in shapes} == {505}
+        assert all(1 < n and n * width <= dp._CHUNK_ELEMS for n, width in shapes[:-1])
+        assert sum(n for n, _ in shapes) == params.size
 
     @pytest.mark.parametrize("risk_id", ["es", "es-0.5"])
     def test_continuation_read_only_in_the_tail(self, monkeypatch, risk_id):
@@ -966,7 +1095,7 @@ class TestSharedComputations:
         search = SearchSpec("stop-loss")
         params = _ladder_for(np.random.default_rng(SEED), s, search, self.GRID.size, 4)
         v = self._continuation()
-        assert dp._route(s).name == "per-pair"
+        assert dp._route(s, STOP_LOSS).name == "per-pair"
         calls = []
         _counting(monkeypatch, dp, "atom_weights", calls)
         got = _objectives(v, s, self.GRID, params, search)
@@ -999,7 +1128,8 @@ class TestSharedComputations:
         x, params = np.array([0.0]), np.array([[0.0]])
         got = _objectives(zero_vf(self.GRID), s, x, params, search)
         laddered = dp._ladder_objectives(
-            zero_vf(self.GRID), s, dp._route(s), x, params, lambda p: np.zeros(np.shape(p)),
+            zero_vf(self.GRID), s, dp._route(s, STOP_LOSS), x, params,
+            lambda p: np.zeros(np.shape(p)),
             search.retained,
         )
         monkeypatch.setattr(dp, "_is_zero", lambda v: False)
@@ -1037,7 +1167,8 @@ class TestSharedComputations:
         built = []
         _counting(monkeypatch, dp, "_next_atoms", built)
         got = dp._ladder_objectives(
-            zero_vf(self.GRID), s, dp._route(s), x, params, lambda p: np.interp(p, bp, bv),
+            zero_vf(self.GRID), s, dp._route(s, STOP_LOSS), x, params,
+            lambda p: np.interp(p, bp, bv),
             search.retained,
         )
         assert [np.size(args[2]) for args in built] == [2 * ladder.size]
@@ -1085,7 +1216,7 @@ class TestSharedComputations:
         assert np.array_equal(_bits(fast.values), _bits(zoomed.values))
         assert [f.params for f in row] == [f.params for f in zoomed_row]
 
-    # the full-support PH stage never takes the tail route, the ES stage does
+    # the full-support PH stage has no zero head, the ES stage does
     @pytest.mark.parametrize("risk_id", ["ph", "es"])
     def test_solve_and_policy_evaluation_unchanged_with_every_reduction_off(self, monkeypatch,
                                                                             risk_id):
@@ -1099,13 +1230,87 @@ class TestSharedComputations:
         monkeypatch.setattr(dp, "_is_zero", lambda v: False)
         monkeypatch.setattr(dp, "_one_point", lambda lo, hi: np.zeros(lo.shape, dtype=bool))
         values_off, policy_off = solve_finite(cfg)
-        assert forced == ["tail" if risk_id == "es" else "sorted"] * 2
+        assert forced == ["tail"] * 2
         for v, v_off in zip(values, values_off):
             assert np.array_equal(_bits(v.values), _bits(v_off.values))
         for row, row_off in zip(policy.rows, policy_off.rows):
             assert [f.params for f in row] == [f.params for f in row_off]
         assert np.array_equal(_bits(evaluated.values), _bits(evaluate_policy(policy, cfg).values))
         assert len(forced) == 4
+
+
+def _staircase_cases():
+    # seeded claim counts, income laws, budgets and levels, one level below
+    # 0.5 and one from 0.5 to 0.95 per family x kind x equally likely income
+    # atom count
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for family in ("stop-loss", "layer", "proportional"):
+        for kind in ("expected-shortfall", "value-at-risk"):
+            for kz in (3, 5, 9):
+                for lo, hi in ((0.1, 0.5), (0.5, 0.95)):
+                    alpha = round(float(rng.uniform(lo, hi)), 3)
+                    cases.append((family, kind, alpha, kz, int(rng.integers(11, 42)),
+                                  round(float(rng.uniform(0.0, 0.4)), 3), bool(rng.integers(2))))
+    return cases
+
+
+class TestStaircase:
+    """Keeping only the atoms an increasing treaty can weigh gives the bits of
+    the unfiltered stable full sort, in solves and replays."""
+
+    @pytest.mark.parametrize(
+        "family, kind, alpha, kz, ky, z_lo, constrained", _staircase_cases(),
+        ids=lambda v: str(v) if not isinstance(v, bool) else ("budget" if v else "free"),
+    )
+    def test_solve_and_replay_keep_the_unfiltered_bits(self, monkeypatch, family, kind, alpha,
+                                                        kz, ky, z_lo, constrained):
+        dY = uniform01(ky)
+        dZ = discretize(FamilySpec("uniform", (z_lo, z_lo + 0.4), atoms=kz))
+        s = StageData(dY, dZ, RiskSpec(kind, alpha=alpha), PremiumSpec("expected", theta=0.2),
+                      0.9, constrained)
+        cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 17), _grid_search(family, dY))
+        runs = []
+        for off in (False, True):
+            forced = _forcing_route(monkeypatch, "full-sort") if off else []
+            values, policy = solve_finite(cfg)
+            runs.append((values, policy, evaluate_policy(policy, cfg)))
+        # both searched stages and both replayed ones
+        assert forced == ["tail"] * 4
+        (values, policy, evaluated), (values_off, policy_off, evaluated_off) = runs
+        for v, v_off in zip(values, values_off):
+            assert np.array_equal(_bits(v.values), _bits(v_off.values))
+        for row, row_off in zip(policy.rows, policy_off.rows):
+            assert [f.params for f in row] == [f.params for f in row_off]
+        assert np.array_equal(_bits(evaluated.values), _bits(evaluated_off.values))
+
+    @pytest.mark.parametrize(
+        "alpha, kind, knots, kz",
+        [(0.95, "expected-shortfall", (0.2, 0.6), 3),
+         (0.9, "value-at-risk", (0.1, 0.3, 0.5, 0.7, 0.9), 5)],
+        ids=["es-two-knots", "var-five-knots"],
+    )
+    def test_piecewise_keeps_every_atom_and_the_unfiltered_bits(self, monkeypatch, alpha, kind,
+                                                                 knots, kz):
+        # the piecewise map can fall by an ulp between atoms: on these
+        # stages keeping only the staircase's atoms moves solved bits
+        dZ = discretize(FamilySpec("uniform", (0.1, 0.5), atoms=kz))
+        s = StageData(uniform01(41), dZ, RiskSpec(kind, alpha=alpha),
+                      PremiumSpec("expected", theta=0.2), 1.0)
+        search = SearchSpec("piecewise-linear", knots=knots, resolution=8, sweeps=2)
+        cfg = ModelConfig(2, (s,), GridSpec(-0.5, 1.5, 32), search)
+        runs = []
+        for off in (False, True):
+            forced = _forcing_route(monkeypatch, "full-sort") if off else []
+            values, policy = solve_finite(cfg)
+            runs.append((values, policy, evaluate_policy(policy, cfg)))
+        assert forced == ["tail"] * 4
+        (values, policy, evaluated), (values_off, policy_off, evaluated_off) = runs
+        for v, v_off in zip(values, values_off):
+            assert np.array_equal(_bits(v.values), _bits(v_off.values))
+        for row, row_off in zip(policy.rows, policy_off.rows):
+            assert [f.params for f in row] == [f.params for f in row_off]
+        assert np.array_equal(_bits(evaluated.values), _bits(evaluated_off.values))
 
 
 class TestPolicyValuesSolve:
@@ -1147,7 +1352,7 @@ class TestPolicyValuesSolve:
         v0 = random_inside(np.random.default_rng(SEED), grid, b_low, b_high, (tail, tail))
         _, row = bellman_step(v0, s, grid, search)
         u = dp._policy_values_solve(row, cfg, grid, tail)
-        forced = _forcing_route(monkeypatch, "sorted")
+        forced = _forcing_route(monkeypatch, "full-sort")
         assert np.array_equal(_bits(u), _bits(dp._policy_values_solve(row, cfg, grid, tail)))
         assert forced == ["tail"]
         v = ValueFunction(grid, u, tail, tail)
@@ -1417,10 +1622,10 @@ class TestPiecewiseSearch:
         # reference: every pair scored, the unaffordable ones masked after
         with monkeypatch.context() as m:
             affordable = _scoring_every_pair(m, s)
-            want, want_row, _ = dp._pw_search(v, s, dp._route(s), grid, search)
+            want, want_row, _ = dp._pw_search(v, s, dp._route(s, (search.family,)), grid, search)
         scored = []
         _counting(monkeypatch, dp, "_candidate_objectives", scored)
-        got, row, _ = dp._pw_search(v, s, dp._route(s), grid, search)
+        got, row, _ = dp._pw_search(v, s, dp._route(s, (search.family,)), grid, search)
         # the budget grid reaches x <= 0, where only slopes near one fit
         assert sum(np.size(args[4]) for args in scored) == affordable[0]
         assert affordable[0] < grid.size * (1 + search.sweeps * len(search.knots) * 9)

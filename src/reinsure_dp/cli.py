@@ -360,9 +360,10 @@ def _run_solve_infinite(doc, config, out_dir, seed, policy):
 
 
 def _run_evaluate_policy(doc, config, out_dir, seed, policy):
-    vf = evaluate_policy(read_policy_csv(policy), config)
+    stats: list = []
+    vf = evaluate_policy(read_policy_csv(policy), config, stats=stats)
     _write_text(os.path.join(out_dir, "values.csv"), _values_csv([("0", vf)]))
-    return ["values.csv"], [], {}
+    return ["values.csv"], stats, {}
 
 
 def _gap_rows(label, grid, dp_params, oracle_params):

@@ -250,26 +250,28 @@ def _search_bracketed(table, keys, lo, hi, side="left"):
     """np.searchsorted(table, keys, side), exactly, given per-key bounds
     lo <= answer <= hi (guide-table search; Devroye 1986, III.2.4).
 
-    Keys whose bracket is at most _BISECT_WIDTH wide finish by a vectorized
-    bisection with as many steps as the widest of them needs; wider ones go
-    to np.searchsorted.
+    Keys whose bracket is at most _BISECT_WIDTH wide are bisected until
+    every bracket is at most one wide, then finish in one comparison; wider
+    ones go to np.searchsorted.
     """
-    width = hi - lo
-    wide = width > _BISECT_WIDTH
-    if wide.any():
+    top = int((hi - lo).max())
+    if top > _BISECT_WIDTH:
+        wide = hi - lo > _BISECT_WIDTH
         lo = lo.copy()
         lo[wide] = np.searchsorted(table, keys[wide], side=side)
         hi = np.where(wide, lo, hi)
-        width = hi - lo
+        top = int((hi - lo).max())
     # the answer can be table.size; its sentinel never lies below a key
     ext = np.append(table, np.inf)
     below = np.less if side == "left" else np.less_equal
-    for _ in range(int(width.max()).bit_length()):
+    # a step leaves at most half a bracket, so these leave widths 0 or 1
+    for _ in range(top.bit_length() - 1):
         mid = (lo + hi) >> 1
         go = below(ext[mid], keys)
         lo = np.where(go, mid + 1, lo)
         hi = np.where(go, hi, mid)
-    return lo
+    # the answer is lo or lo + 1; at zero width ext[lo] never lies below
+    return lo + below(ext[lo], keys)
 
 
 def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:

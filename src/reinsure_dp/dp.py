@@ -869,13 +869,15 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     return premiums, index, [tables[g] for g in group]
 
 
-def _policy_values(policy: PolicyTable, config: ModelConfig, table):
+def _policy_values(policy: PolicyTable, config: ModelConfig, table, stats: list | None = None):
     """Cost-to-go [J_0 .. J_N] of a fixed Markov policy, one backward pass.
 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
     table is the policy's _policy_table, which has checked it. The batched
     evaluator prices every row off the table, checked as a search is.
+    When ``stats`` is a list it receives one dict per stage, in replay order
+    (last stage first): its runtime and evaluator route.
     """
     if config.is_infinite:
         raise ValidationError("evaluate_policy needs a finite horizon")
@@ -885,16 +887,25 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table):
     values: list[ValueFunction] = [None] * (n + 1)
     values[n] = v = ValueFunction(grid, np.zeros(grid.size))
     for k in range(n - 1, -1, -1):
+        t0 = time.perf_counter()
         s = config.stage(k)
+        route = _route(s, {f.family for f in policy.rows[k]})
         row_values = _candidate_objectives(
-            v, s, _route(s, {f.family for f in policy.rows[k]}), grid, premiums[k],
+            v, s, route, grid, premiums[k],
             lambda sl, cols, y: claims[k][index[k, sl, None], cols],
         )
         label = f"stage {k}: replayed"
         values[k] = v = _checked_stage(v, s, grid, row_values, policy.rows[k], label)
+        if stats is not None:
+            stats.append(
+                {"stage": k, "runtime_seconds": time.perf_counter() - t0, "route": route.name}
+            )
     return values
 
 
-def evaluate_policy(policy: PolicyTable, config: ModelConfig) -> ValueFunction:
-    """Value of a fixed Markov policy by backward application of its rows."""
-    return _policy_values(policy, config, _policy_table(policy, config))[0]
+def evaluate_policy(
+    policy: PolicyTable, config: ModelConfig, stats: list | None = None
+) -> ValueFunction:
+    """Value of a fixed Markov policy by backward application of its rows;
+    ``stats`` as in _policy_values."""
+    return _policy_values(policy, config, _policy_table(policy, config), stats)[0]

@@ -12,10 +12,13 @@ row of a lower state can only select a treaty that was affordable there,
 never an infeasible one. Ruin means the surplus is negative at any decision
 epoch after the start.
 
-Sampling is batched. Batch b draws from Philox(key=seed).jumped(b), a
-counter-based stream, so the draws for a given seed do not depend on how
-many batches run or in which order they would complete; accumulation
-follows batch order and repeated runs agree byte for byte.
+Sampling is batched. Path i draws its (period, claim or income) uniforms,
+in that C order, from Philox(key=seed).jumped(i // _BATCH) at row
+i % _BATCH of that stream's batch, a counter-based stream. So _BATCH is
+part of the output, but the batch count and the order batches would
+complete in are not; accumulation follows batch order and repeated runs
+agree byte for byte. One draw buffer of min(_BATCH, paths) rows takes
+every batch's draws, the last, ragged batch in its leading rows.
 
 ruin_bound_check reports the sum of per-period tail levels, the classical
 union bound on the ruin probability available under value-at-risk stages.
@@ -69,22 +72,24 @@ class SimResult:
     imputed_ruin_counts: tuple[int, ...] | None = None
 
 
-def _grid_index(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _grid_index(ext: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the grid state at or below each x, the first or last state
-    off the grid's ends: the count of states <= x is guessed from the
+    off the grid's ends. ext is the grid between -inf and inf sentinels,
+    built once by the caller. The count of states <= x is guessed from the
     uniform spacing, verified, and searched for where the guess fails."""
-    ext = np.concatenate([[-np.inf], grid, [np.inf]])
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
-    guess = np.clip(np.floor((x - grid[0]) / step) + 1.0, 0.0, grid.size).astype(np.intp)
+    size = ext.size - 2
+    step = (ext[-2] - ext[1]) / (size - 1)
+    guess = np.clip(np.floor((x - ext[1]) / step) + 1.0, 0.0, size).astype(np.intp)
     # ext[c] <= x < ext[c + 1] says exactly c states lie at or below x
     hit = (ext[guess] <= x) & (x < ext[guess + 1])
     if hit.all():
         count = guess
     else:
         lo = np.where(hit, guess, 0)
-        hi = np.where(hit, guess, grid.size)
-        count = _search_bracketed(grid, x, lo, hi, side="right")
-    return np.clip(count - 1, 0, grid.size - 1)
+        hi = np.where(hit, guess, size)
+        count = _search_bracketed(ext[1:-1], x, lo, hi, side="right")
+    # count is at most size, so only the bottom end needs a clip
+    return np.maximum(count - 1, 0)
 
 
 def simulate_paths(
@@ -118,17 +123,25 @@ def simulate_paths(
         )
 
     premiums, index, claims = _policy_table(policy, config)
+    # stage n's claims table as one flat row, and each state's row offset
+    # in it: stage data can differ in atom count, so each has its own width
+    flat = [c.ravel() for c in claims]
+    base = [index[n] * claims[n].shape[1] for n in range(n_periods)]
+    ext = np.concatenate([[-np.inf], grid, [np.inf]])
     period_counts = np.zeros(n_periods, dtype=np.int64)
     imputed_counts = np.zeros(n_periods, dtype=np.int64)
     terminal = np.empty(n_paths)
+    draws = np.empty((min(_BATCH, n_paths), n_periods, 2))
     ruin_total = 0
     done = 0
     batch_index = 0
     while done < n_paths:
         bs = min(_BATCH, n_paths - done)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
-        u = rng.random((bs, n_periods, 2))
-        x = np.full(bs, x0)
+        u = draws[:bs]
+        np.random.Generator(np.random.Philox(key=seed).jumped(batch_index)).random(out=u)
+        # the batch's surplus lives in its slice of terminal
+        x = terminal[done : done + bs]
+        x.fill(x0)
         ruined = np.zeros(bs, dtype=bool)
         for n in range(n_periods):
             s = config.stage(n)
@@ -136,15 +149,19 @@ def simulate_paths(
             k = quantile_index(s.dY, 1.0 - u[:, n, 0])
             # a one-atom income is that atom at every level
             z = s.dZ.values[0] if len(s.dZ) == 1 else quantile(s.dZ, 1.0 - u[:, n, 1])
-            j = _grid_index(grid, x)
-            x = x - claims[n][index[n, j], k] - premiums[n, j] + z
+            j = _grid_index(ext, x)
+            # k becomes the flat offset of each path's retained claim
+            k += base[n][j]
+            # x - c - p + z, in its own left-to-right order
+            x -= flat[n][k]
+            x -= premiums[n, j]
+            x += z
             neg = x < 0.0
             period_counts[n] += int(np.count_nonzero(neg))
             if values is not None:
                 required = -x + s.beta * values[n + 1](x)
                 imputed_counts[n] += int(np.count_nonzero(required > 0.0))
             ruined |= neg
-        terminal[done : done + bs] = x
         ruin_total += int(np.count_nonzero(ruined))
         done += bs
         batch_index += 1
@@ -185,6 +202,7 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
             raise NotVaRConfig("the ruin bound needs value-at-risk at every stage")
     bound = float(sum(1.0 - config.stage(n).risk.alpha for n in range(n_periods)))
     grid = config.grid.points()
+    ext = np.concatenate([[-np.inf], grid, [np.inf]])
 
     # cost-to-go of the given policy for each start stage
     table = _policy_table(policy, config)
@@ -197,7 +215,7 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
         if tails[n](x) > 0.0:
             holds = False
         s = config.stage(n)
-        j = int(_grid_index(grid, np.array([x]))[0])
+        j = int(_grid_index(ext, np.array([x]))[0])
         # the retained top claim, the last of the ascending claim atoms
         x = x - claims[n][index[n, j], -1] - premiums[n, j] + float(s.dZ.values[0])
     return bound, holds

@@ -719,6 +719,25 @@ class TestPolicyFlow:
             for a, b in zip(evaluated, solved):
                 assert float(a["value"]) == pytest.approx(float(b["value"]), abs=1e-9), family
 
+    @pytest.mark.parametrize("income, route", [(None, "point"), ("uniform", "tail")])
+    def test_evaluate_policy_manifest_names_each_replayed_stage(self, tmp_path, income, route):
+        doc = finite_doc(count=17, horizon=3)
+        if income == "uniform":
+            doc["stages"][0]["income"] = {"family": "uniform", "params": [0.1, 0.5], "atoms": 3}
+        cfg = dump(tmp_path, doc)
+        solve, replay = tmp_path / "solve", tmp_path / "replay"
+        assert run("solve-finite", cfg, str(solve)) == 0
+        assert run("evaluate-policy", cfg, str(replay), policy=str(solve / "policy.csv")) == 0
+        solved = json.loads((solve / "manifest.json").read_text())["stats"]["per_stage"]
+        per_stage = json.loads((replay / "manifest.json").read_text())["stats"]["per_stage"]
+        # one entry per replayed stage, last stage first, on the solve's route
+        assert [entry["stage"] for entry in per_stage] == [2, 1, 0]
+        assert [entry["route"] for entry in per_stage] == [entry["route"] for entry in solved]
+        assert [entry["route"] for entry in per_stage] == [route] * 3
+        for entry in per_stage:
+            assert set(entry) == {"stage", "runtime_seconds", "route"}
+            assert entry["runtime_seconds"] > 0.0
+
     def test_replay_off_apply_L_exits_2_without_manifest(self, tmp_path, monkeypatch, capsys):
         doc = finite_doc(m=11, count=17)
         doc["search"] = SEARCH_DOCS["layer"]

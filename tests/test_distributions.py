@@ -339,6 +339,37 @@ class TestGuideLookup:
         hi = np.minimum(want + rng.integers(0, 2 * dist._BISECT_WIDTH, keys.size), table.size)
         assert np.array_equal(dist._search_bracketed(table, keys, lo, hi, side), want)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("top", [0, 1, 2, 3 * dist._BISECT_WIDTH],
+                             ids=["zero-wide", "at-most-one", "zero-to-two", "past-bisect"])
+    def test_bracketed_finish_is_searchsorted(self, top, side):
+        # bisection stops at brackets one wide and one comparison finishes
+        # them; zero-wide brackets bisect range(-1) times. The table repeats
+        # entries, so the two sides part on them.
+        rng = np.random.default_rng(SEED + 6)
+        table = np.repeat(np.cumsum(rng.dirichlet(np.ones(400))), rng.integers(1, 3, 400))
+        keys = lookup_keys(table, rng)
+        want = np.searchsorted(table, keys, side=side)
+        width = rng.integers(0, top + 1, keys.size)
+        lo = np.maximum(want - rng.integers(0, width + 1), 0)
+        hi = np.minimum(lo + width, table.size)
+        assert (hi - lo).max() == top
+        if top > dist._BISECT_WIDTH:
+            assert ((hi - lo) <= dist._BISECT_WIDTH).any()
+        got = dist._search_bracketed(table, keys, lo, hi, side)
+        assert np.array_equal(got, want)
+
+    def test_guide_buckets_holding_several_levels(self):
+        # Dirichlet(0.2) probabilities crowd many cumulative values into one
+        # dyadic bucket, so the guided lookup bisects before its finish
+        rng = np.random.default_rng(SEED + 7)
+        k = 500
+        d = DiscreteDistribution(np.arange(float(k)), rng.dirichlet(np.full(k, 0.2)))
+        keys = lookup_keys(d._cum, rng)
+        want = np.minimum(np.searchsorted(d._cum, keys, side="left"), k - 1)
+        assert np.array_equal(quantile_index(d, keys), want)
+        assert 2 < np.diff(d._guide).max() <= dist._BISECT_WIDTH
+
 
 def canonical_by_unique(values, probs):
     # _canonical as it was: a stable sort, then np.unique's inverse

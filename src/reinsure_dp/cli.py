@@ -354,9 +354,10 @@ def _run_solve_finite(doc, config, out_dir, seed, policy):
 
 
 def _run_solve_infinite(doc, config, out_dir, seed, policy):
-    sol = solve_infinite(config)
+    stats: list = []
+    sol = solve_infinite(config, stats=stats)
     outputs = _write_solution(out_dir, [sol.value], sol.policy, ["inf"])
-    return outputs, [], {"iterations": sol.iterations, "certificate": sol.certificate}
+    return outputs, stats, {"iterations": sol.iterations, "certificate": sol.certificate}
 
 
 def _run_evaluate_policy(doc, config, out_dir, seed, policy):

@@ -242,36 +242,22 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     return _canonical(values, np.full(m, 1.0 / m))
 
 
-# brackets wider than this finish in np.searchsorted, not by bisection
-_BISECT_WIDTH = 16
-
-
 def _search_bracketed(table, keys, lo, hi, side="left"):
     """np.searchsorted(table, keys, side), exactly, given per-key bounds
     lo <= answer <= hi (guide-table search; Devroye 1986, III.2.4).
 
-    Keys whose bracket is at most _BISECT_WIDTH wide are bisected until
-    every bracket is at most one wide, then finish in one comparison; wider
-    ones go to np.searchsorted.
+    A bracket at most one wide finishes in one comparison; wider ones go to
+    np.searchsorted.
     """
-    top = int((hi - lo).max())
-    if top > _BISECT_WIDTH:
-        wide = hi - lo > _BISECT_WIDTH
-        lo = lo.copy()
-        lo[wide] = np.searchsorted(table, keys[wide], side=side)
-        hi = np.where(wide, lo, hi)
-        top = int((hi - lo).max())
     # the answer can be table.size; its sentinel never lies below a key
     ext = np.append(table, np.inf)
     below = np.less if side == "left" else np.less_equal
-    # a step leaves at most half a bracket, so these leave widths 0 or 1
-    for _ in range(top.bit_length() - 1):
-        mid = (lo + hi) >> 1
-        go = below(ext[mid], keys)
-        lo = np.where(go, mid + 1, lo)
-        hi = np.where(go, hi, mid)
     # the answer is lo or lo + 1; at zero width ext[lo] never lies below
-    return lo + below(ext[lo], keys)
+    idx = lo + below(ext[lo], keys)
+    wide = hi - lo > 1
+    if wide.any():
+        idx[wide] = np.searchsorted(table, keys[wide], side=side)
+    return idx
 
 
 def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:

@@ -658,15 +658,19 @@ def bellman_step(v_next: ValueFunction, s: StageData, grid, search: SearchSpec, 
     "argmin_evaluations", the (state, candidate) pairs the search scored,
     for the piecewise search unaffordable candidates included. It counts
     pairs, not the rows the evaluator built: on a zero continuation a scalar
-    search builds rows only for its distinct probe ladders.
+    search builds rows only for its distinct probe ladders. The step's own
+    runtime goes under "runtime_seconds".
     """
+    t0 = time.perf_counter()
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     route = _route(s, (search.family,))
     search_row = _pw_search if search.scalar is None else _scalar_family_search
     values, row, probes = search_row(v_next, s, route, grid, search)
+    vf = _checked_stage(v_next, s, grid, values, row, "searched")
     if stats is not None:
-        stats.update(argmin_evaluations=probes, route=route.name)
-    return _checked_stage(v_next, s, grid, values, row, "searched"), tuple(row)
+        seconds = time.perf_counter() - t0
+        stats.update(runtime_seconds=seconds, argmin_evaluations=probes, route=route.name)
+    return vf, tuple(row)
 
 
 def _checked_stage(v_next, s: StageData, grid, values, row, label):
@@ -709,20 +713,20 @@ def solve_finite(config: ModelConfig, stats: list | None = None):
     values[n] = ValueFunction(grid, np.zeros(grid.size))
     rows = [None] * n
     for k in range(n - 1, -1, -1):
-        t0 = time.perf_counter()
-        probes = {}
-        vf, row = bellman_step(values[k + 1], config.stage(k), grid, config.search, probes)
+        record = {}
+        vf, row = bellman_step(values[k + 1], config.stage(k), grid, config.search, record)
         b_low, b_high = bounding_functions(config, k)
         _check_envelope(vf.values, b_low(grid), b_high(grid), f"stage {k}")
         values[k] = vf
         rows[k] = row
         if stats is not None:
-            stats.append({"stage": k, "runtime_seconds": time.perf_counter() - t0, **probes})
+            stats.append({"stage": k, **record})
     return values, PolicyTable(grid, tuple(rows))
 
 
 def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float):
-    """Fixed point of the one-policy operator, via its affine representation.
+    """Fixed point of the one-policy operator, via its affine representation:
+    the value solve_infinite's next pass starts from.
 
     For a fixed treaty the atom ordering of the next surplus is known, so the
     stage operator is affine in the value row and the fixed point solves a
@@ -753,13 +757,15 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
         return None
 
 
-def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
-    """Value iteration to the stationary fixed point, with an error bound.
+def solve_infinite(config: ModelConfig, max_iter=10_000, stats: list | None = None):
+    """Howard's policy iteration to the stationary fixed point, certified.
 
-    Iterates v <- T v from zero until the weighted step is small enough that
-    q/(1-q) times it meets config.tol, q = 1 - (1-beta)^2. With accelerate,
-    each plain step is followed by a policy-evaluation jump; the certificate
-    always comes from a genuine application of T.
+    Each pass applies T once, from zero at first, and stops once q/(1-q)
+    times the weighted step meets config.tol, q = 1 - (1-beta)^2. Otherwise
+    the next pass starts from the exact value of the step's greedy row, or
+    from the step where that value is None or not decreasing. max_iter
+    bounds the applications of T; ``stats``, a list, gets one
+    {"iteration": i, **bellman_step's stats} per application.
     """
     if not config.is_infinite:
         raise ValidationError("solve_infinite needs a stationary (infinite-horizon) config")
@@ -770,40 +776,24 @@ def solve_infinite(config: ModelConfig, accelerate=True, max_iter=10_000):
     tail = -1.0 / (1.0 - s.beta)
     b_low, b_high = bounding_functions(config, 0)
     lo_g, hi_g = b_low(grid), b_high(grid)
-    iterations = 0
-
-    def step(v):
-        # one application of T from v: the iterate, its policy row, and the
-        # solution once the weighted step meets the target (else None)
-        nonlocal iterations
-        stepped, row = bellman_step(v, s, grid, config.search)
-        iterations += 1
-        v_new = ValueFunction(grid, stepped.values, tail, tail)
-        _check_envelope(v_new.values, lo_g, hi_g, f"iterate {iterations}")
-        delta = weighted_norm(v_new, v, config)
-        if delta > thresh:
-            return v_new, row, None
-        cert = q / (1.0 - q) * delta
-        return v_new, row, InfiniteSolution(v_new, PolicyTable(grid, (row,)), iterations, cert)
-
     v = ValueFunction(grid, np.zeros(grid.size), tail, tail)
-    while True:
-        if iterations >= max_iter:
-            raise MaxIterations(
-                f"no fixed point within {max_iter} operator applications "
-                f"(step target {thresh:.3g})"
-            )
-        v, row, sol = step(v)
-        if sol is not None:
-            return sol
-        if not accelerate:
-            continue
+    for iteration in range(1, max_iter + 1):
+        record = {}
+        stepped, row = bellman_step(v, s, grid, config.search, record)
+        if stats is not None:
+            stats.append({"iteration": iteration, **record})
+        v_new = ValueFunction(grid, stepped.values, tail, tail)
+        _check_envelope(v_new.values, lo_g, hi_g, f"iterate {iteration}")
+        delta = weighted_norm(v_new, v, config)
+        if delta <= thresh:
+            cert = q / (1.0 - q) * delta
+            return InfiniteSolution(v_new, PolicyTable(grid, (row,)), iteration, cert)
         u_vals = _policy_values_solve(row, config, grid, tail)
-        if u_vals is None or float(np.max(np.diff(u_vals))) > _MONO_TOL:
-            continue
-        v, row, sol = step(ValueFunction(grid, u_vals, tail, tail))
-        if sol is not None:
-            return sol
+        decreasing = u_vals is not None and float(np.max(np.diff(u_vals))) <= _MONO_TOL
+        v = ValueFunction(grid, u_vals, tail, tail) if decreasing else v_new
+    raise MaxIterations(
+        f"no fixed point within {max_iter} operator applications (step target {thresh:.3g})"
+    )
 
 
 def _treaty_key(f: Treaty):

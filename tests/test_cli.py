@@ -621,6 +621,22 @@ class TestSolveSubcommands:
         assert manifest["certificates"]["iterations"] >= 1
         assert 0.0 <= manifest["certificates"]["certificate"] <= 1e-4
 
+    @pytest.mark.parametrize("income, route", [(None, "point"), ("uniform", "tail")])
+    def test_solve_infinite_manifest_names_each_bellman_step(self, tmp_path, income, route):
+        doc = infinite_doc()
+        if income == "uniform":
+            doc["stages"][0]["income"] = {"family": "uniform", "params": [0.1, 0.5], "atoms": 3}
+        out = tmp_path / "inf"
+        assert run("solve-infinite", dump(tmp_path, doc), str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        per_stage = manifest["stats"]["per_stage"]
+        iterations = manifest["certificates"]["iterations"]
+        assert [entry["iteration"] for entry in per_stage] == list(range(1, iterations + 1))
+        assert [entry["route"] for entry in per_stage] == [route] * iterations
+        for entry in per_stage:
+            assert entry["runtime_seconds"] > 0.0
+            assert entry["argmin_evaluations"] > 0
+
     def test_tol_flag_overrides_config(self, tmp_path, capsys):
         cfg = dump(tmp_path, infinite_doc())
         out = tmp_path / "inf"

@@ -264,8 +264,8 @@ class TestSurvival:
 
 
 def skewed_table():
-    # 2441 atoms share the first of 4096 dyadic buckets, so their bracket is
-    # too wide to bisect
+    # 2441 atoms share the first of 4096 dyadic buckets, so their bracket
+    # goes to np.searchsorted
     k, small = 2500, 1e-7
     probs = np.full(k, small)
     probs[2441:] = (1.0 - 2441 * small) / (k - 2441)
@@ -330,21 +330,22 @@ class TestGuideLookup:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("name", LOOKUP_TABLES)
     def test_bracketed_search_both_sides(self, name, side):
-        # brackets of random slack, some bisected and some past _BISECT_WIDTH
+        # brackets of random slack up to 31 on each side: some at most one
+        # wide, the rest sent to np.searchsorted
         rng = np.random.default_rng(SEED + 5)
         table = LOOKUP_TABLES[name]()._cum
         keys = lookup_keys(table, rng)
         want = np.searchsorted(table, keys, side=side)
-        lo = np.maximum(want - rng.integers(0, 2 * dist._BISECT_WIDTH, keys.size), 0)
-        hi = np.minimum(want + rng.integers(0, 2 * dist._BISECT_WIDTH, keys.size), table.size)
+        lo = np.maximum(want - rng.integers(0, 32, keys.size), 0)
+        hi = np.minimum(want + rng.integers(0, 32, keys.size), table.size)
         assert np.array_equal(dist._search_bracketed(table, keys, lo, hi, side), want)
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("top", [0, 1, 2, 3 * dist._BISECT_WIDTH],
-                             ids=["zero-wide", "at-most-one", "zero-to-two", "past-bisect"])
+    @pytest.mark.parametrize("top", [0, 1, 2, 48],
+                             ids=["zero-wide", "at-most-one", "zero-to-two", "zero-to-48"])
     def test_bracketed_finish_is_searchsorted(self, top, side):
-        # bisection stops at brackets one wide and one comparison finishes
-        # them; zero-wide brackets bisect range(-1) times. The table repeats
+        # a bracket at most one wide finishes in one comparison, a wider one
+        # in np.searchsorted; one call can hold both. The table repeats
         # entries, so the two sides part on them.
         rng = np.random.default_rng(SEED + 6)
         table = np.repeat(np.cumsum(rng.dirichlet(np.ones(400))), rng.integers(1, 3, 400))
@@ -354,21 +355,23 @@ class TestGuideLookup:
         lo = np.maximum(want - rng.integers(0, width + 1), 0)
         hi = np.minimum(lo + width, table.size)
         assert (hi - lo).max() == top
-        if top > dist._BISECT_WIDTH:
-            assert ((hi - lo) <= dist._BISECT_WIDTH).any()
+        if top > 1:
+            assert ((hi - lo) <= 1).any()
         got = dist._search_bracketed(table, keys, lo, hi, side)
         assert np.array_equal(got, want)
 
     def test_guide_buckets_holding_several_levels(self):
         # Dirichlet(0.2) probabilities crowd many cumulative values into one
-        # dyadic bucket, so the guided lookup bisects before its finish
+        # dyadic bucket, so the guided lookup sends some brackets to
+        # np.searchsorted and finishes the rest in one comparison
         rng = np.random.default_rng(SEED + 7)
         k = 500
         d = DiscreteDistribution(np.arange(float(k)), rng.dirichlet(np.full(k, 0.2)))
         keys = lookup_keys(d._cum, rng)
         want = np.minimum(np.searchsorted(d._cum, keys, side="left"), k - 1)
         assert np.array_equal(quantile_index(d, keys), want)
-        assert 2 < np.diff(d._guide).max() <= dist._BISECT_WIDTH
+        widths = np.diff(d._guide)
+        assert widths.max() > 2 and widths.min() <= 1
 
 
 def canonical_by_unique(values, probs):

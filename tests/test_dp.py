@@ -2221,6 +2221,25 @@ class TestContractionAndIteration:
             assert np.all(last >= vm.values + delta - 1e-9)
 
 
+def _plain_value_iteration(cfg):
+    # v <- T v from zero with the stationary tails, stopped and certified as
+    # solve_infinite is: (value, iterations, certificate)
+    s = cfg.stage(0)
+    grid = cfg.grid.points()
+    q = 1.0 - (1.0 - s.beta) ** 2
+    thresh = cfg.tol * (1.0 - q) / q
+    tail = -1.0 / (1.0 - s.beta)
+    v = ValueFunction(grid, np.zeros(grid.size), tail, tail)
+    for iterations in range(1, 10_001):
+        stepped, _ = bellman_step(v, s, grid, cfg.search)
+        v_new = ValueFunction(grid, stepped.values, tail, tail)
+        delta = weighted_norm(v_new, v, cfg)
+        if delta <= thresh:
+            return v_new, iterations, q / (1.0 - q) * delta
+        v = v_new
+    raise AssertionError("plain value iteration did not meet its target")
+
+
 class TestSolveInfinite:
     def test_rejects_noncoherent(self):
         # refused when the stationary config is built, at the stage's risk
@@ -2276,15 +2295,50 @@ class TestSolveInfinite:
         s = es_stage(m=101, beta=0.5)
         cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"), tol=1e-9)
         fast = solve_infinite(cfg)
-        slow = solve_infinite(cfg, accelerate=False)
-        gap = weighted_norm(fast.value, slow.value, cfg)
-        assert gap <= fast.certificate + slow.certificate + 1e-12
+        slow, _, slow_cert = _plain_value_iteration(cfg)
+        gap = weighted_norm(fast.value, slow, cfg)
+        assert gap <= fast.certificate + slow_cert + 1e-12
 
-    def test_max_iterations(self):
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+    def test_max_iter_bounds_the_bellman_steps(self, monkeypatch, max_iter):
         s = es_stage(m=101, beta=0.9)
-        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"), tol=1e-12)
+        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"), tol=1e-300)
+        steps = []
+        _counting(monkeypatch, dp, "bellman_step", steps)
         with pytest.raises(MaxIterations):
-            solve_infinite(cfg, accelerate=False, max_iter=5)
+            solve_infinite(cfg, max_iter=max_iter)
+        assert len(steps) == max_iter
+
+    def test_one_jump_per_short_step(self, monkeypatch):
+        # every pass whose step misses the target jumps to its row's value,
+        # with no plain step in between
+        s = StageData(uniform01(101), discretize(FamilySpec("uniform", (0.1, 0.5), atoms=3)),
+                      RiskSpec("expected-shortfall", alpha=0.5),
+                      PremiumSpec("expected", theta=0.2), 0.5)
+        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"), tol=1e-6)
+        steps, jumps = [], []
+        _counting(monkeypatch, dp, "bellman_step", steps)
+        _counting(monkeypatch, dp, "_policy_values_solve", jumps)
+        sol = solve_infinite(cfg)
+        assert sol.iterations == len(steps) == 3
+        assert len(jumps) == sol.iterations - 1
+        assert sol.certificate <= cfg.tol
+
+    @pytest.mark.parametrize("jump", ["singular", "increasing"])
+    def test_refused_jump_is_a_plain_step(self, monkeypatch, jump):
+        # a jump that is None or not decreasing leaves the pass's step as
+        # the next start, so the solve is plain value iteration bit for bit
+        s = es_stage(m=101, beta=0.5)
+        cfg = ModelConfig(None, (s,), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"), tol=1e-6)
+        want, iterations, cert = _plain_value_iteration(cfg)
+        refused = {"singular": None, "increasing": np.arange(float(cfg.grid.count))}[jump]
+        jumps = []
+        monkeypatch.setattr(dp, "_policy_values_solve", lambda *a: jumps.append(a) or refused)
+        sol = solve_infinite(cfg)
+        assert sol.iterations == iterations > 1
+        assert len(jumps) == iterations - 1
+        assert np.array_equal(_bits(sol.value.values), _bits(want.values))
+        assert sol.certificate == cert
 
     def test_first_step_norm_finite(self):
         s = es_stage(m=101, beta=0.5)

@@ -289,13 +289,9 @@ def read_policy_csv(path) -> PolicyTable:
         raise ParseError(f"{path}: needs the header {','.join(_POLICY_COLUMNS)}")
     if not rows:
         raise ParseError(f"{path}: empty policy file")
-    order: list[str] = []
+    # insertion order is block order
     by_stage: dict[str, list] = {}
     for row in rows:
-        label = row["stage"]
-        if label not in by_stage:
-            order.append(label)
-            by_stage[label] = []
         name = row["family"]
         fam = FAMILIES.get(name)
         if fam is None or fam.fields is None:
@@ -309,15 +305,13 @@ def read_policy_csv(path) -> PolicyTable:
             treaty = make_treaty(name, params)
         except (AttributeError, TypeError, ValueError, ValidationError) as exc:
             raise ParseError(f"{path}: bad {name} row: {exc}") from exc
-        by_stage[label].append((x, treaty))
-    first = [x for x, _ in by_stage[order[0]]]
-    for label in order[1:]:
-        if [x for x, _ in by_stage[label]] != first:
-            raise ParseError(f"{path}: stage blocks disagree on the state grid")
+        by_stage.setdefault(row["stage"], []).append((x, treaty))
+    blocks = list(by_stage.values())
+    first = [x for x, _ in blocks[0]]
+    if any([x for x, _ in block] != first for block in blocks[1:]):
+        raise ParseError(f"{path}: stage blocks disagree on the state grid")
     grid = np.asarray(first, dtype=np.float64)
-    return PolicyTable(
-        grid, tuple(tuple(t for _, t in by_stage[label]) for label in order)
-    )
+    return PolicyTable(grid, tuple(tuple(t for _, t in block) for block in blocks))
 
 
 def _write_solution(out_dir, values, policy: PolicyTable, labels=None) -> list[str]:

@@ -242,8 +242,8 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     return _canonical(values, np.full(m, 1.0 / m))
 
 
-def _search_bracketed(table, keys, lo, hi, side="left"):
-    """np.searchsorted(table, keys, side), exactly, given per-key bounds
+def _search_bracketed(table, keys, lo, hi):
+    """np.searchsorted(table, keys), exactly, given per-key bounds
     lo <= answer <= hi (guide-table search; Devroye 1986, III.2.4).
 
     A bracket at most one wide finishes in one comparison; wider ones go to
@@ -251,12 +251,11 @@ def _search_bracketed(table, keys, lo, hi, side="left"):
     """
     # the answer can be table.size; its sentinel never lies below a key
     ext = np.append(table, np.inf)
-    below = np.less if side == "left" else np.less_equal
     # the answer is lo or lo + 1; at zero width ext[lo] never lies below
-    idx = lo + below(ext[lo], keys)
+    idx = lo + (ext[lo] < keys)
     wide = hi - lo > 1
     if wide.any():
-        idx[wide] = np.searchsorted(table, keys[wide], side=side)
+        idx[wide] = np.searchsorted(table, keys[wide])
     return idx
 
 

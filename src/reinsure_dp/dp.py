@@ -811,15 +811,16 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
 
     claims holds one (distinct treaties x claim atoms) table per stage data:
     when every stage shares one stage data, every entry of claims is the
-    same array, and index points into it. Each distinct treaty is priced
-    and applied once per stage data, its retained claims written straight
-    into its table row.
+    same array, and index points into it. Three passes: key every row, then
+    apply, check and price each distinct treaty once per stage data, from
+    the first row that holds it, then check each stage's gathered premiums
+    against its budgets.
 
     The policy must live on the config grid (else GridMismatch) and hold one
     row per stage, one when stationary. Raises InvalidTreaty where a custom
-    treaty fails is_admissible on the stage's claim atoms,
-    InfeasiblePolicyRow where a budget-constrained stage's treaty costs more
-    than its state's surplus.
+    treaty fails is_admissible on the stage's claim atoms, else
+    InfeasiblePolicyRow at the first (stage, state) where a budget-constrained
+    stage's treaty costs more than the state's surplus.
     """
     grid = policy.grid
     if not np.array_equal(grid, config.grid.points()):
@@ -827,35 +828,35 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     stages = 1 if config.is_infinite else config.horizon
     if len(policy.rows) != stages:
         raise ValidationError(f"policy has {len(policy.rows)} rows, the config {stages} stages")
-    premiums = np.empty((len(policy.rows), grid.size))
-    index = np.empty(premiums.shape, dtype=np.intp)
-    group = [0 if len(config.stages) == 1 else n for n in range(len(policy.rows))]
-    # the whole index first, so that each table is sized before it is written
-    slots: dict = {}
+    group = [0 if len(config.stages) == 1 else n for n in range(stages)]
+    index = np.empty((stages, grid.size), dtype=np.intp)
+    # per stage data, each distinct treaty's (slot, stage, state) where it first appears
+    firsts: dict = {}
     for n, row in enumerate(policy.rows):
-        keys = slots.setdefault(group[n], {})
-        index[n] = [keys.setdefault(_treaty_key(f), len(keys)) for f in row]
-    tables = {g: np.empty((len(keys), len(config.stage(g).dY))) for g, keys in slots.items()}
-    prices = {g: [None] * len(keys) for g, keys in slots.items()}
-    for n, row in enumerate(policy.rows):
-        s = config.stage(n)
-        table, price = tables[group[n]], prices[group[n]]
-        for j, f in enumerate(row):
-            k = index[n, j]
-            if price[k] is None:
-                table[k] = f.retained(s.dY.values)
-                if FAMILIES[f.family].fields is None and not _admissible_values(
-                    s.dY.values, table[k]
-                ):
-                    raise InvalidTreaty(
-                        f"stage {n}: custom treaty at x = {grid[j]:.6g} fails is_admissible"
-                    )
-                price[k] = treaty_premium(s.premium, s.dY, f)
-            premiums[n, j] = prem = price[k]
-            if s.budget_constrained and prem > max(float(grid[j]), 0.0) + _BUDGET_SLACK:
-                raise InfeasiblePolicyRow(
-                    f"stage {n}: treaty premium {prem:.6g} exceeds surplus at x = {grid[j]:.6g}"
+        keys = firsts.setdefault(group[n], {})
+        index[n] = [keys.setdefault(_treaty_key(f), (len(keys), n, j))[0]
+                    for j, f in enumerate(row)]
+    tables, prices = {}, {}
+    for g, keys in firsts.items():
+        s = config.stage(g)
+        tables[g] = table = np.empty((len(keys), len(s.dY)))
+        prices[g] = price = np.empty(len(keys))
+        for k, n, j in keys.values():
+            f = policy.rows[n][j]
+            table[k] = f.retained(s.dY.values)
+            if FAMILIES[f.family].fields is None and not _admissible_values(s.dY.values, table[k]):
+                raise InvalidTreaty(
+                    f"stage {n}: custom treaty at x = {grid[j]:.6g} fails is_admissible"
                 )
+            price[k] = treaty_premium(s.premium, s.dY, f)
+    premiums = np.array([prices[g][index[n]] for n, g in enumerate(group)])
+    for n, prem in enumerate(premiums):
+        over = np.flatnonzero(prem > _budgets(config.stage(n), grid) + _BUDGET_SLACK)
+        if over.size:
+            j = over[0]
+            raise InfeasiblePolicyRow(
+                f"stage {n}: treaty premium {prem[j]:.6g} exceeds surplus at x = {grid[j]:.6g}"
+            )
     return premiums, index, [tables[g] for g in group]
 
 
@@ -869,8 +870,6 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table, stats: list 
     When ``stats`` is a list it receives one dict per stage, in replay order
     (last stage first): its runtime and evaluator route.
     """
-    if config.is_infinite:
-        raise ValidationError("evaluate_policy needs a finite horizon")
     premiums, index, claims = table
     grid = policy.grid
     n = config.horizon
@@ -898,4 +897,6 @@ def evaluate_policy(
 ) -> ValueFunction:
     """Value of a fixed Markov policy by backward application of its rows;
     ``stats`` as in _policy_values."""
+    if config.is_infinite:
+        raise ValidationError("evaluate_policy needs a finite horizon")
     return _policy_values(policy, config, _policy_table(policy, config), stats)[0]

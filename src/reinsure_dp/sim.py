@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _search_bracketed, quantile, quantile_index
+from .distributions import quantile, quantile_index
 # evaluate_policy stays importable from here: bench/tracing.py patches it at
 # this import site
 from .dp import (  # noqa: F401
@@ -76,18 +76,14 @@ def _grid_index(ext: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the grid state at or below each x, the first or last state
     off the grid's ends. ext is the grid between -inf and inf sentinels,
     built once by the caller. The count of states <= x is guessed from the
-    uniform spacing, verified, and searched for where the guess fails."""
+    uniform spacing, verified, and searched for only where the guess misses."""
     size = ext.size - 2
     step = (ext[-2] - ext[1]) / (size - 1)
-    guess = np.clip(np.floor((x - ext[1]) / step) + 1.0, 0.0, size).astype(np.intp)
+    count = np.clip(np.floor((x - ext[1]) / step) + 1.0, 0.0, size).astype(np.intp)
     # ext[c] <= x < ext[c + 1] says exactly c states lie at or below x
-    hit = (ext[guess] <= x) & (x < ext[guess + 1])
-    if hit.all():
-        count = guess
-    else:
-        lo = np.where(hit, guess, 0)
-        hi = np.where(hit, guess, size)
-        count = _search_bracketed(ext[1:-1], x, lo, hi, side="right")
+    miss = ~((ext[count] <= x) & (x < ext[count + 1]))
+    if miss.any():
+        count[miss] = np.searchsorted(ext[1:-1], x[miss], side="right")
     # count is at most size, so only the bottom end needs a clip
     return np.maximum(count - 1, 0)
 
@@ -201,6 +197,7 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
         if config.stage(n).risk.kind != "value-at-risk":
             raise NotVaRConfig("the ruin bound needs value-at-risk at every stage")
     bound = float(sum(1.0 - config.stage(n).risk.alpha for n in range(n_periods)))
+    x = _real(x0, "x0")
     grid = config.grid.points()
     ext = np.concatenate([[-np.inf], grid, [np.inf]])
 
@@ -210,7 +207,6 @@ def ruin_bound_check(policy: PolicyTable, config: ModelConfig, x0):
     tails = _policy_values(policy, config, table)
 
     holds = True
-    x = float(x0)
     for n in range(n_periods):
         if tails[n](x) > 0.0:
             holds = False

@@ -855,6 +855,23 @@ class TestPolicyFlow:
         assert f"error: {path}: " in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_over_budget_row_exits_1_naming_first_row(self, tmp_path, capsys):
+        # full cession (stop-loss a = 0) costs 0.6: over budget below x = 0.6;
+        # stage 0 comes first in row order though stage 1's state lies lower
+        cfg = dump(tmp_path, finite_doc(m=51, horizon=2, count=17))
+        grid = np.linspace(-0.5, 1.5, 17)
+        keep, full = make_treaty("stop-loss", {"a": 1.0}), make_treaty("stop-loss", {"a": 0.0})
+        rows = (tuple(full if j == 4 else keep for j in range(17)),
+                tuple(full if j == 1 else keep for j in range(17)))
+        path = tmp_path / "policy.csv"
+        path.write_text(_policy_csv(PolicyTable(grid, rows), ["0", "1"]))
+        out = tmp_path / "o"
+        assert run("evaluate-policy", cfg, str(out), policy=str(path)) == 1
+        err = capsys.readouterr().err
+        assert "stage 0: treaty premium 0.6 exceeds surplus at x = 0" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_custom_treaty_has_no_csv_form(self):
         f = make_treaty("custom", {"fn": lambda y: 0.5 * np.asarray(y)})
         with pytest.raises(ValidationError, match="no CSV form"):

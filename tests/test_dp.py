@@ -2031,6 +2031,159 @@ class TestEvaluatePolicy:
                 want.slope_right,
             )
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_stationary_config_refused_before_compile(self, monkeypatch, rows):
+        # the horizon is refused first, whatever the row count
+        cfg = ModelConfig(None, (es_stage(m=51),), GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss"))
+        grid = cfg.grid.points()
+        row = tuple(make_treaty("stop-loss", {"a": a}) for a in np.linspace(0.0, 1.0, grid.size))
+        priced = []
+        _counting(monkeypatch, dp, "treaty_premium", priced)
+        with pytest.raises(ValidationError, match="finite horizon"):
+            evaluate_policy(PolicyTable(grid, (row,) * rows), cfg)
+        assert priced == []
+
+
+SWEEP_FAMILIES = ("stop-loss", "layer", "proportional", "piecewise-linear")
+SWEEP_RISKS = {
+    "es": RiskSpec("expected-shortfall", alpha=0.9),
+    "var": RiskSpec("value-at-risk", alpha=0.9),
+    "ph": RiskSpec("distortion", distortion=distortion_preset("ph:0.7")),
+    "entropic": RiskSpec("entropic", gamma=1.5),
+}
+SWEEP_INCOMES = {
+    "point": lambda: point(0.3),
+    "uniform-3": lambda: discretize(FamilySpec("uniform", (0.1, 0.5), atoms=3)),
+    "pairs": lambda: make_discrete([(0.0, 0.2), (0.3, 0.5), (0.6, 0.3)]),
+}
+
+
+def _sweep_config(i):
+    # a small config drawn from the seeded sweep: 16-33 states, 21-41 claim
+    # atoms, horizon 1-3
+    rng = np.random.default_rng(SEED + i)
+    family = SWEEP_FAMILIES[rng.integers(len(SWEEP_FAMILIES))]
+    risk = list(SWEEP_RISKS.values())[rng.integers(len(SWEEP_RISKS))]
+    income = list(SWEEP_INCOMES.values())[rng.integers(len(SWEEP_INCOMES))]
+    dY = uniform01(int(rng.integers(21, 42)))
+    s = StageData(dY, income(), risk, PremiumSpec("expected", theta=0.2), 0.9,
+                  budget_constrained=bool(rng.integers(2)))
+    if family == "piecewise-linear":
+        search = SearchSpec(family, knots=(0.2, 0.6), resolution=8)
+    else:
+        search = _grid_search(family, dY)
+    grid = GridSpec(-0.5, 1.5, int(rng.integers(16, 34)))
+    return ModelConfig(int(rng.integers(1, 4)), (s,), grid, search)
+
+
+def _assert_table_is_per_row(policy, cfg):
+    # the compiled table against a per-row treaty_premium and retained, bit for bit
+    premiums, index, claims = dp._policy_table(policy, cfg)
+    for n, row in enumerate(policy.rows):
+        s = cfg.stage(n)
+        want = [treaty_premium(s.premium, s.dY, f) for f in row]
+        assert np.array_equal(_bits(premiums[n]), _bits(np.array(want))), n
+        for j, f in enumerate(row):
+            got = claims[n][index[n, j]]
+            assert np.array_equal(_bits(got), _bits(f.retained(s.dY.values))), (n, j)
+
+
+def _mixed_policy(rng, grid, horizon):
+    # every kind of row a policy can hold, each drawn from a few parameter
+    # values so that treaties repeat within and across rows; the two custom
+    # maps are shared objects, known by identity
+    customs = [make_treaty("custom", {"fn": lambda y, c=c: y - c * np.asarray(y) ** 2 / 2})
+               for c in (0.1, 0.3)]
+
+    def draw(j):
+        kind = j % 7
+        if kind == 0:
+            return make_treaty("identity", {})
+        if kind == 1:
+            return make_treaty("full-cession", {})
+        if kind == 2:
+            return make_treaty("stop-loss", {"a": rng.choice([0.3, 0.6])})
+        if kind == 3:
+            return make_treaty("layer", {"a": rng.choice([0.2, 0.4]), "w": 0.3})
+        if kind == 4:
+            return make_treaty("proportional", {"c": rng.choice([0.5, 0.8])})
+        if kind == 5:
+            slopes = [1.0, rng.choice([0.5, 0.75])]
+            return make_treaty("piecewise-linear", {"knots": [0.2, 0.6], "slopes": slopes})
+        return customs[rng.integers(2)]
+
+    return PolicyTable(grid, tuple(tuple(draw(j) for j in range(grid.size))
+                                   for _ in range(horizon)))
+
+
+class TestPolicyTableCompile:
+    """_policy_table keys every row, compiles each distinct treaty once per
+    stage data and checks budgets last: its table is the per-row one."""
+
+    @pytest.mark.parametrize("i", range(24))
+    def test_sweep_table_is_per_row_and_replays_the_solve(self, i):
+        cfg = _sweep_config(i)
+        values, policy = solve_finite(cfg)
+        _assert_table_is_per_row(policy, cfg)
+        got, want = evaluate_policy(policy, cfg).values, values[0].values
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("per_period", [False, True], ids=["shared", "per-period"])
+    def test_mixed_policy_table_is_per_row(self, per_period):
+        rng = np.random.default_rng(SEED)
+        first = StageData(uniform01(31), point(0.3), RISKS["es"],
+                          PremiumSpec("expected", theta=0.2), 0.9, budget_constrained=False)
+        second = StageData(uniform01(21), point(0.3), RISKS["ph"],
+                           PremiumSpec("expected", theta=0.3), 0.9, budget_constrained=False)
+        stages = (first, second, first) if per_period else (first,)
+        cfg = ModelConfig(3, stages, GridSpec(-0.5, 1.5, 29), SearchSpec("stop-loss"))
+        policy = _mixed_policy(rng, cfg.grid.points(), 3)
+        _assert_table_is_per_row(policy, cfg)
+        _, _, claims = dp._policy_table(policy, cfg)
+        distinct = {dp._treaty_key(f) for row in policy.rows for f in row}
+        if per_period:
+            assert [c.shape[1] for c in claims] == [31, 21, 31]
+        else:
+            assert claims[0] is claims[1] is claims[2]
+            assert len(claims[0]) == len(distinct) < 3 * cfg.grid.count
+
+    def test_inadmissible_custom_row_precedes_budget(self):
+        cfg = ModelConfig(2, (es_stage(m=51),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        grid = cfg.grid.points()
+        ident = make_treaty("identity", {})
+        over = (make_treaty("full-cession", {}),) + (ident,) * (grid.size - 1)
+        bad = (ident,) * (grid.size - 1) + (make_treaty("custom", {"fn": np.square}),)
+        with pytest.raises(InvalidTreaty, match="stage 1: "):
+            evaluate_policy(PolicyTable(grid, (over, bad)), cfg)
+
+    def test_over_budget_names_first_row_in_order(self):
+        # full cession costs 0.6 here: over budget at every state with x < 0.6
+        cfg = ModelConfig(2, (es_stage(m=51),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        grid = cfg.grid.points()
+        ident, full = make_treaty("identity", {}), make_treaty("full-cession", {})
+        late = tuple(full if j == 4 else ident for j in range(grid.size))
+        early = tuple(full if j in (1, 3) else ident for j in range(grid.size))
+        with pytest.raises(InfeasiblePolicyRow, match=rf"^stage 0: .* x = {grid[4]:.6g}$"):
+            evaluate_policy(PolicyTable(grid, (late, early)), cfg)
+        with pytest.raises(InfeasiblePolicyRow, match=rf"^stage 1: .* x = {grid[1]:.6g}$"):
+            evaluate_policy(PolicyTable(grid, ((ident,) * grid.size, early)), cfg)
+
+    @pytest.mark.parametrize("excess, refused", [(1e-6, True), (1e-10, False)])
+    def test_budget_check_allows_only_its_slack(self, excess, refused):
+        # full cession priced just above the surplus 0.625 of state 9
+        dY = uniform01(51)
+        theta = (0.625 + excess) / dY.mean() - 1.0
+        s = StageData(dY, point(0.3), RISKS["es"], PremiumSpec("expected", theta=theta), 0.9)
+        cfg = ModelConfig(1, (s,), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        grid = cfg.grid.points()
+        row = tuple(make_treaty("full-cession" if j == 9 else "identity", {})
+                    for j in range(grid.size))
+        if refused:
+            with pytest.raises(InfeasiblePolicyRow, match="x = 0.625$"):
+                dp._policy_table(PolicyTable(grid, (row,)), cfg)
+        else:
+            dp._policy_table(PolicyTable(grid, (row,)), cfg)
+
 
 # a replayed row of each kind: every state's treaty drawn from narrow ranges,
 # so that neighbouring states' values stay decreasing across the grid

@@ -206,13 +206,18 @@ class TestGridIndex:
             "off-grid": np.concatenate([rng.uniform(-1e3, -0.5, 500), rng.uniform(1.5, 1e3, 500)]),
             "mid-cell": 0.5 * (grid[1:] + grid[:-1]),
         }[which]
-        searched = []
-        search = sim._search_bracketed
-        monkeypatch.setattr(
-            sim, "_search_bracketed", lambda *a, **k: searched.append(1) or search(*a, **k)
-        )
         want = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+        searched = []
+        search = np.searchsorted
+
+        def counted(a, v, **kw):
+            searched.append(np.size(v))
+            return search(a, v, **kw)
+
+        monkeypatch.setattr(sim.np, "searchsorted", counted)
         assert np.array_equal(sim._grid_index(sentinel_grid(grid), x), want)
+        # at most one search, over the missed guesses only
+        assert len(searched) <= 1 and sum(searched) < x.size
         if which in ("off-grid", "mid-cell"):
             # every guess holds: nothing is searched
             assert searched == []
@@ -357,6 +362,17 @@ class TestRuinBoundCheck:
         bound, holds = ruin_bound_check(policy, config, -0.5)
         assert bound == pytest.approx(0.2, abs=1e-12)
         assert holds is False
+
+    @pytest.mark.parametrize("x0", ["1.2", True, math.inf, math.nan])
+    def test_start_capital_read_as_simulate_reads_it(self, x0):
+        # a string, a boolean, an infinity and NaN are refused by both
+        config = var_layer_config(1, m=51, grid_count=17)
+        policy = identity_policy(config)
+        with pytest.raises(ValidationError) as refused:
+            ruin_bound_check(policy, config, x0)
+        assert refused.value.field == "x0"
+        with pytest.raises(ValidationError):
+            simulate_paths(policy, config, x0, 10, seed=1)
 
     def test_requires_var_at_every_stage(self):
         config = basic_config(uniform01(31), point(0.3), horizon=2)

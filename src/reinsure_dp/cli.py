@@ -306,6 +306,14 @@ def read_policy_csv(path) -> PolicyTable:
         except (AttributeError, TypeError, ValueError, ValidationError) as exc:
             raise ParseError(f"{path}: bad {name} row: {exc}") from exc
         by_stage.setdefault(row["stage"], []).append((x, treaty))
+    # the labels _policy_csv writes: 0 .. N-1 in order, or one block inf
+    if list(by_stage) != ["inf"]:
+        for k, label in enumerate(by_stage):
+            if label != str(k):
+                raise ParseError(
+                    f"{path}: stage label {label!r} where {k} belongs"
+                    " (blocks are labelled 0 .. N-1 in order, or one block inf)"
+                )
     blocks = list(by_stage.values())
     first = [x for x, _ in blocks[0]]
     if any([x for x, _ in block] != first for block in blocks[1:]):

@@ -53,9 +53,10 @@ class DiscreteDistribution:
     values: np.ndarray
     probs: np.ndarray
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
-    # quantile_index's bucket guide, built on its first guided call: most
-    # distributions are built for one risk or premium evaluation and need none
-    _guide: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # quantile_index's bucket guide (start, cut, wide), built on its first
+    # guided call: most distributions are built for one risk or premium
+    # evaluation and need none
+    _guide: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -242,32 +243,18 @@ def discretize(spec: FamilySpec) -> DiscreteDistribution:
     return _canonical(values, np.full(m, 1.0 / m))
 
 
-def _search_bracketed(table, keys, lo, hi):
-    """np.searchsorted(table, keys), exactly, given per-key bounds
-    lo <= answer <= hi (guide-table search; Devroye 1986, III.2.4).
-
-    A bracket at most one wide finishes in one comparison; wider ones go to
-    np.searchsorted.
-    """
-    # the answer can be table.size; its sentinel never lies below a key
-    ext = np.append(table, np.inf)
-    # the answer is lo or lo + 1; at zero width ext[lo] never lies below
-    idx = lo + (ext[lo] < keys)
-    wide = hi - lo > 1
-    if wide.any():
-        idx[wide] = np.searchsorted(table, keys[wide])
-    return idx
-
-
 def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:
     """Index of the smallest atom whose cumulative probability reaches u.
 
-    A batch at least as large as the distribution is bracketed by a guide
-    over 2**p dyadic buckets of (0, 1], p = ceil(log2 len(d)): a level in
-    bucket b, b/2**p < u <= (b+1)/2**p, has its index between the counts of
-    cumulative probabilities <= b/2**p and <= (b+1)/2**p, both read off one
-    search over the bucket edges, made once per distribution. Every step is
-    exact, so the result is np.searchsorted's.
+    A batch at least as large as the distribution reads a guide over the 2**p
+    dyadic buckets of (0, 1], p = ceil(log2 len(d)) (Chen & Asau 1974; Devroye
+    1986, III.2.4), built once per distribution. Bucket b, b/2**p < u <=
+    (b+1)/2**p, stores start[b], the count of cumulative probabilities <=
+    b/2**p, and cut[b], the one at start[b]; a level in it has its index
+    between start[b] and start[b + 1]. So where the bucket holds at most one
+    cumulative probability the index is start[b] + (cut[b] < u), and only
+    levels in wider buckets are searched. Every step is exact: the result is
+    np.searchsorted's.
     """
     u_arr = np.asarray(u, dtype=np.float64)
     # a NaN level fails both comparisons
@@ -277,17 +264,21 @@ def quantile_index(d: DiscreteDistribution, u) -> np.ndarray:
     if u_arr.size < cum.size:
         idx = np.searchsorted(cum, u_arr, side="left")
     else:
-        ends = d._guide
-        if ends is None:
+        if d._guide is None:
             m = 1 << (cum.size - 1).bit_length()
             ends = np.searchsorted(cum, np.arange(m + 1) / m, side="right")
-            object.__setattr__(d, "_guide", ends)
-        m = ends.size - 1
+            # start[b] can be cum.size; its cut never lies below a level
+            cut = np.append(cum, np.inf)[ends[:-1]]
+            object.__setattr__(d, "_guide", (ends[:-1], cut, np.diff(ends) > 1))
+        start, cut, wide = d._guide
         keys = u_arr.ravel()
-        # u * m is exact, so b/m < u <= (b+1)/m
-        b = (np.ceil(keys * m) - 1.0).astype(np.intp)
-        lo, hi = ends[b], ends[b + 1]
-        idx = _search_bracketed(cum, keys, lo, hi).reshape(u_arr.shape)
+        # u * 2**p is exact, so b/2**p < u <= (b+1)/2**p
+        b = (np.ceil(keys * start.size) - 1.0).astype(np.intp)
+        idx = start[b] + (cut[b] < keys)
+        if wide.any():
+            wide = wide[b]
+            idx[wide] = np.searchsorted(cum, keys[wide])
+        idx = idx.reshape(u_arr.shape)
     return np.minimum(idx, len(d) - 1)
 
 

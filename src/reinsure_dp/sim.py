@@ -129,9 +129,7 @@ def simulate_paths(
     terminal = np.empty(n_paths)
     draws = np.empty((min(_BATCH, n_paths), n_periods, 2))
     ruin_total = 0
-    done = 0
-    batch_index = 0
-    while done < n_paths:
+    for batch_index, done in enumerate(range(0, n_paths, _BATCH)):
         bs = min(_BATCH, n_paths - done)
         u = draws[:bs]
         np.random.Generator(np.random.Philox(key=seed).jumped(batch_index)).random(out=u)
@@ -159,8 +157,6 @@ def simulate_paths(
                 imputed_counts[n] += int(np.count_nonzero(required > 0.0))
             ruined |= neg
         ruin_total += int(np.count_nonzero(ruined))
-        done += bs
-        batch_index += 1
 
     p_hat = ruin_total / n_paths
     half = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / n_paths)

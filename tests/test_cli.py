@@ -872,6 +872,53 @@ class TestPolicyFlow:
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
+    @staticmethod
+    def two_stage_policy():
+        # stage 0 keeps everything above 1.0, stage 1 above 0.9: both affordable
+        grid = np.linspace(-0.5, 1.5, 17)
+        return PolicyTable(grid, tuple(
+            tuple(make_treaty("stop-loss", {"a": a}) for _ in grid) for a in (1.0, 0.9)
+        ))
+
+    @pytest.mark.parametrize("labels, bad", [
+        (["1", "0"], "'1'"), (["7", "foo"], "'7'"), (["0", "2"], "'2'"), (["inf", "0"], "'inf'"),
+    ], ids=["1,0", "7,foo", "0,2", "inf,0"])
+    def test_stage_labels_other_than_written_refused(self, tmp_path, labels, bad):
+        path = tmp_path / "policy.csv"
+        path.write_text(_policy_csv(self.two_stage_policy(), labels))
+        with pytest.raises(ParseError) as err:
+            read_policy_csv(str(path))
+        assert str(err.value).startswith(f"{path}: stage label {bad} ")
+
+    def test_interleaved_blocks_and_a_lone_inf_block_load(self, tmp_path):
+        policy = self.two_stage_policy()
+        lines = _policy_csv(policy, ["0", "1"]).splitlines()
+        # the rows of stage 0 and stage 1 alternate, state by state
+        k = len(policy.grid)
+        body = [line for pair in zip(lines[1 : k + 1], lines[k + 1 :]) for line in pair]
+        path = tmp_path / "interleaved.csv"
+        path.write_text("\n".join([lines[0], *body]) + "\n")
+        loaded = read_policy_csv(str(path))
+        assert np.array_equal(loaded.grid, policy.grid)
+        for n in range(2):
+            assert np.array_equal(loaded.stage_params(n), policy.stage_params(n))
+        path = tmp_path / "inf.csv"
+        path.write_text(_policy_csv(PolicyTable(policy.grid, policy.rows[1:]), ["inf"]))
+        loaded = read_policy_csv(str(path))
+        assert len(loaded.rows) == 1
+        assert np.array_equal(loaded.stage_params(0), policy.stage_params(1))
+
+    def test_reordered_stage_labels_exit_1_without_manifest(self, tmp_path, capsys):
+        cfg = dump(tmp_path, finite_doc(m=51, horizon=2, count=17))
+        path = tmp_path / "policy.csv"
+        path.write_text(_policy_csv(self.two_stage_policy(), ["1", "0"]))
+        out = tmp_path / "o"
+        assert run("evaluate-policy", cfg, str(out), policy=str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: stage label '1' " in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_custom_treaty_has_no_csv_form(self):
         f = make_treaty("custom", {"fn": lambda y: 0.5 * np.asarray(y)})
         with pytest.raises(ValidationError, match="no CSV form"):

@@ -293,8 +293,30 @@ def lookup_keys(table, rng):
     return keys[(keys > 0.0) & (keys <= 1.0)]
 
 
+def guide_buckets(d, keys):
+    # each key's dyadic bucket, the counts of cumulative probabilities <= each
+    # bucket edge, and how many cumulative probabilities each key's bucket holds
+    m = 1 << (len(d) - 1).bit_length()
+    ends = np.searchsorted(d._cum, np.arange(m + 1) / m, side="right")
+    b = (np.ceil(keys * m) - 1.0).astype(np.intp)
+    return b, ends, np.diff(ends)[b]
+
+
+def repeated_table():
+    # 641 cumulative probabilities, 241 of them repeats of the one before (an
+    # atom of 1e-300 leaves the sum where it is); entry 151 repeats 48 times
+    # and is the only value in its bucket
+    rng = np.random.default_rng(SEED + 6)
+    cum = np.cumsum(rng.dirichlet(np.ones(400)))
+    reps = rng.integers(1, 3, 400)
+    reps[151] = 48
+    probs = np.diff(np.repeat(cum, reps), prepend=0.0)
+    probs[probs == 0.0] = 1e-300
+    return DiscreteDistribution(np.arange(float(probs.size)), probs), rng
+
+
 class TestGuideLookup:
-    """quantile_index and the bracketed search equal np.searchsorted."""
+    """quantile_index's guided lookup equals np.searchsorted."""
 
     @pytest.mark.parametrize("name", LOOKUP_TABLES)
     def test_quantile_index_is_searchsorted(self, name):
@@ -323,53 +345,63 @@ class TestGuideLookup:
         assert d._guide is None
         assert np.array_equal(quantile_index(d, keys), want)
         guide = d._guide
-        assert guide.size == m + 1
+        start, cut, wide = guide
+        assert start.size == cut.size == wide.size == m
+        ends = np.searchsorted(d._cum, np.arange(m + 1) / m, side="right")
+        assert np.array_equal(start, ends[:-1])
+        assert np.array_equal(cut, np.append(d._cum, np.inf)[start])
+        assert np.array_equal(wide, np.diff(ends) > 1)
         assert np.array_equal(quantile_index(d, keys[::-1]), want[::-1])
         assert d._guide is guide
 
     @pytest.mark.parametrize("name", LOOKUP_TABLES)
     def test_bracketed_search_is_searchsorted(self, name):
-        # brackets of random slack up to 31 on each side: some at most one
-        # wide, the rest sent to np.searchsorted
-        rng = np.random.default_rng(SEED + 5)
-        table = LOOKUP_TABLES[name]()._cum
-        keys = lookup_keys(table, rng)
-        want = np.searchsorted(table, keys, side="left")
-        lo = np.maximum(want - rng.integers(0, 32, keys.size), 0)
-        hi = np.minimum(want + rng.integers(0, 32, keys.size), table.size)
-        assert np.array_equal(dist._search_bracketed(table, keys, lo, hi), want)
+        # a level in bucket b has its index between start[b] and start[b + 1];
+        # in a bucket holding at most one cumulative probability it is start[b]
+        # plus whether cut[b] lies below it
+        d = LOOKUP_TABLES[name]()
+        keys = lookup_keys(d._cum, np.random.default_rng(SEED + 5))
+        want = np.searchsorted(d._cum, keys, side="left")
+        got = quantile_index(d, keys)
+        start, cut, wide = d._guide
+        b, ends, _ = guide_buckets(d, keys)
+        assert np.all(ends[b] <= want) and np.all(want <= ends[b + 1])
+        narrow = ~wide[b]
+        assert np.array_equal((start[b] + (cut[b] < keys))[narrow], want[narrow])
+        assert np.array_equal(got, np.minimum(want, len(d) - 1))
 
     @pytest.mark.parametrize("top", [0, 1, 2, 48],
                              ids=["zero-wide", "at-most-one", "zero-to-two", "zero-to-48"])
     def test_bracketed_finish_is_searchsorted(self, top):
-        # a bracket at most one wide finishes in one comparison, a wider one
-        # in np.searchsorted; one call can hold both. The table repeats
-        # entries, so a key equal to one lands before its run.
-        rng = np.random.default_rng(SEED + 6)
-        table = np.repeat(np.cumsum(rng.dirichlet(np.ones(400))), rng.integers(1, 3, 400))
-        keys = lookup_keys(table, rng)
-        want = np.searchsorted(table, keys, side="left")
-        width = rng.integers(0, top + 1, keys.size)
-        lo = np.maximum(want - rng.integers(0, width + 1), 0)
-        hi = np.minimum(lo + width, table.size)
-        assert (hi - lo).max() == top
+        # levels only in buckets holding at most `top` cumulative
+        # probabilities: one comparison finishes a bucket holding at most one,
+        # np.searchsorted a wider one, and one call can hold both. The table
+        # repeats entries, so a level equal to one lands before its run.
+        d, rng = repeated_table()
+        assert (np.diff(d._cum) == 0.0).any()
+        keys = np.concatenate([lookup_keys(d._cum, rng), 1.0 - rng.random(16 * len(d))])
+        keys = keys[guide_buckets(d, keys)[2] <= top]
+        assert keys.size >= len(d)  # the guide path, not the small-batch one
+        held = guide_buckets(d, keys)[2]
+        assert held.max() == top
         if top > 1:
-            assert ((hi - lo) <= 1).any()
-        got = dist._search_bracketed(table, keys, lo, hi)
-        assert np.array_equal(got, want)
+            assert (held <= 1).any()
+        want = np.minimum(np.searchsorted(d._cum, keys, side="left"), len(d) - 1)
+        assert np.array_equal(quantile_index(d, keys), want)
 
     def test_guide_buckets_holding_several_levels(self):
         # Dirichlet(0.2) probabilities crowd many cumulative values into one
-        # dyadic bucket, so the guided lookup sends some brackets to
-        # np.searchsorted and finishes the rest in one comparison
+        # dyadic bucket, so the guided lookup sends the levels of some buckets
+        # to np.searchsorted and finishes the rest in one comparison
         rng = np.random.default_rng(SEED + 7)
         k = 500
         d = DiscreteDistribution(np.arange(float(k)), rng.dirichlet(np.full(k, 0.2)))
         keys = lookup_keys(d._cum, rng)
         want = np.minimum(np.searchsorted(d._cum, keys, side="left"), k - 1)
         assert np.array_equal(quantile_index(d, keys), want)
-        widths = np.diff(d._guide)
-        assert widths.max() > 2 and widths.min() <= 1
+        _, _, wide = d._guide
+        b, _, held = guide_buckets(d, keys)
+        assert held.max() > 2 and wide[b].any() and not wide[b].all()
 
 
 def canonical_by_unique(values, probs):

@@ -1,11 +1,11 @@
 """Command-line entry point: config files, run orchestration, result files.
 
-A run is one JSON config document plus one subcommand. Subcommands write
-their tables as CSV with 17 significant digits and a fixed row order, so
-two runs of the same config and seed produce byte-identical files; all
-timing data lives in the manifest, never in the CSVs. The manifest is
-written last and atomically, which makes its presence a completion
-certificate: a run that died half way leaves no manifest behind.
+A run is one JSON config document plus one subcommand. Its CSV tables
+carry 17 significant digits in a fixed row order, so two runs of the same
+config and seed write byte-identical files; timing data lives only in the
+manifest. The first artifact makes the output directory, so a refused run
+leaves none. The manifest is written last and atomically: its presence
+certifies a completed run, and a run that died half way leaves none.
 
 The solver's own code is single threaded: the batched evaluator owns the
 vectorization, and fixed accumulation order is what keeps reruns
@@ -241,6 +241,7 @@ def write_config(config: ModelConfig, path) -> None:
 
 
 def _write_text(path, text: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -282,10 +283,10 @@ def read_policy_csv(path) -> PolicyTable:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            rows = list(reader)
+            header, rows = reader.fieldnames, list(reader)
     except (OSError, ValueError, csv.Error) as exc:
         raise ParseError(f"cannot read policy {path}: {exc}") from exc
-    if reader.fieldnames != _POLICY_COLUMNS:
+    if header != _POLICY_COLUMNS:
         raise ParseError(f"{path}: needs the header {','.join(_POLICY_COLUMNS)}")
     if not rows:
         raise ParseError(f"{path}: empty policy file")
@@ -306,8 +307,9 @@ def read_policy_csv(path) -> PolicyTable:
         except (AttributeError, TypeError, ValueError, ValidationError) as exc:
             raise ParseError(f"{path}: bad {name} row: {exc}") from exc
         by_stage.setdefault(row["stage"], []).append((x, treaty))
-    # the labels _policy_csv writes: 0 .. N-1 in order, or one block inf
-    if list(by_stage) != ["inf"]:
+    # the labels _write_solution writes: 0 .. N-1 in order, or one block inf
+    stationary = list(by_stage) == ["inf"]
+    if not stationary:
         for k, label in enumerate(by_stage):
             if label != str(k):
                 raise ParseError(
@@ -319,24 +321,21 @@ def read_policy_csv(path) -> PolicyTable:
     if any([x for x, _ in block] != first for block in blocks[1:]):
         raise ParseError(f"{path}: stage blocks disagree on the state grid")
     grid = np.asarray(first, dtype=np.float64)
-    return PolicyTable(grid, tuple(tuple(t for _, t in block) for block in blocks))
+    return PolicyTable(grid, tuple(tuple(t for _, t in block) for block in blocks), stationary)
 
 
-def _write_solution(out_dir, values, policy: PolicyTable, labels=None) -> list[str]:
-    """Write values.csv and policy.csv; labels default to stage numbers."""
-    if labels is None:
-        labels = [str(k) for k in range(len(values))]
+def _write_solution(out_dir, values, policy: PolicyTable) -> list[str]:
+    """Write values.csv and policy.csv, labelled by stage number, or inf if stationary."""
+    labels = ["inf"] if policy.stationary else [str(k) for k in range(len(values))]
     _write_text(os.path.join(out_dir, "values.csv"), _values_csv(zip(labels, values)))
     _write_text(os.path.join(out_dir, "policy.csv"), _policy_csv(policy, labels))
     return ["values.csv", "policy.csv"]
 
 
 def _atomic_json(path, obj) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        # one dumps call takes the C encoder, which indent=2 would bypass
-        fh.write(json.dumps(obj) + "\n")
-    os.replace(tmp, path)
+    # one dumps call takes the C encoder, which indent=2 would bypass
+    _write_text(f"{path}.tmp", json.dumps(obj) + "\n")
+    os.replace(f"{path}.tmp", path)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def _run_solve_finite(doc, config, out_dir, seed, policy):
 def _run_solve_infinite(doc, config, out_dir, seed, policy):
     stats: list = []
     sol = solve_infinite(config, stats=stats)
-    outputs = _write_solution(out_dir, [sol.value], sol.policy, ["inf"])
+    outputs = _write_solution(out_dir, [sol.value], sol.policy)
     return outputs, stats, {"iterations": sol.iterations, "certificate": sol.certificate}
 
 
@@ -367,11 +366,6 @@ def _run_evaluate_policy(doc, config, out_dir, seed, policy):
     vf = evaluate_policy(read_policy_csv(policy), config, stats=stats)
     _write_text(os.path.join(out_dir, "values.csv"), _values_csv([("0", vf)]))
     return ["values.csv"], stats, {}
-
-
-def _gap_rows(label, grid, dp_params, oracle_params):
-    for x, d, o in zip(grid, dp_params, oracle_params):
-        yield f"{label},{_fmt(x)},{_fmt(d)},{_fmt(o)},{_fmt(abs(d - o))}"
 
 
 # oracle -> the search family whose parameter its closed form gives
@@ -420,7 +414,8 @@ def _run_oracle_compare(doc, config, out_dir, seed, policy):
     _, policy, outputs, stats = _solve_and_write(config, out_dir)
     lines = ["stage,x,dp_param,oracle_param,gap"]
     for n, params in oracle_params.items():
-        lines.extend(_gap_rows(str(n), grid, policy.stage_params(n), params))
+        for x, d, o in zip(grid, policy.stage_params(n), params):
+            lines.append(f"{n},{_fmt(x)},{_fmt(d)},{_fmt(o)},{_fmt(abs(d - o))}")
     _write_text(os.path.join(out_dir, "oracle_gap.csv"), "\n".join(lines) + "\n")
     return outputs + ["oracle_gap.csv"], stats, {}
 
@@ -515,7 +510,6 @@ def run(subcommand, config_path, out_dir, *, seed=0, tol=None, policy=None) -> i
         if tol is not None:
             with _at(""):
                 config = replace(config, tol=tol)
-        os.makedirs(out_dir, exist_ok=True)
         outputs, stats, certs = sub.body(doc, config, out_dir, seed, policy)
         manifest = {
             "artifact_version": __version__,

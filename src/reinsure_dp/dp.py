@@ -290,10 +290,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """One treaty per (stage, grid state)."""
+    """One treaty per (stage, grid state); a stationary policy's one row serves every period."""
 
     grid: np.ndarray
     rows: tuple[tuple[Treaty, ...], ...]
+    stationary: bool = False
 
     def stage_params(self, n: int) -> np.ndarray:
         """Scalar search parameter per state; one-parameter families only."""
@@ -733,7 +734,7 @@ def _policy_values_solve(row, config: ModelConfig, grid: np.ndarray, tail: float
     linear system. Returns None if the system is singular.
     """
     s = config.stage(0)
-    (prems,), (index,), (claims,) = _policy_table(PolicyTable(grid, (row,)), config)
+    (prems,), (index,), (claims,) = _policy_table(PolicyTable(grid, (row,), True), config)
     size = grid.size
     a_mat = np.eye(size)
     b_vec = np.empty(size)
@@ -787,7 +788,7 @@ def solve_infinite(config: ModelConfig, max_iter=10_000, stats: list | None = No
         delta = weighted_norm(v_new, v, config)
         if delta <= thresh:
             cert = q / (1.0 - q) * delta
-            return InfiniteSolution(v_new, PolicyTable(grid, (row,)), iteration, cert)
+            return InfiniteSolution(v_new, PolicyTable(grid, (row,), True), iteration, cert)
         u_vals = _policy_values_solve(row, config, grid, tail)
         decreasing = u_vals is not None and float(np.max(np.diff(u_vals))) <= _MONO_TOL
         v = ValueFunction(grid, u_vals, tail, tail) if decreasing else v_new
@@ -816,15 +817,18 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     the first row that holds it, then check each stage's gathered premiums
     against its budgets.
 
-    The policy must live on the config grid (else GridMismatch) and hold one
-    row per stage, one when stationary. Raises InvalidTreaty where a custom
-    treaty fails is_admissible on the stage's claim atoms, else
-    InfeasiblePolicyRow at the first (stage, state) where a budget-constrained
-    stage's treaty costs more than the state's surplus.
+    The policy must live on the config grid (else GridMismatch), be of its
+    horizon kind, stationary or finite, and hold one row per stage. Raises
+    InvalidTreaty where a custom treaty fails is_admissible on the stage's
+    claim atoms, else InfeasiblePolicyRow at the first (stage, state) where
+    a budget-constrained stage's treaty costs more than the state's surplus.
     """
     grid = policy.grid
     if not np.array_equal(grid, config.grid.points()):
         raise GridMismatch("policy table grid differs from the config grid")
+    if policy.stationary != config.is_infinite:
+        kind = "stationary" if policy.stationary else "finite"
+        raise ValidationError(f"a {kind} policy replays only on a {kind} config")
     stages = 1 if config.is_infinite else config.horizon
     if len(policy.rows) != stages:
         raise ValidationError(f"policy has {len(policy.rows)} rows, the config {stages} stages")
@@ -866,9 +870,10 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table, stats: list 
     J_n is the value of starting at stage n and following rows n..N-1, so
     it equals evaluating the policy's tail on the config's tail stages.
     table is the policy's _policy_table, which has checked it. The batched
-    evaluator prices every row off the table, checked as a search is.
-    When ``stats`` is a list it receives one dict per stage, in replay order
-    (last stage first): its runtime and evaluator route.
+    evaluator prices every row off the table, checked as a search is, but a
+    rise in a stage's values is the stored policy's doing, not the grid's,
+    so it raises ValidationError. When ``stats`` is a list it receives one
+    dict per stage, in replay order (last stage first): its runtime and route.
     """
     premiums, index, claims = table
     grid = policy.grid
@@ -883,6 +888,9 @@ def _policy_values(policy: PolicyTable, config: ModelConfig, table, stats: list 
             v, s, route, grid, premiums[k],
             lambda sl, cols, y: claims[k][index[k, sl, None], cols],
         )
+        rise = float(np.max(np.diff(row_values)))
+        if rise > _MONO_TOL:
+            raise ValidationError(f"stage {k}: the policy's cost-to-go rises by {rise:.3g}")
         label = f"stage {k}: replayed"
         values[k] = v = _checked_stage(v, s, grid, row_values, policy.rows[k], label)
         if stats is not None:

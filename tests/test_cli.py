@@ -15,6 +15,7 @@ import pytest
 import reinsure_dp
 from reinsure_dp import dp
 from reinsure_dp.cli import (
+    _POLICY_COLUMNS,
     _SUBCOMMANDS,
     _build_parser,
     _policy_csv,
@@ -617,6 +618,8 @@ class TestSolveSubcommands:
         assert run("solve-infinite", cfg, str(out)) == 0
         values = read_csv(out / "values.csv")
         assert {r["stage"] for r in values} == {"inf"}
+        assert {r["stage"] for r in read_csv(out / "policy.csv")} == {"inf"}
+        assert read_policy_csv(str(out / "policy.csv")).stationary
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["certificates"]["iterations"] >= 1
         assert 0.0 <= manifest["certificates"]["certificate"] <= 1e-4
@@ -853,7 +856,24 @@ class TestPolicyFlow:
         out = tmp_path / "o"
         assert run("evaluate-policy", cfg, str(out), policy=str(path)) == 1
         assert f"error: {path}: " in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["run", "main"])
+    def test_zero_byte_policy_file_exits_1(self, tmp_path, capsys, entry):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        cfg = dump(tmp_path, finite_doc(m=11, horizon=1, count=17))
+        out = tmp_path / "o"
+        if entry == "run":
+            code = run("evaluate-policy", cfg, str(out), policy=str(path))
+        else:
+            argv = ["evaluate-policy", "--config", cfg, "--out", str(out), "--policy", str(path)]
+            code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: needs the header stage,x,family,p1,p2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_over_budget_row_exits_1_naming_first_row(self, tmp_path, capsys):
         # full cession (stop-loss a = 0) costs 0.6: over budget below x = 0.6;
@@ -870,7 +890,7 @@ class TestPolicyFlow:
         err = capsys.readouterr().err
         assert "stage 0: treaty premium 0.6 exceeds surplus at x = 0" in err
         assert "Traceback" not in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @staticmethod
     def two_stage_policy():
@@ -900,12 +920,13 @@ class TestPolicyFlow:
         path.write_text("\n".join([lines[0], *body]) + "\n")
         loaded = read_policy_csv(str(path))
         assert np.array_equal(loaded.grid, policy.grid)
+        assert not loaded.stationary
         for n in range(2):
             assert np.array_equal(loaded.stage_params(n), policy.stage_params(n))
         path = tmp_path / "inf.csv"
         path.write_text(_policy_csv(PolicyTable(policy.grid, policy.rows[1:]), ["inf"]))
         loaded = read_policy_csv(str(path))
-        assert len(loaded.rows) == 1
+        assert len(loaded.rows) == 1 and loaded.stationary
         assert np.array_equal(loaded.stage_params(0), policy.stage_params(1))
 
     def test_reordered_stage_labels_exit_1_without_manifest(self, tmp_path, capsys):
@@ -917,7 +938,25 @@ class TestPolicyFlow:
         err = capsys.readouterr().err
         assert f"error: {path}: stage label '1' " in err
         assert "Traceback" not in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["evaluate-policy", "simulate"])
+    def test_stationary_policy_refused_on_a_finite_config(self, tmp_path, capsys, sub):
+        # a horizon-1 policy relabelled inf has the one row the config reads,
+        # but it is a stationary policy: refused by kind, and nothing is written
+        doc = finite_doc(m=11, horizon=1, count=17)
+        assert run("solve-finite", dump(tmp_path, doc, "solve.json"), str(tmp_path / "s")) == 0
+        lines = (tmp_path / "s" / "policy.csv").read_text().splitlines()
+        path = tmp_path / "inf.csv"
+        path.write_text("\n".join([lines[0], *("inf" + line[1:] for line in lines[1:])]) + "\n")
+        if sub == "simulate":
+            doc["simulate"] = {"x0": 1.0, "paths": 100}
+        out = tmp_path / "o"
+        assert run(sub, dump(tmp_path, doc), str(out), policy=str(path)) == 1
+        err = capsys.readouterr().err
+        assert "error: a stationary policy replays only on a stationary config" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_custom_treaty_has_no_csv_form(self):
         f = make_treaty("custom", {"fn": lambda y: 0.5 * np.asarray(y)})
@@ -934,6 +973,77 @@ class TestPolicyFlow:
         assert main(["evaluate-policy", "--config", cfg, "--out", str(out)]) == 1
         assert "--policy" in capsys.readouterr().err
         assert not out.exists()
+
+
+# what a mutant cell is set to: blank, not finite, beyond the float range,
+# not a number, or two numbers where one belongs
+MUTANT_CELLS = ("", "nan", "inf", "1e400", "abc", "0 1")
+
+
+def policy_mutants(text, rng):
+    """60 seeded mutants of a policy.csv text, as (name, text) pairs."""
+    head, *body = text.splitlines(keepends=True)
+
+    def with_body(rows):
+        return head + "".join(rows)
+
+    mutants = [("zero bytes", "")]
+    for cut in sorted(rng.choice(np.arange(1, len(text)), 15, replace=False)):
+        mutants.append((f"truncated at byte {cut}", text[:cut]))
+    for i in rng.choice(len(body), 6, replace=False):
+        mutants.append((f"row {i} dropped", with_body(body[:i] + body[i + 1:])))
+        mutants.append((f"row {i} duplicated", with_body(body[:i + 1] + body[i:])))
+    # every column set to every mutant cell once, each in a random row
+    for k in range(len(_POLICY_COLUMNS) * len(MUTANT_CELLS)):
+        i, (c, value) = int(rng.integers(len(body))), divmod(k, len(MUTANT_CELLS))
+        cells = body[i].rstrip("\n").split(",")
+        cells[c] = MUTANT_CELLS[value]
+        row = ",".join(cells) + "\n"
+        mutants.append((f"row {i} {_POLICY_COLUMNS[c]} = {cells[c]!r}",
+                        with_body(body[:i] + [row] + body[i + 1:])))
+    relabelled = ["inf" + line[line.index(","):] for line in body]
+    mutants.append(("every block relabelled inf", with_body(relabelled)))
+    last = [line for line, old in zip(relabelled, body) if old.startswith("1,")]
+    mutants.append(("the last block alone, relabelled inf", with_body(last)))
+    return mutants
+
+
+class TestPolicyFileMutations:
+    """Seeded mutants of a solved 17-state policy.csv, replayed by
+    evaluate-policy and simulate: each run exits 0 or 1 without raising, and
+    a run that exits 1 leaves no output directory."""
+
+    @pytest.mark.parametrize("sub", ["evaluate-policy", "simulate"])
+    def test_each_mutant_exits_0_or_1_and_a_refusal_writes_nothing(self, tmp_path, capsys, sub):
+        doc = finite_doc(m=21, horizon=2, count=17)
+        assert run("solve-finite", dump(tmp_path, doc, "solve.json"), str(tmp_path / "s")) == 0
+        text = (tmp_path / "s" / "policy.csv").read_text()
+        if sub == "simulate":
+            doc["simulate"] = {"x0": 1.0, "paths": 100}
+        cfg = dump(tmp_path, doc)
+        mutants = policy_mutants(text, np.random.default_rng(2718))
+        assert len(mutants) == 60
+        codes, problems = {}, []
+        for k, (name, mutant) in enumerate([("unchanged", text), *mutants]):
+            path, out = tmp_path / f"m{k}.csv", tmp_path / f"o{k}"
+            path.write_text(mutant)
+            try:
+                code = run(sub, cfg, str(out), policy=str(path))
+            except Exception as exc:  # every crash is a finding
+                problems.append(f"{name}: raised {type(exc).__name__}: {exc}")
+                continue
+            codes[name] = code
+            err = capsys.readouterr().err
+            if code not in (0, 1) or "Traceback" in err:
+                problems.append(f"{name}: exit {code}, {err!r}")
+            elif code == 1 and out.exists():
+                problems.append(f"{name}: exit 1 left {sorted(os.listdir(out))}")
+        assert not problems, "\n".join(problems)
+        assert codes["unchanged"] == 0
+        for name in ("zero bytes", "every block relabelled inf",
+                     "the last block alone, relabelled inf"):
+            assert codes[name] == 1, name
+        assert 0 in codes.values() and 1 in codes.values()
 
 
 class TestOracleCompare:

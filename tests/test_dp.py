@@ -1912,6 +1912,17 @@ class TestEvaluatePolicy:
         with pytest.raises(InfeasiblePolicyRow):
             evaluate_policy(table, cfg)
 
+    def test_rising_cost_to_go_refused_as_input(self):
+        # one state of stage 1 retains every claim while its neighbours cede:
+        # the policy's cost-to-go rises there, which no value function holds,
+        # so the policy is refused as input, not as a numeric failure
+        cfg = ModelConfig(2, (es_stage(m=21),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
+        _, solved = solve_finite(cfg)
+        row = solved.rows[1][:15] + (make_treaty("stop-loss", {"a": 5.0}),) + solved.rows[1][16:]
+        policy = PolicyTable(solved.grid, (solved.rows[0], row))
+        with pytest.raises(ValidationError, match=r"^stage 1: the policy's cost-to-go rises by "):
+            evaluate_policy(policy, cfg)
+
     def test_inadmissible_custom_treaty_refused_before_pricing(self, monkeypatch):
         # y**2 stays below y on [0, 1] but cedes less as claims grow
         cfg = ModelConfig(2, (es_stage(m=101),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))
@@ -1941,11 +1952,26 @@ class TestEvaluatePolicy:
         with pytest.raises(ValidationError, match="rows"):
             dp._policy_table(PolicyTable(grid, (row,)), cfg)
         with pytest.raises(ValidationError, match="rows"):
-            dp._policy_table(PolicyTable(grid, (row, row)), stationary)
-        premiums, index, claims = dp._policy_table(PolicyTable(grid, (row,)), stationary)
+            dp._policy_table(PolicyTable(grid, (row, row), stationary=True), stationary)
+        # a one-row policy of the other horizon kind is refused, naming its kind
+        with pytest.raises(ValidationError, match="a finite policy replays only on a finite"):
+            dp._policy_table(PolicyTable(grid, (row,)), stationary)
+        table = PolicyTable(grid, (row,), stationary=True)
+        premiums, index, claims = dp._policy_table(table, stationary)
         assert np.array_equal(premiums, [0 * grid])
         assert np.array_equal(index[0], np.zeros(grid.size))
         assert np.array_equal(claims[0], [cfg.stage(0).dY.values])
+
+    def test_stationary_policy_replays_only_on_a_stationary_config(self):
+        grid, search = GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss")
+        policy = solve_infinite(ModelConfig(None, (es_stage(m=51),), grid, search)).policy
+        assert policy.stationary and len(policy.rows) == 1
+        # one row, as a horizon-1 config reads, but of the other kind: refused
+        one_stage = ModelConfig(1, (es_stage(m=51),), grid, search)
+        with pytest.raises(ValidationError, match="a stationary policy"):
+            evaluate_policy(policy, one_stage)
+        # the same row as a finite policy replays
+        evaluate_policy(PolicyTable(policy.grid, policy.rows), one_stage)
 
     def test_policy_table_prices_each_treaty_once(self, monkeypatch):
         # one table per stage data: a stage data that every stage shares
@@ -2500,3 +2526,39 @@ class TestSolveInfinite:
         v0 = zero_vf(grid)
         v1, _ = bellman_step(v0, s, grid, cfg.search)
         assert np.isfinite(weighted_norm(v1, v0, cfg))
+
+
+class TestFiniteHorizonsConverge:
+    """The paper's infinite-horizon theorem as a check: J_n, the optimal
+    value with n periods to go, approaches the stationary fixed point V*.
+
+    From J_0 = 0 the contraction gives ||J_n - V*|| <= q^n ||V*|| in the
+    weighted norm, q = 1 - (1 - beta)^2, and the stationary solve's
+    certificate bounds its own distance to V*. The finite solve extrapolates
+    with its own tail slopes a_n, so for the gridded solver the bound is a
+    check, not a theorem.
+    """
+
+    HORIZON = 40
+    ES = RiskSpec("expected-shortfall", alpha=0.95)
+    PH = RiskSpec("distortion", distortion=distortion_preset("ph:0.7"))
+
+    @pytest.mark.parametrize("risk, income", [
+        (ES, point(0.3)),
+        (PH, point(0.3)),
+        (ES, make_discrete([(0.0, 0.2), (0.3, 0.5), (0.6, 0.3)])),
+    ], ids=["point-es", "point-ph", "unequal-es"])
+    def test_gap_to_the_stationary_value_within_the_contraction_bound(self, risk, income):
+        s = StageData(uniform01(51), income, risk, PremiumSpec("expected", theta=0.2), 0.9)
+        grid, search = GridSpec(-0.5, 1.5, 33), SearchSpec("stop-loss")
+        stationary = ModelConfig(None, (s,), grid, search, tol=1e-8)
+        sol = solve_infinite(stationary)
+        # values[k] has HORIZON - k periods to go
+        values, _ = solve_finite(ModelConfig(self.HORIZON, (s,), grid, search))
+        q = 1.0 - (1.0 - s.beta) ** 2
+        v_norm = weighted_norm(sol.value, zero_vf(sol.value.grid), stationary)
+        gaps = {n: weighted_norm(values[self.HORIZON - n], sol.value, stationary)
+                for n in range(1, self.HORIZON + 1)}
+        for n, gap in gaps.items():
+            assert gap <= q**n * v_norm + sol.certificate, n
+        assert gaps[self.HORIZON] < gaps[1]

@@ -283,7 +283,7 @@ def read_policy_csv(path) -> PolicyTable:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            header, rows = reader.fieldnames, list(reader)
+            header, rows = reader.fieldnames, [(reader.line_num, row) for row in reader]
     except (OSError, ValueError, csv.Error) as exc:
         raise ParseError(f"cannot read policy {path}: {exc}") from exc
     if header != _POLICY_COLUMNS:
@@ -292,20 +292,20 @@ def read_policy_csv(path) -> PolicyTable:
         raise ParseError(f"{path}: empty policy file")
     # insertion order is block order
     by_stage: dict[str, list] = {}
-    for row in rows:
+    for line, row in rows:
         name = row["family"]
         fam = FAMILIES.get(name)
         if fam is None or fam.fields is None:
             raise ParseError(f"{path}: unsupported treaty family {name!r}")
         try:
-            x = float(row["x"])
+            x = _real(float(row["x"]))
             params = {
-                k: [float(t) for t in cell.split()] if k in fam.vectors else float(cell)
-                for k, cell in zip(fam.fields, (row["p1"], row["p2"]))
+                k: [_real(float(t)) for t in c.split()] if k in fam.vectors else _real(float(c))
+                for k, c in zip(fam.fields, (row["p1"], row["p2"]))
             }
             treaty = make_treaty(name, params)
         except (AttributeError, TypeError, ValueError, ValidationError) as exc:
-            raise ParseError(f"{path}: bad {name} row: {exc}") from exc
+            raise ParseError(f"{path}: line {line}: bad {name} row: {exc}") from exc
         by_stage.setdefault(row["stage"], []).append((x, treaty))
     # the labels _write_solution writes: 0 .. N-1 in order, or one block inf
     stationary = list(by_stage) == ["inf"]
@@ -322,6 +322,16 @@ def read_policy_csv(path) -> PolicyTable:
         raise ParseError(f"{path}: stage blocks disagree on the state grid")
     grid = np.asarray(first, dtype=np.float64)
     return PolicyTable(grid, tuple(tuple(t for _, t in block) for block in blocks), stationary)
+
+
+@contextmanager
+def _replaying(path):
+    """The PolicyTable of policy.csv path; a refusal of its replay names the file."""
+    table = read_policy_csv(path)
+    try:
+        yield table
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _write_solution(out_dir, values, policy: PolicyTable) -> list[str]:
@@ -363,7 +373,8 @@ def _run_solve_infinite(doc, config, out_dir, seed, policy):
 
 def _run_evaluate_policy(doc, config, out_dir, seed, policy):
     stats: list = []
-    vf = evaluate_policy(read_policy_csv(policy), config, stats=stats)
+    with _replaying(policy) as table:
+        vf = evaluate_policy(table, config, stats=stats)
     _write_text(os.path.join(out_dir, "values.csv"), _values_csv([("0", vf)]))
     return ["values.csv"], stats, {}
 
@@ -431,9 +442,11 @@ def _run_simulate(doc, config, out_dir, seed, policy):
             raise ValidationError("path count must be at least 1", "paths")
     if policy is None:
         values, table, outputs, stats = _solve_and_write(config, out_dir)
+        result = simulate_paths(table, config, x0, n_paths, seed, values=values)
     else:
-        values, table, outputs, stats = None, read_policy_csv(policy), [], []
-    result = simulate_paths(table, config, x0, n_paths, seed, values=values)
+        outputs, stats = [], []
+        with _replaying(policy) as table:
+            result = simulate_paths(table, config, x0, n_paths, seed)
     payload = {"x0": x0, "seed": seed, **asdict(result)}
     _write_text(os.path.join(out_dir, "sim.json"), json.dumps(payload, indent=2) + "\n")
     return outputs + ["sim.json"], stats, {}

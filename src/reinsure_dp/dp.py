@@ -601,13 +601,11 @@ def _zoom(objectives, states, lo, hi, r):
     return best_val, best_par
 
 
-def _segment_prices(s: StageData, knots: np.ndarray) -> np.ndarray:
-    # price of ceding each knot segment in full, off the stage's stop-loss
-    # curve; a distortion premium is comonotone additive, so a piecewise
-    # treaty with slopes in [0, 1] costs segment_prices @ (1 - slopes)
-    bp, bv = premium_breakpoints("stop-loss", s.premium, s.dY)
-    edge = np.interp(knots, bp, bv)
-    return edge - np.append(edge[1:], 0.0)
+def _price_weights(s: StageData) -> np.ndarray:
+    # every admissible treaty cedes a nondecreasing part of the claim, so a distortion
+    # premium prices it as these weights @ its ceded atoms, clipped at 0 as premiums read them
+    spec = RiskSpec("distortion", distortion=s.premium.handle())
+    return (1.0 + s.premium.theta) * atom_weights(spec, s.dY.probs)
 
 
 def _pw_search(v_next, s, route, grid, search):
@@ -617,8 +615,8 @@ def _pw_search(v_next, s, route, grid, search):
     cand = np.linspace(0.0, 1.0, search.resolution + 1)
     start = make_treaty(search.family, {"knots": knots, "slopes": np.ones(knots.size)})
     assert treaty_premium(s.premium, s.dY, start) == 0.0, "piecewise start must cede nothing"
-    seg = _segment_prices(s, knots)
     segs = _knot_segments(knots, s.dY.values)
+    seg = _price_weights(s) @ segs  # the price of ceding each knot segment in full
     budget = _budgets(s, grid)[:, None] + 1e-12
 
     def objectives(slopes):
@@ -813,9 +811,9 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     claims holds one (distinct treaties x claim atoms) table per stage data:
     when every stage shares one stage data, every entry of claims is the
     same array, and index points into it. Three passes: key every row, then
-    apply, check and price each distinct treaty once per stage data, from
-    the first row that holds it, then check each stage's gathered premiums
-    against its budgets.
+    apply, check and price (_price_weights) each distinct treaty once per
+    stage data, from the first row that holds it, then check each stage's
+    gathered premiums against its budgets.
 
     The policy must live on the config grid (else GridMismatch), be of its
     horizon kind, stationary or finite, and hold one row per stage. Raises
@@ -843,16 +841,17 @@ def _policy_table(policy: PolicyTable, config: ModelConfig):
     tables, prices = {}, {}
     for g, keys in firsts.items():
         s = config.stage(g)
-        tables[g] = table = np.empty((len(keys), len(s.dY)))
+        y, pw = s.dY.values, _price_weights(s)
+        tables[g] = table = np.empty((len(keys), y.size))
         prices[g] = price = np.empty(len(keys))
         for k, n, j in keys.values():
             f = policy.rows[n][j]
-            table[k] = f.retained(s.dY.values)
-            if FAMILIES[f.family].fields is None and not _admissible_values(s.dY.values, table[k]):
+            table[k] = f.retained(y)
+            if FAMILIES[f.family].fields is None and not _admissible_values(y, table[k]):
                 raise InvalidTreaty(
                     f"stage {n}: custom treaty at x = {grid[j]:.6g} fails is_admissible"
                 )
-            price[k] = treaty_premium(s.premium, s.dY, f)
+            price[k] = np.maximum(y - table[k], 0.0) @ pw
     premiums = np.array([prices[g][index[n]] for n, g in enumerate(group)])
     for n, prem in enumerate(premiums):
         over = np.flatnonzero(prem > _budgets(config.stage(n), grid) + _BUDGET_SLACK)

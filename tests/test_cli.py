@@ -846,6 +846,14 @@ class TestPolicyFlow:
         "stage,x,family,p1,p2\n0,0,piecewise-linear,0.2 0.6,-0.5 1\n",
         "stage,x,family,p1,p2\n0,0,stop-loss,nan,\n",
         "stage,x,family,p1,p2\n0,0,layer,0.2,nan\n",
+        # numbers that are not finite, in a scalar, vector or grid cell;
+        # make_treaty alone would take an infinite retention or layer width
+        "stage,x,family,p1,p2\n0,0,stop-loss,inf,\n",
+        "stage,x,family,p1,p2\n0,0,stop-loss,1e400,\n",
+        "stage,x,family,p1,p2\n0,0,layer,0.2,-1e400\n",
+        "stage,x,family,p1,p2\n0,0,layer,0.2,inf\n",
+        "stage,x,family,p1,p2\n0,0,piecewise-linear,0.2 0.6,1 inf\n",
+        "stage,x,family,p1,p2\n0,1e400,stop-loss,0.3,\n",
     ])
     def test_malformed_policy_file_exits_1(self, tmp_path, capsys, text):
         path = tmp_path / "policy.csv"
@@ -857,6 +865,16 @@ class TestPolicyFlow:
         assert run("evaluate-policy", cfg, str(out), policy=str(path)) == 1
         assert f"error: {path}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_cell_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "policy.csv"
+        path.write_text("stage,x,family,p1,p2\n0,0,stop-loss,0.3,\n\n0,1,layer,0.2,1e400\n")
+        with pytest.raises(ParseError) as err:
+            read_policy_csv(str(path))
+        # the blank line is skipped, but counted
+        assert str(err.value) == (
+            f"{path}: line 4: bad layer row: expected a finite number, got inf"
+        )
 
     @pytest.mark.parametrize("entry", ["run", "main"])
     def test_zero_byte_policy_file_exits_1(self, tmp_path, capsys, entry):
@@ -954,7 +972,48 @@ class TestPolicyFlow:
         out = tmp_path / "o"
         assert run(sub, dump(tmp_path, doc), str(out), policy=str(path)) == 1
         err = capsys.readouterr().err
-        assert "error: a stationary policy replays only on a stationary config" in err
+        assert f"error: {path}: a stationary policy replays only on a stationary config" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, sub", [
+        ("grid", "evaluate-policy"), ("grid", "simulate"),
+        ("kind", "evaluate-policy"), ("kind", "simulate"),
+        ("over-budget", "evaluate-policy"), ("over-budget", "simulate"),
+        # simulate --policy computes no cost-to-go, so only a replay sees it rise
+        ("rising", "evaluate-policy"),
+    ])
+    def test_replay_refusal_names_the_policy_file(self, tmp_path, capsys, case, sub):
+        # refusals raised past the reader, each prefixed with the --policy
+        # path: exit 1, no traceback, no output directory
+        doc = finite_doc(m=21, horizon=2, count=17)
+        config = parse_config(dump(tmp_path, doc, "solve.json"))
+        _, solved = solve_finite(config)
+        rows, labels = solved.rows, ["0", "1"]
+        want = {
+            "grid": "policy table grid differs from the config grid",
+            "kind": "a stationary policy replays only on a stationary config",
+            "over-budget": "stage 0: treaty premium 0.6 exceeds surplus at x = -0.5",
+            "rising": "stage 1: the policy's cost-to-go rises by ",
+        }[case]
+        if case == "grid":
+            doc["grid"]["count"] = 33
+        elif case == "kind":
+            rows, labels = rows[1:], ["inf"]
+        elif case == "over-budget":
+            full = make_treaty("stop-loss", {"a": 0.0})
+            rows = tuple((full,) * len(row) for row in rows)
+        else:
+            # one state retains every claim while its neighbours cede
+            rows = (rows[0], rows[1][:15] + (make_treaty("stop-loss", {"a": 5.0}),) + rows[1][16:])
+        path = tmp_path / "policy.csv"
+        path.write_text(_policy_csv(PolicyTable(solved.grid, rows), labels))
+        if sub == "simulate":
+            doc["simulate"] = {"x0": 1.0, "paths": 100}
+        out = tmp_path / "o"
+        assert run(sub, dump(tmp_path, doc), str(out), policy=str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {want}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1043,6 +1102,12 @@ class TestPolicyFileMutations:
         for name in ("zero bytes", "every block relabelled inf",
                      "the last block alone, relabelled inf"):
             assert codes[name] == 1, name
+        # a number beyond the float range reads as inf: refused in a
+        # retention or grid cell as much as an inf
+        for name, code in codes.items():
+            if re.fullmatch(r"row \d+ (x|p1) = '(1e400|inf)'", name):
+                assert code == 1, name
+        assert sum(name.endswith("p1 = '1e400'") for name in codes) == 1
         assert 0 in codes.values() and 1 in codes.values()
 
 

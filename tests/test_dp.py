@@ -62,7 +62,13 @@ from reinsure_dp.risk import (
     evaluate,
     var,
 )
-from reinsure_dp.treaties import FAMILIES, make_treaty, premium_breakpoints
+from reinsure_dp.treaties import (
+    FAMILIES,
+    Treaty,
+    _knot_segments,
+    make_treaty,
+    premium_breakpoints,
+)
 
 SEED = 31415
 # families a SearchSpec can search over
@@ -1521,7 +1527,7 @@ class TestBellmanStep:
             s = StageData(dY, point(0.3), RiskSpec("expected-shortfall", alpha=0.9), pspec, 1.0)
             top = ess_sup(dY)
             for knots in ((0.0,), (0.2, 0.6), (0.0, 0.4, 0.8), (0.5, top + 0.5), (top + 0.1,)):
-                seg = dp._segment_prices(s, np.asarray(knots))
+                seg = dp._price_weights(s) @ _knot_segments(np.asarray(knots), dY.values)
                 for _ in range(5):
                     slopes = rng.uniform(0.0, 1.0, len(knots))
                     f = make_treaty("piecewise-linear", {"knots": knots, "slopes": slopes})
@@ -1551,7 +1557,7 @@ def _sequential_pw_search(v_next, s, grid, search):
     # apply_L and kept if strictly better than the best so far
     knots = np.asarray(search.knots)
     cand = np.linspace(0.0, 1.0, search.resolution + 1)
-    seg = dp._segment_prices(s, knots)
+    seg = dp._price_weights(s) @ _knot_segments(knots, s.dY.values)
     budgets = np.maximum(grid, 0.0) if s.budget_constrained else np.full(grid.size, np.inf)
     values, rows = [], []
     for x, budget in zip(grid, budgets):
@@ -1988,27 +1994,43 @@ class TestEvaluatePolicy:
         per_row = [{f.params["a"] for f in row} for row in policy.rows]
         every = set.union(*per_row)
         assert len(every) > max(map(len, per_row))
-        priced = []
-
-        def counting(spec, dY, f):
-            priced.append(f)
-            return treaty_premium(spec, dY, f)
-
-        monkeypatch.setattr(dp, "treaty_premium", counting)
+        # each treaty is applied once and priced off the claims row it gave,
+        # never by the reference pricer
+        priced, applied = [], []
+        _counting(monkeypatch, dp, "treaty_premium", priced)
+        retained = Treaty.retained
+        monkeypatch.setattr(Treaty, "retained", lambda f, y: applied.append(f) or retained(f, y))
         for stages in ((s,), (s, s)):
-            priced.clear()
+            applied.clear()
             cfg = ModelConfig(2, stages, grid, search)
             premiums, index, claims = dp._policy_table(policy, cfg)
+            assert priced == []
             if len(stages) == 1:
                 assert claims[0] is claims[1]
-                assert len(priced) == len(claims[0]) == len(every)
+                assert len(applied) == len(claims[0]) == len(every)
             else:
                 assert [len(c) for c in claims] == [len(a) for a in per_row]
-                assert len(priced) == sum(map(len, per_row))
+                assert len(applied) == sum(map(len, per_row))
             for n, row in enumerate(policy.rows):
                 for j, f in enumerate(row):
-                    assert premiums[n, j] == treaty_premium(s.premium, s.dY, f)
-                    assert np.array_equal(claims[n][index[n][j]], f.retained(s.dY.values))
+                    assert premiums[n, j] == _weight_price(s, f)
+                    assert premiums[n, j] == pytest.approx(
+                        treaty_premium(s.premium, s.dY, f), rel=1e-12, abs=1e-12
+                    )
+                    assert np.array_equal(claims[n][index[n][j]], retained(f, s.dY.values))
+
+    def test_replay_price_off_the_reference_is_a_numeric_error(self, monkeypatch):
+        # the replay's prices and apply_L's come by different routes, so a
+        # stored treaty priced 1e-6 dear fails the replay's three-state check
+        cfg = ModelConfig(2, (es_stage(m=51, constrained=False),), GridSpec(-0.5, 1.5, 17),
+                          SearchSpec("stop-loss"))
+        row = (make_treaty("proportional", {"c": 0.5}),) * 17
+        policy = PolicyTable(cfg.grid.points(), (row, row))
+        evaluate_policy(policy, cfg)
+        weights = dp._price_weights
+        monkeypatch.setattr(dp, "_price_weights", lambda s: weights(s) * (1.0 + 1e-6))
+        with pytest.raises(NumericError, match="stage 1: replayed value"):
+            evaluate_policy(policy, cfg)
 
     def test_policy_table_shared_stage_holds_one_table(self):
         # three stages share one stage data over 2001 atoms: one table of the
@@ -2102,12 +2124,18 @@ def _sweep_config(i):
     return ModelConfig(int(rng.integers(1, 4)), (s,), grid, search)
 
 
+def _weight_price(s, f):
+    # the per-row price: f's ceded claim atoms, clipped at zero, @ the stage's price weights
+    y = s.dY.values
+    return np.maximum(y - f.retained(y), 0.0) @ dp._price_weights(s)
+
+
 def _assert_table_is_per_row(policy, cfg):
-    # the compiled table against a per-row treaty_premium and retained, bit for bit
+    # the compiled table against a per-row weight price and retained, bit for bit
     premiums, index, claims = dp._policy_table(policy, cfg)
     for n, row in enumerate(policy.rows):
         s = cfg.stage(n)
-        want = [treaty_premium(s.premium, s.dY, f) for f in row]
+        want = [_weight_price(s, f) for f in row]
         assert np.array_equal(_bits(premiums[n]), _bits(np.array(want))), n
         for j, f in enumerate(row):
             got = claims[n][index[n, j]]
@@ -2172,6 +2200,54 @@ class TestPolicyTableCompile:
         else:
             assert claims[0] is claims[1] is claims[2]
             assert len(claims[0]) == len(distinct) < 3 * cfg.grid.count
+
+    @pytest.mark.parametrize("pspec", [
+        PremiumSpec("expected", theta=0.2),
+        PremiumSpec("ph", theta=0.1, gamma=0.6),
+        PremiumSpec("wang", theta=0.3, distortion=distortion_preset("es:0.5")),
+        PremiumSpec("wang", theta=0.05, distortion=distortion_preset("ph:0.4")),
+    ], ids=["expected", "ph", "wang-es", "wang-ph"])
+    @pytest.mark.parametrize("law", [
+        lambda: uniform01(2001),
+        lambda: discretize(FamilySpec("lognormal", (0.0, 0.5), truncation=4.0, atoms=201)),
+        lambda: discretize(FamilySpec("exponential", (2.0,), truncation=3.0, atoms=64)),
+        lambda: make_discrete([(0.0, 0.2), (0.3, 0.5), (0.9, 0.3)]),
+    ], ids=["uniform-2001", "lognormal", "exponential", "pairs-with-0"])
+    def test_weight_price_pins_treaty_premium(self, pspec, law):
+        # every family's treaty, priced by the table's weights, against the
+        # reference pricer; a treaty that cedes nothing prices exactly 0.0
+        dY = law()
+        top = float(dY.values[-1])
+        rng = np.random.default_rng(SEED)
+        nothing = [
+            make_treaty("identity", {}),
+            make_treaty("proportional", {"c": 1.0}),
+            make_treaty("stop-loss", {"a": top}),
+            make_treaty("stop-loss", {"a": top + 0.5}),
+            make_treaty("piecewise-linear", {"knots": [0.1, 0.5], "slopes": [1.0, 1.0]}),
+        ]
+        # a zero-width layer retains max(min(a, y), (y - a) + a): a claim's own
+        # bits or an ulp off them, so it cedes nothing or a few ulps either way
+        row = nothing + [make_treaty("layer", {"a": a, "w": 0.0}) for a in rng.uniform(0, top, 6)]
+        row.append(make_treaty("full-cession", {}))
+        for _ in range(4):
+            knots = np.sort(rng.uniform(0.0, 1.2 * top, 3))
+            c = rng.uniform(0.1, 0.9)
+            row += [
+                make_treaty("proportional", {"c": rng.uniform()}),
+                make_treaty("stop-loss", {"a": rng.uniform(0.0, top)}),
+                make_treaty("layer", {"a": rng.uniform(0.0, top), "w": rng.uniform(0.0, top)}),
+                make_treaty("piecewise-linear", {"knots": knots, "slopes": rng.uniform(size=3)}),
+                make_treaty("custom", {"fn": lambda y, c=c: y - c * np.sqrt(1.0 + y) + c}),
+            ]
+        s = StageData(dY, point(0.3), RISKS["es"], pspec, 0.9, budget_constrained=False)
+        cfg = ModelConfig(1, (s,), GridSpec(-0.5, 1.5, len(row)), SearchSpec("stop-loss"))
+        (got,), _, _ = dp._policy_table(PolicyTable(cfg.grid.points(), (tuple(row),)), cfg)
+        want = np.array([treaty_premium(pspec, dY, f) for f in row])
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+        cedes_nothing = np.array([np.all(f.ceded(dY.values) <= 0.0) for f in row])
+        assert np.all(cedes_nothing[:len(nothing)])
+        assert np.all(got[cedes_nothing] == 0.0) and np.all(got >= 0.0)
 
     def test_inadmissible_custom_row_precedes_budget(self):
         cfg = ModelConfig(2, (es_stage(m=51),), GridSpec(-0.5, 1.5, 17), SearchSpec("stop-loss"))

@@ -16,6 +16,7 @@ from reinsure_dp.dp import (
     StageData,
     _policy_table,
     _policy_values,
+    _price_weights,
     solve_finite,
 )
 from reinsure_dp.errors import (
@@ -23,7 +24,7 @@ from reinsure_dp.errors import (
     NotVaRConfig,
     ValidationError,
 )
-from reinsure_dp.premiums import PremiumSpec, treaty_premium
+from reinsure_dp.premiums import PremiumSpec
 from reinsure_dp.risk import RiskSpec, var
 from reinsure_dp.sim import ruin_bound_check, simulate_paths
 from reinsure_dp.treaties import Treaty, make_treaty
@@ -455,12 +456,18 @@ def mixed_policy_config(shared=True, atoms=None):
     return config, PolicyTable(grid, (row,) * 3)
 
 
+def weight_price(s, f):
+    # the per-row price: f's ceded claim atoms, clipped at zero, @ the stage's price weights
+    y = s.dY.values
+    return np.maximum(y - f.retained(y), 0.0) @ _price_weights(s)
+
+
 def reference_simulate(policy, config, x0, n_paths, seed, values=None):
     # the per-visited-state replay: Treaty.retained on each state's draws
     grid = config.grid.points()
     periods = config.horizon
     prem = [
-        np.array([treaty_premium(config.stage(n).premium, config.stage(n).dY, f) for f in row])
+        np.array([weight_price(config.stage(n), f) for f in row])
         for n, row in enumerate(policy.rows)
     ]
     counts = np.zeros(periods, dtype=np.int64)
@@ -502,7 +509,7 @@ def reference_ruin_walk(policy, config, x0):
         j = int(np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1))
         f = policy.rows[n][j]
         worst = float(f.retained(ess_sup(s.dY)))
-        x = x - worst - treaty_premium(s.premium, s.dY, f) + float(s.dZ.values[0])
+        x = x - worst - weight_price(s, f) + float(s.dZ.values[0])
     return walk, holds
 
 

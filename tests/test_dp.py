@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import weight_price
 from reinsure_dp import dp, treaties
 from reinsure_dp.cli import _doc
 from reinsure_dp.distributions import (
@@ -719,6 +720,27 @@ def _counting(monkeypatch, module, name, log):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
+
+
+class _LoggedWeights(np.ndarray):
+    # price weights that append the left operand of each product taken with
+    # them, the ceded claim atoms of one treaty, to self.log
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(np.asarray(inputs[0]))
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+def _counting_prices(monkeypatch, log):
+    # make dp._price_weights return weights that log each treaty they price
+    real = dp._price_weights
+
+    def logged(s):
+        w = real(s).view(_LoggedWeights)
+        w.log = log
+        return w
+
+    monkeypatch.setattr(dp, "_price_weights", logged)
 
 
 # equal-probability income laws: with uniform claims every product atom
@@ -1936,13 +1958,15 @@ class TestEvaluatePolicy:
         ok = make_treaty("identity", {})
         bad = make_treaty("custom", {"fn": lambda y: np.asarray(y) ** 2})
         row = (ok,) * 5 + (bad,) * (grid.size - 5)
-        priced = []
-        monkeypatch.setattr(
-            dp, "treaty_premium", lambda pspec, dY, f: priced.append(f.family) or 0.0
-        )
+        # the identity is applied and priced, the custom map applied and refused
+        priced, applied = [], []
+        _counting_prices(monkeypatch, priced)
+        retained = Treaty.retained
+        monkeypatch.setattr(Treaty, "retained", lambda f, y: applied.append(f) or retained(f, y))
         with pytest.raises(InvalidTreaty, match=rf"stage 1: .* x = {grid[5]:.6g} "):
             dp._policy_table(PolicyTable(grid, ((ok,) * grid.size, row)), cfg)
-        assert "custom" not in priced
+        assert applied == [ok, bad]
+        assert len(priced) == 1 and not np.any(priced[0])
         monkeypatch.undo()
         with pytest.raises(InvalidTreaty):
             evaluate_policy(PolicyTable(grid, (row, row)), cfg)
@@ -2013,7 +2037,7 @@ class TestEvaluatePolicy:
                 assert len(applied) == sum(map(len, per_row))
             for n, row in enumerate(policy.rows):
                 for j, f in enumerate(row):
-                    assert premiums[n, j] == _weight_price(s, f)
+                    assert premiums[n, j] == weight_price(s, f)
                     assert premiums[n, j] == pytest.approx(
                         treaty_premium(s.premium, s.dY, f), rel=1e-12, abs=1e-12
                     )
@@ -2086,7 +2110,7 @@ class TestEvaluatePolicy:
         grid = cfg.grid.points()
         row = tuple(make_treaty("stop-loss", {"a": a}) for a in np.linspace(0.0, 1.0, grid.size))
         priced = []
-        _counting(monkeypatch, dp, "treaty_premium", priced)
+        _counting(monkeypatch, dp, "_price_weights", priced)
         with pytest.raises(ValidationError, match="finite horizon"):
             evaluate_policy(PolicyTable(grid, (row,) * rows), cfg)
         assert priced == []
@@ -2124,18 +2148,12 @@ def _sweep_config(i):
     return ModelConfig(int(rng.integers(1, 4)), (s,), grid, search)
 
 
-def _weight_price(s, f):
-    # the per-row price: f's ceded claim atoms, clipped at zero, @ the stage's price weights
-    y = s.dY.values
-    return np.maximum(y - f.retained(y), 0.0) @ dp._price_weights(s)
-
-
 def _assert_table_is_per_row(policy, cfg):
     # the compiled table against a per-row weight price and retained, bit for bit
     premiums, index, claims = dp._policy_table(policy, cfg)
     for n, row in enumerate(policy.rows):
         s = cfg.stage(n)
-        want = [_weight_price(s, f) for f in row]
+        want = [weight_price(s, f) for f in row]
         assert np.array_equal(_bits(premiums[n]), _bits(np.array(want))), n
         for j, f in enumerate(row):
             got = claims[n][index[n, j]]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import weight_price
 from reinsure_dp import sim
 from reinsure_dp.distributions import FamilySpec, discretize, ess_sup, quantile
 from reinsure_dp.dp import (
@@ -16,7 +17,6 @@ from reinsure_dp.dp import (
     StageData,
     _policy_table,
     _policy_values,
-    _price_weights,
     solve_finite,
 )
 from reinsure_dp.errors import (
@@ -454,12 +454,6 @@ def mixed_policy_config(shared=True, atoms=None):
     grid = config.grid.points()
     row = tuple(blocks[j * len(blocks) // grid.size]() for j in range(grid.size))
     return config, PolicyTable(grid, (row,) * 3)
-
-
-def weight_price(s, f):
-    # the per-row price: f's ceded claim atoms, clipped at zero, @ the stage's price weights
-    y = s.dY.values
-    return np.maximum(y - f.retained(y), 0.0) @ _price_weights(s)
 
 
 def reference_simulate(policy, config, x0, n_paths, seed, values=None):
